@@ -14,18 +14,44 @@ namespace msim::megsim
 namespace
 {
 
+/**
+ * Squared distance of two @p dims-long rows, summed in dim order. With
+ * a @p limit it gives up once the partial sum exceeds it, checked after
+ * every 4-dimension block: a rounded sum of non-negative terms never
+ * decreases, so a result <= limit is the exact distance and a result
+ * > limit proves the exact distance > limit.
+ */
 double
-sqDist(const FeatureMatrix &m, std::size_t frame,
-       const std::vector<double> &centroids, std::size_t cluster,
-       std::size_t dims)
+sqDist(const double *x, const double *c, std::size_t dims,
+       double limit = std::numeric_limits<double>::infinity())
 {
     double d2 = 0.0;
-    for (std::size_t c = 0; c < dims; ++c) {
-        const double diff =
-            m.at(frame, c) - centroids[cluster * dims + c];
+    std::size_t i = 0;
+    for (; i + 4 <= dims; i += 4) {
+        for (std::size_t j = i; j < i + 4; ++j) {
+            const double diff = x[j] - c[j];
+            d2 += diff * diff;
+        }
+        if (d2 > limit)
+            return d2;
+    }
+    for (; i < dims; ++i) {
+        const double diff = x[i] - c[i];
         d2 += diff * diff;
     }
     return d2;
+}
+
+/**
+ * Hamerly's skip test, widened by a margin that dwarfs every rounding
+ * error in the bounds: relative to the distances themselves, and to
+ * @p drift (the summed centroid movement the lower bound has been
+ * loosened by), which bounds the cancellation in lower -= moved.
+ */
+bool
+separated(double upper, double lower, double drift)
+{
+    return upper + 1e-9 * (upper + lower + 2.0 * drift) < lower;
 }
 
 } // namespace
@@ -46,25 +72,26 @@ kmeans(const FeatureMatrix &features, std::size_t k,
     result.centroids.assign(k * dims, 0.0);
     if (n == 0)
         return result;
+    double *centroids = result.centroids.data();
 
     // k-means++ seeding. The per-frame distance updates fan out (each
-    // frame owns its minD2 slot); the weighted draw below stays a
-    // serial sum in frame order so the result is bit-identical to a
-    // single-threaded run.
+    // frame owns its minD2 slot) and stop early once a distance can no
+    // longer lower minD2; the weighted draw below stays a serial sum in
+    // frame order so the result is bit-identical to a single-threaded
+    // run.
     exec::Pool &pool = exec::Pool::global();
     sim::Rng rng(config.seed);
     std::vector<double> minD2(n, std::numeric_limits<double>::max());
     std::size_t first = rng.below(n);
-    for (std::size_t c = 0; c < dims; ++c)
-        result.centroids[c] = features.at(first, c);
+    std::copy_n(features.row(first), dims, centroids);
     for (std::size_t cl = 1; cl < k; ++cl) {
+        const double *latest = centroids + (cl - 1) * dims;
         (void)pool.parallelFor(
             n,
             [&](std::size_t f,
                 std::size_t) -> resilience::Expected<void> {
-                const double d2 = sqDist(features, f,
-                                         result.centroids, cl - 1,
-                                         dims);
+                const double d2 =
+                    sqDist(features.row(f), latest, dims, minD2[f]);
                 if (d2 < minD2[f])
                     minD2[f] = d2;
                 return {};
@@ -86,15 +113,29 @@ kmeans(const FeatureMatrix &features, std::size_t k,
         } else {
             pick = rng.below(n);
         }
-        for (std::size_t c = 0; c < dims; ++c)
-            result.centroids[cl * dims + c] = features.at(pick, c);
+        std::copy_n(features.row(pick), dims, centroids + cl * dims);
     }
 
-    // Lloyd iterations. The O(n*k*d) assignment step fans out —
-    // every frame writes only its own label, so labels are identical
-    // at any thread count. The centroid update stays serial: its
-    // floating-point sums are order-sensitive, and keeping them in
-    // frame order is what makes centroids bit-identical.
+    // Lloyd iterations with Hamerly's bounds (SDM 2010), kept exact.
+    // upper[f] bounds frame f's distance to its own centroid, lower[f]
+    // its distance to every other one; each centroid update loosens
+    // them by how far the centroids moved. A frame whose bounds stay
+    // separated() keeps its label unexamined; any other frame tightens
+    // upper with one exact distance and, failing that, rescans every
+    // centroid. Labels equal the brute-force argmin (ties to the
+    // lowest index) bit for bit — DESIGN.md §6e has the argument.
+    // Each frame writes only its own label and bounds, so the step
+    // fans out. The centroid update stays serial: its floating-point
+    // sums are order-sensitive, and keeping them in frame order is
+    // what makes centroids bit-identical.
+    std::vector<double> upper(n, 0.0);
+    std::vector<double> lower(n, 0.0);
+    std::vector<double> moved(k, 0.0);
+    std::vector<double> previous;
+    std::size_t fastest = 0; // the centroid that moved furthest
+    double maxMoved = 0.0;   // ... and how far
+    double otherMoved = 0.0; // furthest move of any other centroid
+    double drift = 0.0;      // maxMoved summed over every update
     std::vector<unsigned char> workerChanged(pool.workers(), 0);
     for (std::size_t iter = 0; iter < config.maxIterations; ++iter) {
         bool changed = iter == 0;
@@ -103,19 +144,39 @@ kmeans(const FeatureMatrix &features, std::size_t k,
             n,
             [&](std::size_t f,
                 std::size_t w) -> resilience::Expected<void> {
+                const double *x = features.row(f);
+                std::size_t &label = result.labels[f];
+                if (iter > 0) {
+                    upper[f] += moved[label];
+                    lower[f] -= label == fastest ? otherMoved : maxMoved;
+                    if (separated(upper[f], lower[f], drift))
+                        return {};
+                    upper[f] = std::sqrt(
+                        sqDist(x, centroids + label * dims, dims));
+                    if (separated(upper[f], lower[f], drift))
+                        return {};
+                }
+                // Rescan in ascending order, tracking the best and
+                // second-best distance; a candidate is dropped once
+                // its partial sum passes the second best.
                 std::size_t best = 0;
-                double bestD2 = std::numeric_limits<double>::max();
+                double best2 = std::numeric_limits<double>::max();
+                double second2 = std::numeric_limits<double>::max();
                 for (std::size_t cl = 0; cl < k; ++cl) {
-                    const double d2 = sqDist(features, f,
-                                             result.centroids, cl,
-                                             dims);
-                    if (d2 < bestD2) {
-                        bestD2 = d2;
+                    const double d2 =
+                        sqDist(x, centroids + cl * dims, dims, second2);
+                    if (d2 < best2) {
+                        second2 = best2;
+                        best2 = d2;
                         best = cl;
+                    } else if (d2 < second2) {
+                        second2 = d2;
                     }
                 }
-                if (result.labels[f] != best) {
-                    result.labels[f] = best;
+                upper[f] = std::sqrt(best2);
+                lower[f] = std::sqrt(second2);
+                if (label != best) {
+                    label = best;
                     workerChanged[w] = 1;
                 }
                 return {};
@@ -126,39 +187,57 @@ kmeans(const FeatureMatrix &features, std::size_t k,
         if (!changed)
             break;
 
+        previous = result.centroids;
         std::fill(result.centroids.begin(), result.centroids.end(),
                   0.0);
         std::fill(result.sizes.begin(), result.sizes.end(), 0);
         for (std::size_t f = 0; f < n; ++f) {
             const std::size_t cl = result.labels[f];
+            const double *x = features.row(f);
+            double *sum = centroids + cl * dims;
             ++result.sizes[cl];
             for (std::size_t c = 0; c < dims; ++c)
-                result.centroids[cl * dims + c] += features.at(f, c);
+                sum[c] += x[c];
         }
         for (std::size_t cl = 0; cl < k; ++cl) {
             if (result.sizes[cl] == 0) {
                 // Re-seed an emptied cluster on a random frame.
                 const std::size_t f = rng.below(n);
-                for (std::size_t c = 0; c < dims; ++c)
-                    result.centroids[cl * dims + c] =
-                        features.at(f, c);
+                std::copy_n(features.row(f), dims,
+                            centroids + cl * dims);
                 continue;
             }
             const double inv =
                 1.0 / static_cast<double>(result.sizes[cl]);
             for (std::size_t c = 0; c < dims; ++c)
-                result.centroids[cl * dims + c] *= inv;
+                centroids[cl * dims + c] *= inv;
         }
+
+        fastest = 0;
+        maxMoved = 0.0;
+        otherMoved = 0.0;
+        for (std::size_t cl = 0; cl < k; ++cl) {
+            moved[cl] = std::sqrt(sqDist(previous.data() + cl * dims,
+                                         centroids + cl * dims, dims));
+            if (moved[cl] > maxMoved) {
+                otherMoved = maxMoved;
+                maxMoved = moved[cl];
+                fastest = cl;
+            } else if (moved[cl] > otherMoved) {
+                otherMoved = moved[cl];
+            }
+        }
+        drift += maxMoved;
     }
 
     // Final bookkeeping: sizes and inertia for the final labels.
     std::fill(result.sizes.begin(), result.sizes.end(), 0);
     result.inertia = 0.0;
     for (std::size_t f = 0; f < n; ++f) {
-        ++result.sizes[result.labels[f]];
+        const std::size_t cl = result.labels[f];
+        ++result.sizes[cl];
         result.inertia +=
-            sqDist(features, f, result.centroids, result.labels[f],
-                   dims);
+            sqDist(features.row(f), centroids + cl * dims, dims);
     }
     return result;
 }
@@ -203,59 +282,56 @@ selectClustering(const FeatureMatrix &features,
         std::max<std::size_t>(1, config.maxClusters),
         std::max<std::size_t>(1, features.rows()));
 
-    // Independent k values fan out in waves of one pool width; the
-    // serial walk below replays the exact patience rule over each
-    // wave, so the trace and the chosen k are bit-identical to a
-    // serial sweep (wave work past the stopping point is discarded).
-    // Each per-k job runs its own kmeans calls inline — nested pool
-    // use degrades to serial — so the fan-out is over k only.
+    // The sweep runs in waves of one pool width of k values, each
+    // fanned out over its (k, restart) k-means runs, largest k first
+    // so the longest runs start earliest. Every run writes only its
+    // own slot. The serial walk below keeps each k's best restart
+    // (restart order, strict >) and replays the exact patience rule,
+    // so the trace and the chosen k are bit-identical to a serial
+    // sweep (wave work past the stopping point is discarded). Each
+    // run's own pool use degrades to serial inside the job.
     exec::Pool &pool = exec::Pool::global();
     const std::size_t wave = pool.workers();
+    const std::size_t restarts = std::max<std::size_t>(1, config.restarts);
     double bestBic = -std::numeric_limits<double>::max();
     std::size_t decreases = 0;
     bool stopped = false;
     for (std::size_t base = 1; base <= maxK && !stopped;
          base += wave) {
         const std::size_t count = std::min(wave, maxK - base + 1);
-        std::vector<SelectionStep> steps(count);
+        // runs[i * restarts + r] holds restart r of k = base + i.
+        std::vector<SelectionStep> runs(count * restarts);
         (void)pool.parallelFor(
-            count,
-            [&](std::size_t i,
+            runs.size(),
+            [&](std::size_t item,
                 std::size_t) -> resilience::Expected<void> {
-                const std::size_t k = base + i;
-                // Best-of-restarts guards the BIC curve against one
-                // unlucky k-means++ draw ending the search
-                // prematurely.
-                SelectionStep step;
-                step.bic = -std::numeric_limits<double>::max();
-                const std::size_t restarts =
-                    std::max<std::size_t>(1, config.restarts);
-                for (std::size_t r = 0; r < restarts; ++r) {
-                    KMeansConfig kc = config.kmeans;
-                    kc.seed = sim::hashMix(config.kmeans.seed, k, r);
-                    KMeansResult attempt = kmeans(features, k, kc);
-                    const double bic = bicScore(features, attempt);
-                    if (bic > step.bic) {
-                        step.bic = bic;
-                        step.result = std::move(attempt);
-                    }
-                }
-                steps[i] = std::move(step);
+                const std::size_t slot = runs.size() - 1 - item;
+                const std::size_t k = base + slot / restarts;
+                KMeansConfig kc = config.kmeans;
+                kc.seed =
+                    sim::hashMix(config.kmeans.seed, k, slot % restarts);
+                runs[slot].result = kmeans(features, k, kc);
+                runs[slot].bic = bicScore(features, runs[slot].result);
                 return {};
             },
             exec::Chunking::Dynamic, 1);
 
-        for (SelectionStep &step : steps) {
+        for (std::size_t i = 0; i < count && !stopped; ++i) {
+            // Best-of-restarts guards the BIC curve against one
+            // unlucky k-means++ draw ending the search prematurely.
+            SelectionStep step;
+            step.bic = -std::numeric_limits<double>::max();
+            for (std::size_t r = 0; r < restarts; ++r) {
+                SelectionStep &run = runs[i * restarts + r];
+                if (run.bic > step.bic)
+                    step = std::move(run);
+            }
             sel.trace.push_back(std::move(step));
             if (sel.trace.back().bic > bestBic) {
                 bestBic = sel.trace.back().bic;
                 decreases = 0;
-            } else {
-                ++decreases;
-                if (decreases > config.patience) {
-                    stopped = true;
-                    break;
-                }
+            } else if (++decreases > config.patience) {
+                stopped = true;
             }
         }
     }
@@ -292,7 +368,8 @@ representativeSet(const FeatureMatrix &features,
             if (clustering.labels[f] != cl)
                 continue;
             const double d2 =
-                sqDist(features, f, clustering.centroids, cl, dims);
+                sqDist(features.row(f),
+                       clustering.centroids.data() + cl * dims, dims);
             if (d2 < bestD2) {
                 bestD2 = d2;
                 best = f;
@@ -319,7 +396,8 @@ rankClusterMembers(const FeatureMatrix &features,
             if (clustering.labels[f] != cl)
                 continue;
             members.emplace_back(
-                sqDist(features, f, clustering.centroids, cl, dims),
+                sqDist(features.row(f),
+                       clustering.centroids.data() + cl * dims, dims),
                 f);
         }
         if (members.empty())

@@ -75,6 +75,13 @@ class FeatureMatrix
         return data_[frame * cols_ + dim];
     }
 
+    /** Frame @p frame's cols() features, contiguous. */
+    const double *
+    row(std::size_t frame) const
+    {
+        return data_.data() + frame * cols_;
+    }
+
   private:
     std::size_t rows_ = 0;
     std::size_t vs_ = 0;

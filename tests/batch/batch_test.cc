@@ -23,6 +23,7 @@
 #include "core/megsim.hh"
 #include "exec/pool.hh"
 #include "resilience/fault.hh"
+#include "scratch_dir.hh"
 #include "util/json.hh"
 #include "workloads/workloads.hh"
 
@@ -40,7 +41,7 @@ class BatchTest : public ::testing::Test
     {
         resilience::FaultInjector::setGlobalSpec("");
         saved_ = exec::Pool::configuredThreads();
-        dir_ = std::filesystem::temp_directory_path() /
+        dir_ = msim::test::scratchDir() /
                ("megsim_batch_" +
                 std::string(::testing::UnitTest::GetInstance()
                                 ->current_test_info()

@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "core/megsim.hh"
+#include "scratch_dir.hh"
 #include "sim/random.hh"
 #include "workloads/workloads.hh"
 
@@ -225,7 +226,7 @@ TEST(Pipeline, EndToEndReductionAndEstimation)
 TEST(Pipeline, CacheRoundTripsGroundTruth)
 {
     const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() / "megsim_core_cache";
+        msim::test::scratchDir() / "megsim_core_cache";
     std::filesystem::remove_all(dir);
 
     const gfx::SceneTrace scene =

@@ -15,6 +15,7 @@
 #include "obs/stats.hh"
 #include "resilience/expected.hh"
 #include "resilience/fault.hh"
+#include "scratch_dir.hh"
 #include "workloads/workloads.hh"
 
 using namespace msim;
@@ -32,7 +33,7 @@ class ExecTest : public ::testing::Test
     {
         resilience::FaultInjector::setGlobalSpec("");
         saved_ = Pool::configuredThreads();
-        dir_ = std::filesystem::temp_directory_path() /
+        dir_ = msim::test::scratchDir() /
                ("megsim_exec_" +
                 std::string(::testing::UnitTest::GetInstance()
                                 ->current_test_info()

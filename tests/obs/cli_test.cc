@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "scratch_dir.hh"
+
 namespace
 {
 
@@ -75,7 +77,7 @@ std::filesystem::path
 tempDir()
 {
     const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() / "megsim_cli_test";
+        msim::test::scratchDir() / "megsim_cli_test";
     std::filesystem::create_directories(dir);
     return dir;
 }

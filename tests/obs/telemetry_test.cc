@@ -21,6 +21,7 @@
 #include "obs/stats.hh"
 #include "obs/timeline.hh"
 #include "resilience/expected.hh"
+#include "scratch_dir.hh"
 
 using namespace msim;
 using namespace msim::obs;
@@ -177,9 +178,11 @@ TEST_F(TelemetryTest, AttribExclusiveAccountingAndFlush)
 {
     setHostAttribEnabled(true);
     StatsRegistry sandbox;
+    double outer = 0.0;
     {
         ProcessRegistryOverride redirect(sandbox);
         AttribRoot root;
+        const double t0 = wallSeconds();
         {
             AttribScope raster(HostDomain::Raster);
             spin(0.002);
@@ -191,6 +194,7 @@ TEST_F(TelemetryTest, AttribExclusiveAccountingAndFlush)
             }
             spin(0.002);
         }
+        outer = wallSeconds() - t0;
     }
     const Stat *raster = sandbox.find("obs.host.raster.seconds");
     const Stat *mem = sandbox.find("obs.host.memwalk.seconds");
@@ -198,9 +202,12 @@ TEST_F(TelemetryTest, AttribExclusiveAccountingAndFlush)
     ASSERT_NE(mem, nullptr);
     EXPECT_GT(raster->value(), 0.0);
     EXPECT_GT(mem->value(), 0.0);
-    // Raster ran ~4 ms, memwalk ~2 ms; exclusive accounting keeps
-    // raster well under the 6 ms total.
-    EXPECT_LT(raster->value(), 0.006);
+    // Exclusive accounting splits the measured window between the two
+    // domains instead of counting the nested memwalk time twice. The
+    // bound is the window itself, not a fixed 6 ms, so a loaded host
+    // that stretches the spins cannot fail it; 1 ns absorbs rounding.
+    EXPECT_LE(raster->value() + mem->value(), outer + 1e-9);
+    EXPECT_LE(raster->value(), outer - mem->value() + 1e-9);
     EXPECT_DOUBLE_EQ(
         sandbox.find("obs.host.raster.entries")->value(), 1.0);
     EXPECT_DOUBLE_EQ(
@@ -364,7 +371,7 @@ TEST_F(TelemetryTest, EmptyLedgerIsTruncated)
 TEST_F(TelemetryTest, LedgerSaveLoadRoundTrip)
 {
     const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() /
+        msim::test::scratchDir() /
         "megsim_telemetry_test";
     std::filesystem::create_directories(dir);
     const std::string path = (dir / "run.jsonl").string();

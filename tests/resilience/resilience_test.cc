@@ -17,6 +17,7 @@
 #include "resilience/degrade.hh"
 #include "resilience/expected.hh"
 #include "resilience/fault.hh"
+#include "scratch_dir.hh"
 #include "util/csv.hh"
 #include "workloads/workloads.hh"
 
@@ -34,7 +35,7 @@ class ResilienceTest : public ::testing::Test
     SetUp() override
     {
         FaultInjector::setGlobalSpec("");
-        dir_ = std::filesystem::temp_directory_path() /
+        dir_ = msim::test::scratchDir() /
                ("megsim_resilience_" +
                 std::string(::testing::UnitTest::GetInstance()
                                 ->current_test_info()

@@ -19,6 +19,8 @@
 #include <string>
 #include <thread>
 
+#include "scratch_dir.hh"
+
 namespace
 {
 
@@ -37,7 +39,7 @@ std::filesystem::path
 tempDir()
 {
     const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() /
+        msim::test::scratchDir() /
         "megsim_sched_cli_test";
     std::filesystem::create_directories(dir);
     return dir;

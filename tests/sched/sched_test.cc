@@ -20,6 +20,7 @@
 #include "resilience/fault.hh"
 #include "sched/policy.hh"
 #include "sched/scheduler.hh"
+#include "scratch_dir.hh"
 #include "serve/fleet.hh"
 
 using namespace msim;
@@ -36,7 +37,7 @@ class SchedTest : public ::testing::Test
     SetUp() override
     {
         FaultInjector::setGlobalSpec("");
-        dir_ = std::filesystem::temp_directory_path() /
+        dir_ = msim::test::scratchDir() /
                ("megsim_sched_" +
                 std::string(::testing::UnitTest::GetInstance()
                                 ->current_test_info()

@@ -18,6 +18,8 @@
 #include <string>
 #include <thread>
 
+#include "scratch_dir.hh"
+
 namespace
 {
 
@@ -36,7 +38,7 @@ std::filesystem::path
 tempDir()
 {
     const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() /
+        msim::test::scratchDir() /
         "megsim_serve_cli_test";
     std::filesystem::create_directories(dir);
     return dir;

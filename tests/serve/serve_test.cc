@@ -12,6 +12,7 @@
 #include "batch/campaign.hh"
 #include "obs/ledger.hh"
 #include "resilience/fault.hh"
+#include "scratch_dir.hh"
 #include "serve/protocol.hh"
 #include "serve/supervisor.hh"
 
@@ -30,7 +31,7 @@ class ServeTest : public ::testing::Test
     SetUp() override
     {
         FaultInjector::setGlobalSpec("");
-        dir_ = std::filesystem::temp_directory_path() /
+        dir_ = msim::test::scratchDir() /
                ("megsim_serve_" +
                 std::string(::testing::UnitTest::GetInstance()
                                 ->current_test_info()

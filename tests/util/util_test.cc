@@ -3,6 +3,7 @@
 #include <cmath>
 #include <filesystem>
 
+#include "scratch_dir.hh"
 #include "util/csv.hh"
 #include "util/glob.hh"
 #include "util/image.hh"
@@ -17,7 +18,7 @@ std::filesystem::path
 tempFile(const char *name)
 {
     const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() / "megsim_util_test";
+        msim::test::scratchDir() / "megsim_util_test";
     std::filesystem::create_directories(dir);
     return dir / name;
 }
