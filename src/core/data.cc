@@ -404,6 +404,10 @@ GroundTruthPass::GroundTruthPass(BenchmarkData &data,
     binding_ =
         std::make_unique<gpusim::SceneBinding>(*data.scene_);
     sims_.resize(workers ? workers : 1);
+    // Sized here, like sims_: pool workers only fill their own slot.
+    const mem::FastMemConfig &fm = data.config_.fastMem;
+    if (fm.enabled && fm.auditEvery != 0)
+        exactSims_.resize(sims_.size());
     heartbeat_ = std::make_unique<obs::Heartbeat>(
         total_, "ground truth " + data.scene_->name);
 }
@@ -434,8 +438,6 @@ GroundTruthPass::produce(std::size_t i, std::size_t w)
     // index keeps the audited set identical at any worker count.
     const mem::FastMemConfig &fm = data_->config_.fastMem;
     if (fm.enabled && fm.auditEvery != 0 && f % fm.auditEvery == 0) {
-        if (exactSims_.size() < sims_.size())
-            exactSims_.resize(sims_.size());
         if (!exactSims_[w]) {
             gpusim::GpuConfig exactConfig = data_->config_;
             exactConfig.fastMem.enabled = false;

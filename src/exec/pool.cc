@@ -15,9 +15,9 @@ namespace
 
 /**
  * Set while a thread executes a share of a pool job. A nested
- * parallelFor/parallelMapOrdered from inside a job (e.g. kmeans
- * called from the parallel k-selection sweep) runs inline serial
- * instead of deadlocking on the single job slot.
+ * parallelFor/parallelMapOrdered from inside a job (e.g. the
+ * k-selection sweep of a campaign analysis that runs as a pool job)
+ * runs inline serial instead of deadlocking on the single job slot.
  */
 thread_local bool tlsInsideJob = false;
 

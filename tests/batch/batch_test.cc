@@ -541,6 +541,36 @@ TEST_F(BatchTest, ExactVsFastThresholdGatesOnlyAuditedRows)
     EXPECT_TRUE(batch::checkThresholds(report, limits).empty());
 }
 
+TEST_F(BatchTest, FastMemAuditOfEveryFrameIsThreadInvariant)
+{
+    // Auditing every frame makes each pool worker build its exact twin
+    // simulator on its first frame, all at once: the twins' slots must
+    // exist before the workers start (TSan runs this at four threads).
+    // The audited report must still equal a one-thread run.
+    constexpr std::size_t kAuditFrames = 48;
+    auto runAt = [&](std::size_t threads) {
+        exec::Pool::setConfiguredThreads(threads);
+        batch::CampaignConfig config = testConfig(
+            path("cache_t" + std::to_string(threads)), {"hcr"});
+        config.frameLimit = kAuditFrames;
+        config.fastMem.enabled = true;
+        config.fastMem.auditEvery = 1;
+        batch::Campaign campaign(config);
+        return campaign.run();
+    };
+    auto serial = runAt(1);
+    ASSERT_TRUE(serial.ok()) << serial.error().message;
+    auto parallel = runAt(4);
+    ASSERT_TRUE(parallel.ok()) << parallel.error().message;
+    EXPECT_EQ(parallel->threads, 4u);
+    ASSERT_EQ(parallel->benchmarks.size(), 1u);
+    const batch::BenchmarkReport &row = parallel->benchmarks[0];
+    EXPECT_EQ(row.memMode, "fast");
+    ASSERT_TRUE(row.hasExactVsFast);
+    EXPECT_EQ(row.auditedFrames, kAuditFrames);
+    EXPECT_EQ(canonicalReport(*parallel), canonicalReport(*serial));
+}
+
 TEST_F(BatchTest, SuiteClusterReportIsDeterministicAcrossThreads)
 {
     // The suite-cluster trajectory must be thread-count invariant

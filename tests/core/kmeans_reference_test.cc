@@ -2,11 +2,15 @@
  * Reference equivalence of the clustering kernels: kmeans() and
  * selectClustering() must reproduce, bit for bit, a brute-force Lloyd
  * loop and a serial k-sweep kept here as the specification. The inputs
- * target what the bound-pruned assignment and the (k, restart) sweep
- * fan-out could get wrong: duplicated rows, exact ties, k at or above
- * the distinct row count (empty-cluster reseeds), dims that are not a
- * multiple of 4, and matrices large enough for bound skips and several
- * sweep waves — at 1, 2 and 8 pool threads.
+ * target what the triangle-pruned assignment, the seed-grouped
+ * k-means++ and the (k, restart) sweep fan-out could get wrong:
+ * duplicated rows, exact ties, midpoint ties at exactly the rescan
+ * ball's edge, k at or above the distinct row count (empty-cluster
+ * reseeds), one row per cluster, frames nearest the never-measured last
+ * seed, k = 1 and 2 (no or one neighbour for the half-gap test), tiny
+ * and huge feature scales, dims that are not a multiple of 4, and
+ * matrices large enough for bound skips and several sweep waves — at 1,
+ * 2 and 8 pool threads.
  */
 
 #include <gtest/gtest.h>
@@ -43,10 +47,28 @@ refSqDist(const FeatureMatrix &m, std::size_t frame,
     return d2;
 }
 
-/** Serial brute-force k-means: the specification kmeans() must match. */
+double
+refGap(const std::vector<double> &centroids, std::size_t dims,
+       std::size_t a, std::size_t c)
+{
+    double d2 = 0.0;
+    for (std::size_t i = 0; i < dims; ++i) {
+        const double diff = centroids[a * dims + i] - centroids[c * dims + i];
+        d2 += diff * diff;
+    }
+    return std::sqrt(d2);
+}
+
+/**
+ * Serial brute-force k-means: the specification kmeans() must match.
+ * @p edgeTies, when given, counts the reassignments after iteration 0
+ * that only the lowest-index tie rule decides at exactly the rescan
+ * ball's edge: the frame sits at the midpoint of its old centroid and
+ * a lower-index one, whose gap is exactly twice the frame's distance.
+ */
 KMeansResult
 referenceKMeans(const FeatureMatrix &features, std::size_t k,
-                const KMeansConfig &config)
+                const KMeansConfig &config, std::size_t *edgeTies = nullptr)
 {
     const std::size_t n = features.rows();
     const std::size_t dims = features.cols();
@@ -106,6 +128,12 @@ referenceKMeans(const FeatureMatrix &features, std::size_t k,
                     best = cl;
                 }
             }
+            const std::size_t old = result.labels[f];
+            if (edgeTies && iter > 0 && best < old &&
+                refSqDist(features, f, result.centroids, old) == bestD2 &&
+                refGap(result.centroids, dims, best, old) ==
+                    2.0 * std::sqrt(bestD2))
+                ++*edgeTies;
             if (result.labels[f] != best) {
                 result.labels[f] = best;
                 changed = true;
@@ -294,6 +322,59 @@ latticeMatrix(std::size_t rows, std::size_t dims)
     return m;
 }
 
+/**
+ * Every point of the integer grid {0..side-1}^dims, once: centroids
+ * are means of evenly spaced points, so frames land on the exact
+ * midpoint of two centroids.
+ */
+FeatureMatrix
+gridMatrix(std::size_t side, std::size_t dims)
+{
+    std::size_t rows = 1;
+    for (std::size_t d = 0; d < dims; ++d)
+        rows *= side;
+    FeatureMatrix m(rows, dims - 1, 0);
+    for (std::size_t f = 0; f < rows; ++f) {
+        std::size_t rest = f;
+        for (std::size_t d = 0; d < dims; ++d, rest /= side)
+            m.at(f, d) = static_cast<double>(rest % side);
+    }
+    return m;
+}
+
+FeatureMatrix
+scaled(FeatureMatrix m, double factor)
+{
+    for (std::size_t f = 0; f < m.rows(); ++f)
+        for (std::size_t d = 0; d < m.cols(); ++d)
+            m.at(f, d) *= factor;
+    return m;
+}
+
+/**
+ * How many frames are strictly nearest the last k-means++ seed, the
+ * one seeding draws but never measures (the seeds are the centroids of
+ * a zero-iteration run).
+ */
+std::size_t
+nearestLastSeed(const FeatureMatrix &features, std::size_t k,
+                const KMeansConfig &config)
+{
+    KMeansConfig seedsOnly = config;
+    seedsOnly.maxIterations = 0;
+    const KMeansResult seeds = referenceKMeans(features, k, seedsOnly);
+    std::size_t count = 0;
+    for (std::size_t f = 0; f < features.rows(); ++f) {
+        const double last = refSqDist(features, f, seeds.centroids, k - 1);
+        bool nearest = true;
+        for (std::size_t cl = 0; cl + 1 < k; ++cl)
+            nearest = nearest &&
+                      refSqDist(features, f, seeds.centroids, cl) > last;
+        count += nearest ? 1 : 0;
+    }
+    return count;
+}
+
 FeatureMatrix
 projectedHcr(std::size_t frames)
 {
@@ -324,6 +405,33 @@ struct KMeansCase
     std::vector<std::size_t> ks;
 };
 
+/**
+ * kmeans() against the reference, full-length and truncated; @p edgeTies
+ * as in referenceKMeans().
+ */
+void
+expectMatchesReference(const FeatureMatrix &matrix, std::size_t k,
+                       std::uint64_t seed, const std::string &what,
+                       std::size_t *edgeTies = nullptr)
+{
+    KMeansConfig config;
+    config.seed = seed;
+    const KMeansResult want = referenceKMeans(matrix, k, config, edgeTies);
+    // A truncated run exits with centroids one update past its labels;
+    // it must match too.
+    KMeansConfig shortRun = config;
+    shortRun.maxIterations = 3;
+    const KMeansResult wantShort = referenceKMeans(matrix, k, shortRun);
+    atThreadCounts([&](const std::string &threads) {
+        const std::string label = what + " k=" + std::to_string(k) +
+                                  " seed=" + std::to_string(seed) + " " +
+                                  threads;
+        expectSameKMeans(kmeans(matrix, k, config), want, label);
+        expectSameKMeans(kmeans(matrix, k, shortRun), wantShort,
+                         label + " short");
+    });
+}
+
 } // namespace
 
 TEST(ClusterReference, KMeansMatchesBruteForceLloyd)
@@ -336,31 +444,68 @@ TEST(ClusterReference, KMeansMatchesBruteForceLloyd)
         cases.push_back({"dims=" + std::to_string(dims),
                          blobMatrix(300, dims, 6, dims), {1, 2, 5, 11}});
     cases.push_back({"n=2000", blobMatrix(2000, 24, 12, 3), {12, 20}});
+    // Scale moves every distance and bound by the same factor; the
+    // pruning margins are relative, so neither scale may change a label.
+    for (double factor : {1e-6, 1e6})
+        cases.push_back({"scale=" + std::to_string(factor),
+                         scaled(blobMatrix(300, 7, 6, 11), factor),
+                         {1, 2, 6, 13}});
 
-    for (const KMeansCase &c : cases) {
-        for (std::size_t k : c.ks) {
-            for (std::uint64_t seed : {1u, 17u}) {
-                KMeansConfig config;
-                config.seed = seed;
-                const KMeansResult want =
-                    referenceKMeans(c.matrix, k, config);
-                // A truncated run exits with centroids one update past
-                // its labels; it must match too.
-                KMeansConfig shortRun = config;
-                shortRun.maxIterations = 3;
-                const KMeansResult wantShort =
-                    referenceKMeans(c.matrix, k, shortRun);
-                atThreadCounts([&](const std::string &threads) {
-                    const std::string what = c.name + " k=" +
-                                             std::to_string(k) + " seed=" +
-                                             std::to_string(seed) + " " +
-                                             threads;
-                    expectSameKMeans(kmeans(c.matrix, k, config), want,
-                                     what);
-                    expectSameKMeans(kmeans(c.matrix, k, shortRun),
-                                     wantShort, what + " short");
-                });
-            }
+    for (const KMeansCase &c : cases)
+        for (std::size_t k : c.ks)
+            for (std::uint64_t seed : {1u, 17u})
+                expectMatchesReference(c.matrix, k, seed, c.name);
+}
+
+TEST(ClusterReference, MidpointTiesAtTheBallEdgeGoToTheLowestIndex)
+{
+    // A frame at the exact midpoint of its centroid a and a lower-index
+    // centroid c is as near c as a, and c sits exactly at the edge of
+    // the rescan ball (gap == 2 u): the brute force moves the frame to
+    // c, so the ball must include its edge and the scan must break the
+    // d² tie by index. The inputs are asserted to hit that case.
+    struct Grid
+    {
+        std::size_t side;
+        std::size_t dims;
+    };
+    std::size_t edgeTies = 0;
+    for (const Grid &g : {Grid{8, 1}, Grid{12, 1}, Grid{6, 2}, Grid{8, 2}}) {
+        const FeatureMatrix m = gridMatrix(g.side, g.dims);
+        const std::string what = "grid " + std::to_string(g.side) + "^" +
+                                 std::to_string(g.dims);
+        for (std::size_t k : {2u, 3u, 4u, 6u})
+            for (std::uint64_t seed = 1; seed <= 16; ++seed)
+                expectMatchesReference(m, k, seed, what, &edgeTies);
+    }
+    EXPECT_GE(edgeTies, 10u) << "too few frames tied at the ball's edge";
+}
+
+TEST(ClusterReference, OneRowPerClusterAndTheUnmeasuredLastSeed)
+{
+    // k = n and k = n - 1 on distinct rows: every row is drawn as a
+    // seed (k = n), so the last seed — which seeding draws but never
+    // measures — is some frame's nearest centroid at iteration 0, and
+    // iteration 0's rescan must find it. The blob inputs are asserted
+    // to have frames nearest that seed as well.
+    const FeatureMatrix distinct = randomMatrix(24, 5, 7);
+    for (std::size_t k : {distinct.rows(), distinct.rows() - 1}) {
+        for (std::uint64_t seed : {1u, 17u, 29u}) {
+            KMeansConfig config;
+            config.seed = seed;
+            EXPECT_GT(nearestLastSeed(distinct, k, config), 0u)
+                << "k=" << k << " seed=" << seed;
+            expectMatchesReference(distinct, k, seed, "distinct rows");
+        }
+    }
+    const FeatureMatrix blobs = blobMatrix(400, 9, 8, 21);
+    for (std::size_t k : {2u, 3u, 8u, 15u}) {
+        for (std::uint64_t seed : {1u, 17u}) {
+            KMeansConfig config;
+            config.seed = seed;
+            EXPECT_GT(nearestLastSeed(blobs, k, config), 0u)
+                << "k=" << k << " seed=" << seed;
+            expectMatchesReference(blobs, k, seed, "last seed");
         }
     }
 }
@@ -392,3 +537,4 @@ TEST(ClusterReference, SelectionMatchesSerialSweep)
         });
     }
 }
+
