@@ -13,7 +13,6 @@
 #include <cstdlib>
 
 #include "bench_common.hh"
-#include "mem/fastmem.hh"
 #include "perf/perf.hh"
 
 int
@@ -24,9 +23,6 @@ main()
     perf::PerfOptions options;
     if (const char *env = std::getenv("MEGSIM_SCALE"))
         options.scale = std::atof(env);
-    // MEGSIM_FAST_MEM=1 measures the calibrated-model operating
-    // point; the report's mem_mode keeps the trajectories apart.
-    options.fastMem = mem::FastMemConfig::fromEnv();
 
     auto report = perf::runHotpath(options);
     if (!report.ok()) {
@@ -35,10 +31,8 @@ main()
         return 1;
     }
 
-    std::printf("# hotpath: %zu benchmarks, frame limit %zu, "
-                "mem %s\n",
-                report->benches.size(), report->frameLimit,
-                report->memMode.c_str());
+    std::printf("# hotpath: %zu benchmarks, frame limit %zu\n",
+                report->benches.size(), report->frameLimit);
     std::printf("%-10s %8s %14s %10s %12s %14s\n", "benchmark",
                 "frames", "cycles", "wall_s", "frames/s", "Mcycles/s");
     bench::printRule(74);

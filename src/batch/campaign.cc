@@ -84,16 +84,6 @@ analyzeBenchmark(const std::string &alias,
     for (std::size_t m = 0; m < kNumMetrics; ++m)
         report.errorPercent[m] =
             pipeline.errorPercent(run, kMetrics[m]);
-    if (data.fastMem()) {
-        report.memMode = "fast";
-        const megsim::FastMemAudit &audit = data.audit();
-        if (audit.auditedFrames > 0) {
-            report.hasExactVsFast = true;
-            report.auditedFrames = audit.auditedFrames;
-            for (std::size_t m = 0; m < kNumMetrics; ++m)
-                report.exactVsFast[m] = audit.errorPercent(m);
-        }
-    }
     report.wallSeconds = obs::wallSeconds() - t0;
     return report;
 }
@@ -181,17 +171,6 @@ analyzeSuite(const std::vector<SuiteBench> &benches,
                 suite.memberCounts[b], repMetric[m],
                 truthTotals[m][b]);
 
-        if (bench.data->fastMem()) {
-            row.memMode = "fast";
-            const megsim::FastMemAudit &audit = bench.data->audit();
-            if (audit.auditedFrames > 0) {
-                row.hasExactVsFast = true;
-                row.auditedFrames = audit.auditedFrames;
-                for (std::size_t m = 0; m < kNumMetrics; ++m)
-                    row.exactVsFast[m] = audit.errorPercent(m);
-            }
-        }
-
         // The per-bench baseline: exactly the clustering the default
         // mode would run, priced here so suite_reduction_factor is a
         // measured number, not an estimate.
@@ -246,11 +225,9 @@ Campaign::run()
             auto item = std::make_unique<Item>();
             item->alias = alias;
             item->scene = std::move(*built);
-            gpusim::GpuConfig gpu =
-                gpusim::GpuConfig::evaluationScaled();
-            gpu.fastMem = config_.fastMem;
             item->data = std::make_unique<megsim::BenchmarkData>(
-                item->scene, gpu, config_.cacheDir);
+                item->scene, gpusim::GpuConfig::evaluationScaled(),
+                config_.cacheDir);
             items_.push_back(std::move(item));
         }
     }
@@ -375,7 +352,6 @@ Campaign::run()
 
     CampaignReport report;
     report.threads = pool.workers();
-    report.memMode = config_.fastMem.enabled ? "fast" : "exact";
     if (config_.suiteCluster) {
         // 4. One pooled analysis over every benchmark, clustering
         // suite-wide and folding shared representatives back into
@@ -450,18 +426,6 @@ publishCampaignStats(const CampaignReport &report)
         for (std::size_t m = 0; m < kNumMetrics; ++m)
             errors.scalar(kMetricKeys[m], "relative error (%)")
                 .set(b.errorPercent[m]);
-        if (b.hasExactVsFast) {
-            obs::StatsGroup audit = group.group("exact_vs_fast");
-            audit
-                .scalar("audited_frames",
-                        "frames double-run for the audit")
-                .set(static_cast<double>(b.auditedFrames));
-            for (std::size_t m = 0; m < kNumMetrics; ++m)
-                audit
-                    .scalar(kMetricKeys[m],
-                            "fast-mem audit error (%)")
-                    .set(b.exactVsFast[m]);
-        }
     }
     obs::StatsGroup suite = registry.group("campaign.suite");
     suite.scalar("benchmarks", "benchmarks in the campaign")

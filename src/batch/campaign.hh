@@ -51,17 +51,10 @@ struct CampaignConfig
     std::size_t frameLimit = 0;
     megsim::MegsimConfig megsim;
     /**
-     * Opt-in calibrated fast-mem model for the ground-truth pass.
-     * Deliberately NOT read by fromEnv(): the mode must be chosen
-     * explicitly (megsim-cli --fast-mem) so supervised serve workers
-     * and cron-style env-driven runs stay exact unless asked.
-     */
-    mem::FastMemConfig fastMem;
-    /**
      * Opt-in suite clustering (megsim-cli --suite-cluster): pool every
      * benchmark's normalized features into ONE space, cluster
-     * suite-wide and share representatives across benchmarks. Like
-     * fastMem, deliberately NOT read by fromEnv() — the CLI maps
+     * suite-wide and share representatives across benchmarks.
+     * Deliberately NOT read by fromEnv() — the CLI maps
      * MEGSIM_SUITE_CLUSTER itself so env-driven serve workers stay in
      * per-bench mode unless explicitly asked.
      */

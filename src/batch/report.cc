@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "gpusim/gpu_config.hh"
 #include "resilience/artifact.hh"
 
 namespace msim::batch
@@ -50,6 +51,19 @@ metricObjectInto(const util::Json *obj, const char *what,
     return {};
 }
 
+resilience::Expected<void>
+requireExactMemMode(const util::Json &obj, const char *where)
+{
+    const util::Json *mode = obj.find("mem_mode");
+    if (mode && mode->asString() != gpusim::kMemMode)
+        return resilience::errorf(
+            resilience::Errc::BadVersion,
+            "report: %s mem_mode '%s' is not '%s' (sampled cache-model "
+            "reports are no longer supported)",
+            where, mode->asString().c_str(), gpusim::kMemMode);
+    return {};
+}
+
 resilience::Expected<double>
 numberAt(const util::Json &obj, const char *key)
 {
@@ -58,6 +72,56 @@ numberAt(const util::Json &obj, const char *key)
         return resilience::errorf(resilience::Errc::BadFormat,
                                   "report: missing number '%s'", key);
     return v->asNumber();
+}
+
+/** One limit a thresholds file may set, by its dotted key. */
+struct LimitField
+{
+    std::string path;
+    double *out;
+};
+
+/**
+ * Assign every member of @p obj to the limit its dotted path names,
+ * descending into the objects that hold limits. Fails closed: a key
+ * that names no limit, or a limit that is not a number, is refused.
+ */
+resilience::Expected<void>
+limitsInto(const util::Json &obj, const std::string &prefix,
+           const std::vector<LimitField> &fields)
+{
+    for (const auto &[key, value] : obj.members()) {
+        const std::string path = prefix + key;
+        if (path == "schema" || path == "_comment")
+            continue;
+        const auto leaf = std::find_if(
+            fields.begin(), fields.end(),
+            [&](const LimitField &f) { return f.path == path; });
+        if (leaf != fields.end()) {
+            if (!value.isNumber())
+                return resilience::errorf(
+                    resilience::Errc::BadFormat,
+                    "thresholds: '%s' is not a number", path.c_str());
+            *leaf->out = value.asNumber();
+            continue;
+        }
+        const bool branch = std::any_of(
+            fields.begin(), fields.end(), [&](const LimitField &f) {
+                return f.path.rfind(path + ".", 0) == 0;
+            });
+        if (!branch)
+            return resilience::errorf(resilience::Errc::BadFormat,
+                                      "thresholds: unknown key '%s'",
+                                      path.c_str());
+        if (!value.isObject())
+            return resilience::errorf(
+                resilience::Errc::BadFormat,
+                "thresholds: '%s' is not an object", path.c_str());
+        if (auto nested = limitsInto(value, path + ".", fields);
+            !nested.ok())
+            return nested;
+    }
+    return {};
 }
 
 } // namespace
@@ -101,7 +165,7 @@ CampaignReport::toJson() const
     // writer, so every v3 key below is gated on suiteCluster.
     root.set("schema", suiteCluster ? kSchemaV3 : kSchema);
     root.set("threads", threads);
-    root.set("mem_mode", memMode);
+    root.set("mem_mode", gpusim::kMemMode);
     if (suiteCluster)
         root.set("suite_cluster", true);
     root.set("degraded", degraded);
@@ -131,11 +195,7 @@ CampaignReport::toJson() const
         row.set("error_percent", metricObject(b.errorPercent));
         row.set("wall_seconds", b.wallSeconds);
         row.set("cache", b.cacheStatus);
-        row.set("mem_mode", b.memMode);
-        if (b.hasExactVsFast) {
-            row.set("exact_vs_fast", metricObject(b.exactVsFast));
-            row.set("audited_frames", b.auditedFrames);
-        }
+        row.set("mem_mode", gpusim::kMemMode);
         if (suiteCluster)
             row.set("borrowed_reps", b.borrowedReps);
         rows.push(std::move(row));
@@ -183,8 +243,8 @@ CampaignReport::fromJson(const util::Json &json)
     report.schemaVersion = schema->asString();
     if (const util::Json *sc = json.find("suite_cluster"))
         report.suiteCluster = sc->asBool();
-    if (const util::Json *mode = json.find("mem_mode"))
-        report.memMode = mode->asString();
+    if (auto mode = requireExactMemMode(json, "campaign"); !mode.ok())
+        return mode.error();
     if (auto threads = numberAt(json, "threads"); threads.ok())
         report.threads = static_cast<std::size_t>(*threads);
     else
@@ -266,18 +326,9 @@ CampaignReport::fromJson(const util::Json &json)
         b.wallSeconds = *wall;
         if (const util::Json *cache = row.find("cache"))
             b.cacheStatus = cache->asString();
-        if (const util::Json *mode = row.find("mem_mode"))
-            b.memMode = mode->asString();
-        if (const util::Json *audit = row.find("exact_vs_fast")) {
-            auto parsed = metricObjectInto(audit, "exact_vs_fast",
-                                           b.exactVsFast);
-            if (!parsed.ok())
-                return parsed.error();
-            b.hasExactVsFast = true;
-            if (auto frames = numberAt(row, "audited_frames");
-                frames.ok())
-                b.auditedFrames = static_cast<std::size_t>(*frames);
-        }
+        if (auto mode = requireExactMemMode(row, b.alias.c_str());
+            !mode.ok())
+            return mode.error();
         if (auto borrowed = numberAt(row, "borrowed_reps");
             borrowed.ok())
             b.borrowedReps = static_cast<std::size_t>(*borrowed);
@@ -346,8 +397,6 @@ Thresholds::Thresholds()
 {
     for (std::size_t m = 0; m < kNumMetrics; ++m) {
         maxErrorPercent[m] = std::numeric_limits<double>::infinity();
-        maxExactVsFastPercent[m] =
-            std::numeric_limits<double>::infinity();
         suiteMaxErrorPercent[m] =
             std::numeric_limits<double>::infinity();
     }
@@ -363,31 +412,20 @@ Thresholds::fromJson(const util::Json &json)
             "thresholds: missing or unknown schema (expected '%s')",
             kSchema);
     Thresholds limits;
-    if (const util::Json *errs = json.find("max_error_percent")) {
-        for (std::size_t m = 0; m < kNumMetrics; ++m)
-            if (const util::Json *v = errs->find(kMetricKeys[m]))
-                limits.maxErrorPercent[m] = v->asNumber();
+    std::vector<LimitField> fields = {
+        {"min_reduction", &limits.minReduction},
+        {"min_mean_reduction", &limits.minMeanReduction},
+        {"suite.min_gain", &limits.suiteMinGain},
+    };
+    for (std::size_t m = 0; m < kNumMetrics; ++m) {
+        const std::string metric = kMetricKeys[m];
+        fields.push_back({"max_error_percent." + metric,
+                          &limits.maxErrorPercent[m]});
+        fields.push_back({"suite.max_error_percent." + metric,
+                          &limits.suiteMaxErrorPercent[m]});
     }
-    if (const util::Json *errs =
-            json.find("max_exact_vs_fast_percent")) {
-        for (std::size_t m = 0; m < kNumMetrics; ++m)
-            if (const util::Json *v = errs->find(kMetricKeys[m]))
-                limits.maxExactVsFastPercent[m] = v->asNumber();
-    }
-    if (const util::Json *v = json.find("min_reduction"))
-        limits.minReduction = v->asNumber();
-    if (const util::Json *v = json.find("min_mean_reduction"))
-        limits.minMeanReduction = v->asNumber();
-    if (const util::Json *suite = json.find("suite")) {
-        if (const util::Json *errs =
-                suite->find("max_error_percent")) {
-            for (std::size_t m = 0; m < kNumMetrics; ++m)
-                if (const util::Json *v = errs->find(kMetricKeys[m]))
-                    limits.suiteMaxErrorPercent[m] = v->asNumber();
-        }
-        if (const util::Json *v = suite->find("min_gain"))
-            limits.suiteMinGain = v->asNumber();
-    }
+    if (auto parsed = limitsInto(json, "", fields); !parsed.ok())
+        return parsed.error();
     return limits;
 }
 
@@ -421,18 +459,6 @@ checkThresholds(const CampaignReport &report, const Thresholds &limits)
                               "%.4f%%",
                               b.alias.c_str(), kMetricKeys[m],
                               b.errorPercent[m], errorLimits[m]);
-                violations.emplace_back(line);
-            }
-        }
-        for (std::size_t m = 0; b.hasExactVsFast && m < kNumMetrics;
-             ++m) {
-            if (b.exactVsFast[m] > limits.maxExactVsFastPercent[m]) {
-                std::snprintf(line, sizeof(line),
-                              "%s: %s exact-vs-fast error %.4f%% "
-                              "exceeds limit %.4f%%",
-                              b.alias.c_str(), kMetricKeys[m],
-                              b.exactVsFast[m],
-                              limits.maxExactVsFastPercent[m]);
                 violations.emplace_back(line);
             }
         }
@@ -502,12 +528,6 @@ diffReports(const CampaignReport &a, const CampaignReport &b)
             continue; // field diffs of misaligned rows are noise
         }
         const char *where = ra.alias.c_str();
-        if (ra.memMode != rb.memMode) {
-            std::snprintf(line, sizeof(line),
-                          "%s: mem_mode '%s' != '%s'", where,
-                          ra.memMode.c_str(), rb.memMode.c_str());
-            diffs.emplace_back(line);
-        }
         number(where, "frames", static_cast<double>(ra.frames),
                static_cast<double>(rb.frames));
         number(where, "k", static_cast<double>(ra.chosenK),
@@ -522,16 +542,6 @@ diffReports(const CampaignReport &a, const CampaignReport &b)
                           kMetricKeys[m]);
             number(where, what, ra.errorPercent[m],
                    rb.errorPercent[m]);
-        }
-        // The audit column only exists on fast rows; compare it when
-        // both sides carry it so exact-vs-v1 diffs stay clean.
-        for (std::size_t m = 0;
-             ra.hasExactVsFast && rb.hasExactVsFast && m < kNumMetrics;
-             ++m) {
-            char what[48];
-            std::snprintf(what, sizeof(what), "exact_vs_fast.%s",
-                          kMetricKeys[m]);
-            number(where, what, ra.exactVsFast[m], rb.exactVsFast[m]);
         }
         if (a.suiteCluster && b.suiteCluster)
             number(where, "borrowed_reps",

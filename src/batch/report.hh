@@ -49,21 +49,6 @@ struct BenchmarkReport
      */
     std::string cacheStatus = "built";
     /**
-     * How the ground truth was simulated: "exact" (the default
-     * cycle-accurate walk) or "fast" (the calibrated --fast-mem
-     * model). Schema v2; absent in v1 reports, which were always
-     * exact.
-     */
-    std::string memMode = "exact";
-    /**
-     * Fast-mem audit column (schema v2, "fast" rows only): relative
-     * error (%) of the model's metric totals against exact re-runs of
-     * the audited frames, plus how many frames were audited.
-     */
-    bool hasExactVsFast = false;
-    double exactVsFast[kNumMetrics] = {};
-    std::size_t auditedFrames = 0;
-    /**
      * Suite-cluster column (schema v3): how many of this benchmark's
      * serving representatives were simulated under ANOTHER benchmark
      * (cross-benchmark timing reuse). Zero in per-bench mode.
@@ -90,11 +75,9 @@ struct QuarantinedShard
 struct CampaignReport
 {
     /**
-     * v2 adds the fast-mem provenance fields (campaign + per-row
-     * mem_mode, per-row exact_vs_fast / audited_frames). fromJson()
-     * still accepts v1 — every added field is optional with an
-     * exact-mode default, so pre-v2 reports load, diff and gate
-     * unchanged.
+     * v2 adds `mem_mode` (campaign and per row), always "exact".
+     * fromJson() accepts v1 reports, which lack it, and refuses any
+     * other mode: those came from the removed sampled cache model.
      *
      * v3 adds the suite-cluster fields (campaign `suite_cluster`,
      * per-row `borrowed_reps`, suite `shared_representatives` /
@@ -108,8 +91,6 @@ struct CampaignReport
     static constexpr const char *kSchemaV3 = "megsim-campaign-v3";
 
     std::size_t threads = 0;
-    /** "exact" or "fast": the mode every result row ran under. */
-    std::string memMode = "exact";
     /**
      * Degraded completion: at least one shard was quarantined, its
      * benchmark has no result row, and the CLI exits with the
@@ -158,7 +139,11 @@ struct CampaignReport
     load(const std::string &path);
 };
 
-/** CI gate limits; absent fields stay permissive. */
+/**
+ * CI gate limits; absent fields stay permissive. Parsing fails closed:
+ * an unknown key or a non-number limit is a load error, never a
+ * silently disabled gate.
+ */
 struct Thresholds
 {
     static constexpr const char *kSchema = "megsim-thresholds-v1";
@@ -169,13 +154,6 @@ struct Thresholds
     double minReduction = 0.0;
     /** Suite floor on the mean reduction factor. */
     double minMeanReduction = 0.0;
-    /**
-     * Per-benchmark ceiling on each metric's exact-vs-fast audit
-     * error (%); only rows carrying the audit column are checked.
-     * Optional `max_exact_vs_fast_percent` object — the schema stays
-     * v1 because old parsers ignore unknown keys.
-     */
-    double maxExactVsFastPercent[kNumMetrics];
     /**
      * Optional nested `suite` block gating suite-cluster reports:
      * per-benchmark fold-back error ceilings (REPLACING

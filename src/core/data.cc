@@ -102,25 +102,6 @@ activityFromRow(const std::vector<double> &row, std::size_t vsShaders,
     return act;
 }
 
-void
-FastMemAudit::fold(const gpusim::FrameStats &fast,
-                   const gpusim::FrameStats &exact)
-{
-    for (std::size_t m = 0; m < kNumMetrics; ++m) {
-        const auto metric = static_cast<gpusim::Metric>(m);
-        fastSum[m] += gpusim::metricValue(fast, metric);
-        exactSum[m] += gpusim::metricValue(exact, metric);
-    }
-    ++auditedFrames;
-}
-
-double
-FastMemAudit::errorPercent(std::size_t metric) const
-{
-    return mem::FastMemModel::exactVsFastPercent(exactSum[metric],
-                                                 fastSum[metric]);
-}
-
 BenchmarkData::BenchmarkData(const gfx::SceneTrace &scene,
                              const gpusim::GpuConfig &config,
                              std::string cacheDirectory)
@@ -128,13 +109,6 @@ BenchmarkData::BenchmarkData(const gfx::SceneTrace &scene,
       cacheDir_(std::move(cacheDirectory)),
       key_(sim::hashMix(scene.contentHash(), config.fingerprint()))
 {
-    // Fast-mem results are approximate and carry audit sums that no
-    // cached row can reconstruct, so they bypass the disk cache and
-    // checkpoint journals entirely (both hang off cacheDir_). The
-    // fingerprint also differs when the model is on, so even a shared
-    // directory could never serve a fast result to an exact run.
-    if (config_.fastMem.enabled)
-        cacheDir_.clear();
 }
 
 std::string
@@ -404,10 +378,6 @@ GroundTruthPass::GroundTruthPass(BenchmarkData &data,
     binding_ =
         std::make_unique<gpusim::SceneBinding>(*data.scene_);
     sims_.resize(workers ? workers : 1);
-    // Sized here, like sims_: pool workers only fill their own slot.
-    const mem::FastMemConfig &fm = data.config_.fastMem;
-    if (fm.enabled && fm.auditEvery != 0)
-        exactSims_.resize(sims_.size());
     heartbeat_ = std::make_unique<obs::Heartbeat>(
         total_, "ground truth " + data.scene_->name);
 }
@@ -431,22 +401,6 @@ GroundTruthPass::produce(std::size_t i, std::size_t w)
     GroundTruthFrame out;
     out.stats =
         sims_[w]->simulate(data_->scene_->frames[f], &out.activity);
-    // Fast-mem audit: every auditEvery-th frame also runs through an
-    // exact twin simulator so the relative error of the model is
-    // measured on the fly. Frames simulate cold, so the double-run
-    // perturbs nothing, and keying the audit off the global frame
-    // index keeps the audited set identical at any worker count.
-    const mem::FastMemConfig &fm = data_->config_.fastMem;
-    if (fm.enabled && fm.auditEvery != 0 && f % fm.auditEvery == 0) {
-        if (!exactSims_[w]) {
-            gpusim::GpuConfig exactConfig = data_->config_;
-            exactConfig.fastMem.enabled = false;
-            exactSims_[w] = std::make_unique<gpusim::TimingSimulator>(
-                exactConfig, *binding_);
-        }
-        out.exact = exactSims_[w]->simulate(data_->scene_->frames[f]);
-        out.audited = true;
-    }
     if (watchdog_.cycleBudget &&
         out.stats.cycles > watchdog_.cycleBudget)
         return resilience::errorf(
@@ -468,8 +422,6 @@ GroundTruthPass::produce(std::size_t i, std::size_t w)
 void
 GroundTruthPass::commit(std::size_t i, GroundTruthFrame &&frame)
 {
-    if (frame.audited)
-        data_->audit_.fold(frame.stats, frame.exact);
     stats_.push_back(std::move(frame.stats));
     acts_.push_back(std::move(frame.activity));
     if (ckpt_) {

@@ -397,31 +397,6 @@ gpusim::FrameActivity activityFromRow(const std::vector<double> &row,
                                       std::size_t vsShaders,
                                       std::size_t fsShaders);
 
-/**
- * Running exact-vs-fast audit totals of one benchmark. When the GPU
- * config enables the fast-mem model, every auditEvery-th frame is
- * simulated twice — once with the model (the reported result) and once
- * exactly — and both sides' metric totals accumulate here. The
- * headline `exact_vs_fast` error is the relative deviation of the two
- * sums per metric, computed by the same machinery that scores MEGsim
- * itself against ground truth.
- */
-struct FastMemAudit
-{
-    /** Per gpusim::Metric, in enum order (cycles, dram, l2, tile). */
-    static constexpr std::size_t kNumMetrics = 4;
-
-    double fastSum[kNumMetrics] = {0.0, 0.0, 0.0, 0.0};
-    double exactSum[kNumMetrics] = {0.0, 0.0, 0.0, 0.0};
-    std::uint64_t auditedFrames = 0;
-
-    void fold(const gpusim::FrameStats &fast,
-              const gpusim::FrameStats &exact);
-
-    /** Relative error (%) of the fast sum vs the exact sum. */
-    double errorPercent(std::size_t metric) const;
-};
-
 /** Outcome of probing a benchmark's on-disk ground-truth caches. */
 enum class CacheProbe {
     Loaded,  // both artifacts verified and loaded into memory
@@ -495,12 +470,6 @@ class BenchmarkData
     installGroundTruth(std::vector<gpusim::FrameStats> stats,
                        std::vector<gpusim::FrameActivity> activities);
 
-    /** True when this data was produced by the fast-mem model. */
-    bool fastMem() const { return config_.fastMem.enabled; }
-
-    /** Exact-vs-fast audit totals (empty unless fastMem()). */
-    const FastMemAudit &audit() const { return audit_; }
-
   private:
     friend class GroundTruthPass;
 
@@ -515,7 +484,6 @@ class BenchmarkData
     std::uint64_t key_ = 0;
     std::vector<gpusim::FrameActivity> activities_;
     std::vector<gpusim::FrameStats> stats_;
-    FastMemAudit audit_;
     bool haveActivities_ = false;
     bool haveStats_ = false;
 };
@@ -525,9 +493,6 @@ struct GroundTruthFrame
 {
     gpusim::FrameStats stats;
     gpusim::FrameActivity activity;
-    /** Set on audit frames of a fast-mem pass: the exact re-run. */
-    bool audited = false;
-    gpusim::FrameStats exact;
 };
 
 /**
@@ -581,9 +546,6 @@ class GroundTruthPass
     std::unique_ptr<resilience::Checkpoint> ckpt_;
     std::unique_ptr<gpusim::SceneBinding> binding_;
     std::vector<std::unique_ptr<gpusim::TimingSimulator>> sims_;
-    // Exact (model-off) twins of sims_, built lazily on fast-mem
-    // passes to double-run the audit frames.
-    std::vector<std::unique_ptr<gpusim::TimingSimulator>> exactSims_;
     std::vector<gpusim::FrameStats> stats_;
     std::vector<gpusim::FrameActivity> acts_;
     std::unique_ptr<obs::Heartbeat> heartbeat_;

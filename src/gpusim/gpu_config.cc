@@ -100,13 +100,7 @@ GpuConfig::fingerprint() const
     h = sim::hashMix(h, memory.dram.lineBytes,
                      memory.dram.rowBytes);
     // memory.l2Mshr is result-neutral and deliberately left out (see
-    // MemoryConfig). fastMem changes results, but only when enabled —
-    // mixing it in conditionally keeps exact-mode fingerprints (and
-    // thus every committed frame cache) byte-stable.
-    if (fastMem.enabled) {
-        h = sim::hashMix(h, 0xFA57u, fastMem.calibrationWalks);
-        h = sim::hashMix(h, fastMem.probeEvery, fastMem.auditEvery);
-    }
+    // MemoryConfig).
     return h;
 }
 

@@ -12,11 +12,17 @@
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "mem/fastmem.hh"
 #include "mem/mshr.hh"
 
 namespace msim::gpusim
 {
+
+/**
+ * The memory model of every timing simulation, as the `mem_mode` tag
+ * that reports and ledgers carry. A report tagged otherwise came from
+ * a sampled cache model that was removed, and loaders refuse it.
+ */
+constexpr const char *kMemMode = "exact";
 
 struct MemoryConfig
 {
@@ -74,14 +80,6 @@ struct GpuConfig
     // Visibility policy: false = TBR with early-Z, true = TBDR with
     // deferred Hidden Surface Removal (Sec. IV-A ablation).
     bool hsrEnabled = false;
-
-    /**
-     * Opt-in calibrated sampled cache model replacing most texture
-     * walks (`--fast-mem` / MEGSIM_FAST_MEM). Changes results, so it
-     * IS mixed into fingerprint() — but only when enabled, keeping
-     * every existing exact-mode fingerprint stable.
-     */
-    mem::FastMemConfig fastMem;
 
     /** The paper's Table I configuration. */
     static GpuConfig baseline();

@@ -75,8 +75,6 @@ TimingSimulator::TimingSimulator(const GpuConfig &config,
     l2Mshr_.configure(l2_.readHitIdempotent() ? config.memory.l2Mshr
                                               : mem::MshrConfig{});
     l2Mshr_.bindStats(registry_.group("gpu.l2.mshr"));
-    fastMemOn_ = config.fastMem.enabled;
-    fastMem_.configure(config.fastMem);
 
     vertexProcFree_.resize(std::max(1u, config.numVertexProcessors));
     fragmentProcFree_.resize(
@@ -158,23 +156,6 @@ TimingSimulator::TimingSimulator(const GpuConfig &config,
 void
 TimingSimulator::flushFrameStats()
 {
-    // Fold the fast-mem estimate for this frame's modeled walks into
-    // the cache/DRAM counters before anything flushes: the observed
-    // hit rates scale to the modeled population in exact integer
-    // arithmetic (see mem/fastmem.hh), so merged totals stay
-    // integer-valued and the flush below stays exact. No-op (all
-    // zeros) in the default exact mode.
-    if (fastMemOn_) {
-        const mem::FastMemModel::Estimates e = fastMem_.estimates();
-        if (e.l1Accesses != 0 && !textureCaches_.empty()) {
-            // Any texture cache works: they share one stats group.
-            textureCaches_[0].addModeled(e.l1Accesses, e.l1Hits);
-            l2_.addModeled(e.l2Accesses, e.l2Hits);
-            dram_.addModeled(e.dramLines);
-            batch_.rasterDramLines += e.dramLines;
-        }
-    }
-
     // Each Scalar was reset at frame start, so every counter receives
     // exactly one integer-valued add here — exact below 2^53 and
     // therefore bit-identical to per-event increments. The texture
@@ -239,7 +220,6 @@ TimingSimulator::simulate(const GeometryIR &ir, FrameActivity *activity)
     l2_.invalidate();
     dram_.drain();
     l2Mshr_.reset();
-    fastMem_.reset();
     vertexInQueue_.reset(frameIndex_);
     vertexOutQueue_.reset(frameIndex_);
     triangleQueue_.reset(frameIndex_);
@@ -505,11 +485,12 @@ TimingSimulator::simulate(const GeometryIR &ir, FrameActivity *activity)
                 mem::Cache &tc = textureCaches_[texRR];
                 if (++texRR == textureCaches_.size())
                     texRR = 0;
-                const sim::Tick texDone = textureAccess(
-                    tc, fpStart,
+                const sim::Tick texDone = memAccess(
+                    &tc, fpStart,
                     SceneBinding::texelAddr(hot.tex,
                                             quad.uv.x + 0.01f * s,
-                                            quad.uv.y));
+                                            quad.uv.y),
+                    false, &batch_.rasterDramLines);
                 fpDone = std::max(fpDone, texDone);
             }
             fp = fpDone;

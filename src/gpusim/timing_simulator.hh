@@ -34,7 +34,6 @@
 #include "gpusim/scene_binding.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "mem/fastmem.hh"
 #include "mem/mshr.hh"
 #include "obs/attrib.hh"
 #include "obs/stats.hh"
@@ -278,34 +277,6 @@ class TimingSimulator
         return t;
     }
 
-    /**
-     * The per-sample texture walk: exact by default; under --fast-mem
-     * the calibration prefix and every probeEvery-th walk stay exact
-     * (and feed the fit), the rest return the fitted mean latency
-     * without touching the hierarchy. Counter deltas of the modeled
-     * walks are folded in flushFrameStats() from the observed rates.
-     */
-    sim::Tick
-    textureAccess(mem::Cache &tc, sim::Tick now, sim::Addr addr)
-    {
-        if (!fastMemOn_)
-            return memAccess(&tc, now, addr, false,
-                             &batch_.rasterDramLines);
-        if (fastMem_.wantExact()) {
-            const std::uint64_t l1Hits0 = tc.hits();
-            const std::uint64_t l2Hits0 = l2_.hits();
-            const std::uint64_t dram0 = batch_.rasterDramLines;
-            const sim::Tick done = memAccess(
-                &tc, now, addr, false, &batch_.rasterDramLines);
-            fastMem_.observe(done - now, tc.hits() != l1Hits0,
-                             l2_.hits() != l2Hits0,
-                             batch_.rasterDramLines != dram0);
-            return done;
-        }
-        fastMem_.noteModeled();
-        return now + fastMem_.modeledLatency();
-    }
-
     /** Flush every deferred counter (batch, caches, DRAM, queues). */
     void flushFrameStats();
 
@@ -325,9 +296,6 @@ class TimingSimulator
     mem::Dram dram_;
     /** Walk records in front of the L2; see memWalk(). */
     mem::MshrFile l2Mshr_;
-    /** --fast-mem model state (per frame); see textureAccess(). */
-    mem::FastMemModel fastMem_;
-    bool fastMemOn_ = false;
 
     PipeQueue vertexInQueue_;
     PipeQueue vertexOutQueue_;

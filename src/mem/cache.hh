@@ -230,19 +230,6 @@ class Cache
         ++pendHits_;
     }
 
-    /**
-     * Fold modeled (fast-mem) traffic into the counters: @p accesses
-     * accesses of which @p hits hit; the remainder books as misses.
-     * Pure accounting — no tag state is touched.
-     */
-    void
-    addModeled(std::uint64_t accesses, std::uint64_t hits)
-    {
-        pendAccesses_ += accesses;
-        pendHits_ += hits;
-        pendMisses_ += accesses - hits;
-    }
-
     std::uint64_t accesses() const
     {
         return static_cast<std::uint64_t>(accesses_->value()) +

@@ -83,21 +83,6 @@ class Dram
         return done;
     }
 
-    /**
-     * Fold @p lines modeled (fast-mem) read transfers into the volume
-     * counters (transactions/reads/bytes). Pure accounting: bank and
-     * channel timing state is untouched, and the row-locality and
-     * latency averages stay exact over the PROBED transfers only —
-     * modeled traffic has no per-transfer timing to sample.
-     */
-    void
-    addModeled(std::uint64_t lines)
-    {
-        pendTransactions_ += lines;
-        pendReads_ += lines;
-        pendBytes_ += lines * config_.lineBytes;
-    }
-
     /** Publish pending counter deltas; see the batching note above. */
     void flushStats();
 

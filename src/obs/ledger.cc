@@ -50,9 +50,9 @@ constexpr FieldSpec kRunStartFields[] = {
     {"fingerprint", FieldKind::Str, false},
     {"env", FieldKind::StrMap, false},
     {"mem_mode", FieldKind::Str, false},
-    // Trajectory mode: "exact" / "fast" / "suite-cluster" / ... —
-    // what `perf --history` groups rows by so modes never compare
-    // against each other.
+    // Trajectory mode: "exact" or "suite-cluster" — what
+    // `perf --history` groups rows by so modes never compare against
+    // each other.
     {"mode", FieldKind::Str, false},
 };
 
@@ -78,8 +78,6 @@ constexpr FieldSpec kBenchFields[] = {
     {"cache_status", FieldKind::Str, false},
     {"error", FieldKind::NumMap, false},
     {"mem_mode", FieldKind::Str, false},
-    {"exact_vs_fast", FieldKind::NumMap, false},
-    {"audited_frames", FieldKind::Num, false},
 };
 
 constexpr FieldSpec kAttribFields[] = {

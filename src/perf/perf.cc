@@ -60,7 +60,7 @@ PerfReport::toJson() const
     root.set("frame_limit", frameLimit);
     root.set("scale", scale);
     root.set("gpu_profile", baseline ? "baseline" : "evaluation");
-    root.set("mem_mode", memMode);
+    root.set("mem_mode", gpusim::kMemMode);
 
     util::Json rows = util::Json::array();
     for (const BenchPerf &b : benches) {
@@ -118,9 +118,14 @@ PerfReport::fromJson(const util::Json &json)
         return v.error();
     if (const util::Json *profile = json.find("gpu_profile"))
         report.baseline = profile->asString() == "baseline";
-    // Optional: pre-fast-mem baselines carry no mode and were exact.
-    if (const util::Json *mode = json.find("mem_mode"))
-        report.memMode = mode->asString();
+    // Optional: older baselines carry no mode.
+    if (const util::Json *mode = json.find("mem_mode");
+        mode && mode->asString() != gpusim::kMemMode)
+        return resilience::errorf(
+            resilience::Errc::BadVersion,
+            "perf report: mem_mode '%s' is not '%s' (sampled "
+            "cache-model reports are no longer supported)",
+            mode->asString().c_str(), gpusim::kMemMode);
 
     const util::Json *rows = json.find("benchmarks");
     if (!rows || !rows->isArray())
@@ -207,12 +212,10 @@ runHotpath(const PerfOptions &options)
     report.frameLimit = frames;
     report.scale = options.scale;
     report.baseline = options.baseline;
-    report.memMode = options.fastMem.enabled ? "fast" : "exact";
 
     gpusim::GpuConfig config =
         options.baseline ? gpusim::GpuConfig::baseline()
                          : gpusim::GpuConfig::evaluationScaled();
-    config.fastMem = options.fastMem;
 
     // Attribution window over the whole harness: the simulator's own
     // scopes (geometry/raster/shade/memwalk) claim the hot loop, the

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "mem/fastmem.hh"
 #include "resilience/expected.hh"
 #include "util/json.hh"
 
@@ -56,13 +55,6 @@ struct PerfReport
     std::size_t frameLimit = 0; // 0 = full sequences
     double scale = 1.0;
     bool baseline = false;      // Table I GPU instead of eval profile
-    /**
-     * "exact" or "fast": which memory model the run used. Optional on
-     * load (pre-fast-mem baselines were always exact), but strict
-     * comparisons refuse to gate across modes — a fast-mem point is a
-     * separate trajectory, not a speedup of the exact one.
-     */
-    std::string memMode = "exact";
 
     std::vector<BenchPerf> benches;
     std::vector<PhaseSplit> phases;
@@ -93,8 +85,6 @@ struct PerfOptions
     std::size_t frames = 0;
     double scale = 1.0;
     bool baseline = false;
-    /** Run the timing simulators with the calibrated fast-mem model. */
-    mem::FastMemConfig fastMem;
 };
 
 /** Run the hot-path microbench and assemble the report. */

@@ -207,6 +207,44 @@ TEST_F(BatchTest, ReportJsonRoundTripsBitForBit)
     auto bogus = batch::CampaignReport::load(path("bogus.json"));
     ASSERT_FALSE(bogus.ok());
     EXPECT_EQ(bogus.error().code, resilience::Errc::BadVersion);
+
+    // Reports from the removed sampled cache model refuse to load
+    // too, whether the campaign-level mem_mode (written first) or a
+    // row-level one (the last) says so.
+    const std::string text = report.toJson().dump(0);
+    const std::string exactMode = "\"mem_mode\":\"exact\"";
+    for (const std::size_t at :
+         {text.find(exactMode), text.rfind(exactMode)}) {
+        ASSERT_NE(at, std::string::npos);
+        std::string fast = text;
+        fast.replace(at, exactMode.size(), "\"mem_mode\":\"fast\"");
+        std::ofstream(path("fast.json")) << fast;
+        auto refused = batch::CampaignReport::load(path("fast.json"));
+        ASSERT_FALSE(refused.ok()) << "mem_mode at offset " << at;
+        EXPECT_EQ(refused.error().code, resilience::Errc::BadVersion);
+        EXPECT_NE(refused.error().message.find("'fast'"),
+                  std::string::npos)
+            << refused.error().message;
+    }
+
+    // A v1 report (older schema tag, no mem_mode anywhere) still
+    // loads with the same numbers.
+    std::string v1 = text;
+    const std::string v2tag = batch::CampaignReport::kSchema;
+    v1.replace(v1.find(v2tag), v2tag.size(),
+               batch::CampaignReport::kSchemaV1);
+    for (std::size_t at = v1.find("," + exactMode);
+         at != std::string::npos; at = v1.find("," + exactMode))
+        v1.erase(at, exactMode.size() + 1);
+    ASSERT_EQ(v1.find("mem_mode"), std::string::npos);
+    std::ofstream(path("v1.json")) << v1;
+    auto legacy = batch::CampaignReport::load(path("v1.json"));
+    ASSERT_TRUE(legacy.ok()) << legacy.error().message;
+    EXPECT_EQ(legacy->schemaVersion, batch::CampaignReport::kSchemaV1);
+    ASSERT_EQ(legacy->benchmarks.size(), report.benchmarks.size());
+    for (std::size_t i = 0; i < report.benchmarks.size(); ++i)
+        expectSameNumbers(legacy->benchmarks[i], report.benchmarks[i],
+                          "v1 row " + std::to_string(i));
 }
 
 TEST_F(BatchTest, JsonParserRejectsMalformedInput)
@@ -249,6 +287,50 @@ TEST_F(BatchTest, ThresholdCheckFlagsEveryBreachedLimit)
     auto bad = batch::Thresholds::load(path("t.json"));
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.error().code, resilience::Errc::BadVersion);
+
+    // Parsing fails closed: a misspelled key, an unknown metric, a
+    // block no gate reads or a non-number limit is a load error naming
+    // the key, never a silently disabled gate.
+    const struct
+    {
+        const char *body;
+        const char *key;
+    } refused[] = {
+        {"\"min_reducton\": 3.0", "min_reducton"},
+        {"\"min_mean_reduction\": \"3\"", "min_mean_reduction"},
+        {"\"max_latency\": {\"cycles\": 9.0}", "max_latency"},
+        {"\"max_error_percent\": {\"l3\": 1.0}", "max_error_percent.l3"},
+        {"\"max_error_percent\": {\"l2\": null}", "max_error_percent.l2"},
+        {"\"max_error_percent\": 5.0", "max_error_percent"},
+        {"\"suite\": {\"min_gian\": 1.3}", "suite.min_gian"},
+        {"\"suite\": {\"max_error_percent\": {\"l3\": 1.0}}",
+         "suite.max_error_percent.l3"},
+        {"\"suite\": {\"min_gain\": true}", "suite.min_gain"},
+        {"\"suite\": 1.3", "suite"},
+    };
+    for (const auto &c : refused) {
+        std::ofstream(path("t.json"))
+            << "{\"schema\": \"megsim-thresholds-v1\", " << c.body
+            << "}";
+        auto loaded = batch::Thresholds::load(path("t.json"));
+        ASSERT_FALSE(loaded.ok()) << c.body;
+        EXPECT_EQ(loaded.error().code, resilience::Errc::BadFormat)
+            << c.body;
+        EXPECT_NE(loaded.error().message.find(std::string("'") +
+                                              c.key + "'"),
+                  std::string::npos)
+            << loaded.error().message;
+    }
+
+    // The known keys, the comment included, still load.
+    std::ofstream(path("t.json"))
+        << "{\"schema\": \"megsim-thresholds-v1\", \"_comment\": \"\","
+           " \"max_error_percent\": {\"tile\": 4.0},"
+           " \"min_reduction\": 2.0, \"min_mean_reduction\": 3.0}";
+    auto known = batch::Thresholds::load(path("t.json"));
+    ASSERT_TRUE(known.ok()) << known.error().message;
+    EXPECT_EQ(known->maxErrorPercent[3], 4.0);
+    EXPECT_EQ(known->minMeanReduction, 3.0);
 }
 
 TEST_F(BatchTest, CampaignMatchesSequentialRunsAtEveryThreadCount)
@@ -441,136 +523,6 @@ TEST_F(BatchTest, CanonicalReportMatchesGoldenAtEveryThreadCount)
             << "campaign report diverged at " << threads << " threads";
 }
 
-TEST_F(BatchTest, FastMemColumnsRoundTripAndV1ReportsLoadAsExact)
-{
-    batch::CampaignReport report;
-    report.memMode = "fast";
-    batch::BenchmarkReport b;
-    b.alias = "hcr";
-    b.frames = 48;
-    b.chosenK = 9;
-    b.representatives = 9;
-    b.reduction = 5.3;
-    b.wallSeconds = 1.0;
-    b.cacheStatus = "built";
-    b.memMode = "fast";
-    b.hasExactVsFast = true;
-    b.auditedFrames = 6;
-    for (std::size_t m = 0; m < batch::kNumMetrics; ++m)
-        b.exactVsFast[m] = 1.5 * static_cast<double>(m + 1);
-    report.benchmarks.push_back(b);
-    report.computeAggregates();
-    ASSERT_TRUE(report.save(path("fast.json")).ok());
-
-    auto loaded = batch::CampaignReport::load(path("fast.json"));
-    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-    EXPECT_EQ(loaded->memMode, "fast");
-    ASSERT_EQ(loaded->benchmarks.size(), 1u);
-    const batch::BenchmarkReport &row = loaded->benchmarks[0];
-    EXPECT_EQ(row.memMode, "fast");
-    ASSERT_TRUE(row.hasExactVsFast);
-    EXPECT_EQ(row.auditedFrames, 6u);
-    for (std::size_t m = 0; m < batch::kNumMetrics; ++m)
-        EXPECT_EQ(row.exactVsFast[m], b.exactVsFast[m]);
-
-    // A v1 report (pre-fast-mem schema tag, no mem_mode, no audit
-    // column) must load with every new field at its exact default —
-    // committed baselines keep gating without regeneration.
-    std::string text = util::Json(report.toJson()).dump();
-    const std::string v2tag = batch::CampaignReport::kSchema;
-    const std::size_t at = text.find(v2tag);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, v2tag.size(), batch::CampaignReport::kSchemaV1);
-    // Strip the v2-only keys the way a v1 writer never emits them.
-    auto strip = [&](const std::string &needle) {
-        for (std::size_t pos = text.find(needle);
-             pos != std::string::npos; pos = text.find(needle)) {
-            const std::size_t end = text.find("\n", pos);
-            ASSERT_NE(end, std::string::npos);
-            std::size_t begin = text.rfind("\n", pos);
-            ASSERT_NE(begin, std::string::npos);
-            text.erase(begin, end - begin);
-        }
-    };
-    strip("\"mem_mode\"");
-    std::ofstream(path("v1.json")) << text;
-
-    auto legacy = batch::CampaignReport::load(path("v1.json"));
-    ASSERT_TRUE(legacy.ok()) << legacy.error().message;
-    EXPECT_EQ(legacy->memMode, "exact");
-    ASSERT_EQ(legacy->benchmarks.size(), 1u);
-    EXPECT_EQ(legacy->benchmarks[0].memMode, "exact");
-    // exact_vs_fast survived the strip (only mem_mode was removed),
-    // proving a v1 *schema tag* alone never rejects.
-    EXPECT_TRUE(legacy->benchmarks[0].hasExactVsFast);
-}
-
-TEST_F(BatchTest, ExactVsFastThresholdGatesOnlyAuditedRows)
-{
-    batch::CampaignReport report;
-    batch::BenchmarkReport audited;
-    audited.alias = "hcr";
-    audited.frames = 48;
-    audited.chosenK = 9;
-    audited.representatives = 9;
-    audited.reduction = 5.0;
-    audited.hasExactVsFast = true;
-    audited.exactVsFast[0] = 7.5; // cycles model error
-    report.benchmarks.push_back(audited);
-
-    batch::BenchmarkReport exact;
-    exact.alias = "jjo";
-    exact.frames = 48;
-    exact.chosenK = 3;
-    exact.representatives = 3;
-    exact.reduction = 16.0;
-    exact.errorPercent[0] = 50.0; // would breach if it were audited
-    report.benchmarks.push_back(exact);
-    report.computeAggregates();
-
-    batch::Thresholds limits;
-    limits.maxExactVsFastPercent[0] = 5.0;
-    const std::vector<std::string> violations =
-        batch::checkThresholds(report, limits);
-    ASSERT_EQ(violations.size(), 1u)
-        << "rows without an audit column must not gate";
-    EXPECT_NE(violations[0].find("hcr"), std::string::npos);
-    EXPECT_NE(violations[0].find("exact-vs-fast"), std::string::npos);
-
-    limits.maxExactVsFastPercent[0] = 10.0;
-    EXPECT_TRUE(batch::checkThresholds(report, limits).empty());
-}
-
-TEST_F(BatchTest, FastMemAuditOfEveryFrameIsThreadInvariant)
-{
-    // Auditing every frame makes each pool worker build its exact twin
-    // simulator on its first frame, all at once: the twins' slots must
-    // exist before the workers start (TSan runs this at four threads).
-    // The audited report must still equal a one-thread run.
-    constexpr std::size_t kAuditFrames = 48;
-    auto runAt = [&](std::size_t threads) {
-        exec::Pool::setConfiguredThreads(threads);
-        batch::CampaignConfig config = testConfig(
-            path("cache_t" + std::to_string(threads)), {"hcr"});
-        config.frameLimit = kAuditFrames;
-        config.fastMem.enabled = true;
-        config.fastMem.auditEvery = 1;
-        batch::Campaign campaign(config);
-        return campaign.run();
-    };
-    auto serial = runAt(1);
-    ASSERT_TRUE(serial.ok()) << serial.error().message;
-    auto parallel = runAt(4);
-    ASSERT_TRUE(parallel.ok()) << parallel.error().message;
-    EXPECT_EQ(parallel->threads, 4u);
-    ASSERT_EQ(parallel->benchmarks.size(), 1u);
-    const batch::BenchmarkReport &row = parallel->benchmarks[0];
-    EXPECT_EQ(row.memMode, "fast");
-    ASSERT_TRUE(row.hasExactVsFast);
-    EXPECT_EQ(row.auditedFrames, kAuditFrames);
-    EXPECT_EQ(canonicalReport(*parallel), canonicalReport(*serial));
-}
-
 TEST_F(BatchTest, SuiteClusterReportIsDeterministicAcrossThreads)
 {
     // The suite-cluster trajectory must be thread-count invariant
@@ -726,43 +678,4 @@ TEST_F(BatchTest, SuiteThresholdsReplacePerBenchLimitsForV3Reports)
     EXPECT_TRUE(batch::checkThresholds(report, *parsed).empty())
         << "2.5% fold-back error and 2.0x gain pass the parsed "
            "suite limits";
-}
-
-TEST_F(BatchTest, DiffFlagsMemModeAndAuditDeviations)
-{
-    batch::CampaignReport a;
-    batch::BenchmarkReport row;
-    row.alias = "hcr";
-    row.frames = 48;
-    row.chosenK = 9;
-    row.representatives = 9;
-    row.reduction = 5.0;
-    a.benchmarks.push_back(row);
-    a.computeAggregates();
-
-    batch::CampaignReport b = a;
-    EXPECT_TRUE(batch::diffReports(a, b).empty());
-
-    // Mode mismatch is a real diff (an exact report is not a fast
-    // report even when the numbers agree).
-    b.benchmarks[0].memMode = "fast";
-    const std::vector<std::string> modeDiff = batch::diffReports(a, b);
-    ASSERT_EQ(modeDiff.size(), 1u);
-    EXPECT_NE(modeDiff[0].find("mem_mode"), std::string::npos);
-    b.benchmarks[0].memMode = "exact";
-
-    // The audit column compares only when both sides carry it, so a
-    // fast report diffs clean against its v1-loaded twin ...
-    a.benchmarks[0].hasExactVsFast = true;
-    a.benchmarks[0].exactVsFast[0] = 3.0;
-    EXPECT_TRUE(batch::diffReports(a, b).empty());
-
-    // ... and flags real deviations when both are audited.
-    b.benchmarks[0].hasExactVsFast = true;
-    b.benchmarks[0].exactVsFast[0] = 4.0;
-    const std::vector<std::string> auditDiff =
-        batch::diffReports(a, b);
-    ASSERT_EQ(auditDiff.size(), 1u);
-    EXPECT_NE(auditDiff[0].find("exact_vs_fast.cycles"),
-              std::string::npos);
 }

@@ -283,6 +283,20 @@ TEST(CampaignCli, DiffOfDifferentReportsExitsSix)
     const int rc = runCli(
         "campaign --diff " + a.string() + " " + b.string(), log);
     EXPECT_EQ(rc, 6) << slurp(log);
+
+    // A report from the removed sampled cache model is not compared
+    // at all: it fails to load (exit 3), naming the file.
+    std::string text = slurp(a);
+    const std::string exactMode = "\"mem_mode\": \"exact\"";
+    const std::size_t at = text.find(exactMode);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, exactMode.size(), "\"mem_mode\": \"fast\"");
+    const std::filesystem::path sampled = dir / "sampled.json";
+    std::ofstream(sampled) << text;
+    const int loadRc = runCli(
+        "campaign --diff " + a.string() + " " + sampled.string(), log);
+    EXPECT_EQ(loadRc, 3) << slurp(log);
+    EXPECT_NE(slurp(log).find(sampled.string()), std::string::npos);
 }
 
 int
@@ -297,72 +311,6 @@ main(int argc, char **argv)
     }
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();
-}
-
-TEST(CampaignCli, FastMemReportsFastModeWithAuditColumn)
-{
-    ASSERT_FALSE(cliPath.empty());
-    const std::filesystem::path dir = tempDir();
-    const std::filesystem::path json = dir / "fast.json";
-    const std::filesystem::path log = dir / "fast.log";
-
-    // Audit every frame and calibrate on a short prefix so the tiny
-    // 6-frame run both models walks and measures its error.
-    const int rc = runCli("campaign --benches hcr --fast-mem --out " +
-                              json.string() +
-                              " --ledger " + (dir / "f.jsonl").string(),
-                          log, "MEGSIM_FAST_MEM_AUDIT=1"
-                               " MEGSIM_FAST_MEM_CALIB=64"
-                               " MEGSIM_FAST_MEM_PROBE=16");
-    ASSERT_EQ(rc, 0) << slurp(log);
-
-    const std::string text = slurp(json);
-    EXPECT_NE(text.find("\"mem_mode\": \"fast\""), std::string::npos);
-    EXPECT_NE(text.find("\"exact_vs_fast\""), std::string::npos);
-    EXPECT_NE(text.find("\"audited_frames\""), std::string::npos);
-    EXPECT_NE(slurp(log).find("exact_vs_fast"), std::string::npos);
-
-    // The ledger stays schema-valid with the new bench fields.
-    const std::filesystem::path vlog = dir / "validate.log";
-    EXPECT_EQ(runCli("ledger --validate " + (dir / "f.jsonl").string(),
-                     vlog),
-              0)
-        << slurp(vlog);
-}
-
-TEST(CampaignCli, FastMemRefusesSupervisedWorkers)
-{
-    ASSERT_FALSE(cliPath.empty());
-    const std::filesystem::path dir = tempDir();
-    const std::filesystem::path log = dir / "refuse.log";
-    const int rc = runCli("campaign --benches hcr --fast-mem"
-                          " --workers 2 --out " +
-                              (dir / "r.json").string(),
-                          log);
-    EXPECT_EQ(rc, 2) << slurp(log);
-    EXPECT_NE(slurp(log).find("incompatible with --workers"),
-              std::string::npos);
-}
-
-TEST(CampaignCli, ExactVsFastBreachExitsFive)
-{
-    ASSERT_FALSE(cliPath.empty());
-    const std::filesystem::path dir = tempDir();
-    const std::filesystem::path limits = dir / "audit-limits.json";
-    // An impossible model-accuracy demand: any measured error breaches.
-    std::ofstream(limits)
-        << "{\"schema\": \"megsim-thresholds-v1\",\n"
-           " \"max_exact_vs_fast_percent\": {\"cycles\": 0.0}}\n";
-
-    const std::filesystem::path log = dir / "breach.log";
-    const int rc = runCli("campaign --benches hcr --fast-mem --out " +
-                              (dir / "b.json").string() + " --check " +
-                              limits.string(),
-                          log, "MEGSIM_FAST_MEM_AUDIT=1"
-                               " MEGSIM_FAST_MEM_CALIB=64"
-                               " MEGSIM_FAST_MEM_PROBE=16");
-    EXPECT_EQ(rc, 5) << slurp(log);
-    EXPECT_NE(slurp(log).find("exact-vs-fast"), std::string::npos);
 }
 
 TEST(CampaignCli, StrictPerfRegressionExitsTen)
@@ -525,27 +473,4 @@ TEST(CampaignCli, DiffRefusesMixedSchemasWithExitTwo)
     EXPECT_NE(text.find("schema mismatch"), std::string::npos);
     EXPECT_NE(text.find("megsim-campaign-v2"), std::string::npos);
     EXPECT_NE(text.find("megsim-campaign-v3"), std::string::npos);
-}
-
-TEST(CampaignCli, StrictRefusesCrossModeComparison)
-{
-    ASSERT_FALSE(cliPath.empty());
-    const std::filesystem::path dir = tempDir();
-    const std::filesystem::path base = dir / "exact-base.json";
-    const std::filesystem::path log = dir / "mode.log";
-    ASSERT_EQ(runCli("perf --benches hcr --frames 2 --out " +
-                         base.string(),
-                     log),
-              0)
-        << slurp(log);
-
-    const std::filesystem::path slog = dir / "cross.log";
-    EXPECT_EQ(runCli("perf --benches hcr --frames 2 --fast-mem"
-                     " --out " +
-                         (dir / "fast-out.json").string() +
-                         " --compare " + base.string() + " --strict",
-                     slog),
-              2)
-        << slurp(slog);
-    EXPECT_NE(slurp(slog).find("mem_mode"), std::string::npos);
 }

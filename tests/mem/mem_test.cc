@@ -2,7 +2,6 @@
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "mem/fastmem.hh"
 #include "mem/mshr.hh"
 #include "obs/stats.hh"
 
@@ -270,8 +269,9 @@ TEST(Mshr, EntriesKeepTextureFifoAllocationOrder)
         const MshrFile::SlotView v = mshr.slot(line);
         ASSERT_TRUE(v.valid);
         EXPECT_EQ(v.line, line);
-        if (line > 0)
+        if (line > 0) {
             EXPECT_GT(v.seq, lastSeq);
+        }
         lastSeq = v.seq;
     }
     // reset() drops entries (cold start) but keeps counters.
@@ -351,100 +351,4 @@ TEST(Cache, AccessRangeMatchesPerLineLoop)
         EXPECT_EQ(batched.misses(), looped.misses());
         EXPECT_EQ(batched.stateTick(), looped.stateTick());
     }
-}
-
-// ---------------------------------------------------------------------
-// Fast-mem calibration model (mem/fastmem.hh): sampling schedule,
-// integer latency fit, counter estimates and the reported error —
-// all hand-computed references.
-
-TEST(FastMem, WantExactFollowsCalibrateThenProbeSchedule)
-{
-    FastMemConfig config;
-    config.enabled = true;
-    config.calibrationWalks = 4;
-    config.probeEvery = 3;
-    FastMemModel model;
-    model.configure(config);
-
-    // Walks 1..4: the calibration prefix is always exact.
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(model.wantExact()) << "calibration walk " << i;
-        model.observe(10, true, false, false);
-    }
-    // After calibration only every probeEvery-th walk stays exact
-    // (walk indices 6, 9, 12, ... here).
-    EXPECT_FALSE(model.wantExact()); // walk 5
-    EXPECT_TRUE(model.wantExact());  // walk 6
-    EXPECT_FALSE(model.wantExact()); // walk 7
-    EXPECT_FALSE(model.wantExact()); // walk 8
-    EXPECT_TRUE(model.wantExact());  // walk 9
-
-    // A cold start drops the fit: exact again until re-calibrated.
-    model.reset();
-    EXPECT_TRUE(model.wantExact());
-}
-
-TEST(FastMem, FirstWalkIsAlwaysExactEvenWithZeroCalibration)
-{
-    FastMemConfig config;
-    config.enabled = true;
-    config.calibrationWalks = 0;
-    config.probeEvery = 0; // no periodic probes either
-    FastMemModel model;
-    model.configure(config);
-    // The model cannot return a latency before observing one walk.
-    EXPECT_TRUE(model.wantExact());
-    model.observe(7, false, true, false);
-    EXPECT_FALSE(model.wantExact());
-    EXPECT_EQ(model.modeledLatency(), 7u);
-}
-
-TEST(FastMem, ModeledLatencyIsIntegerMeanOfObservations)
-{
-    FastMemModel model;
-    model.configure(FastMemConfig{true, 8, 0, 8});
-    EXPECT_EQ(model.modeledLatency(), 1u) << "no fit yet: floor of 1";
-    model.observe(10, true, false, false);
-    model.observe(21, false, true, false);
-    // (10 + 21) / 2 = 15 (integer floor).
-    EXPECT_EQ(model.modeledLatency(), 15u);
-}
-
-TEST(FastMem, EstimatesScaleObservedHitRatesExactly)
-{
-    FastMemModel model;
-    model.configure(FastMemConfig{true, 8, 0, 8});
-    // Hand-computed reference: 8 observed walks, 6 L1 hits; of the
-    // 2 L1 misses, 1 hits L2 and 1 goes to DRAM.
-    for (int i = 0; i < 6; ++i)
-        model.observe(4, true, false, false);
-    model.observe(20, false, true, false);
-    model.observe(90, false, false, true);
-    for (int i = 0; i < 100; ++i)
-        model.noteModeled();
-
-    const FastMemModel::Estimates e = model.estimates();
-    EXPECT_EQ(e.l1Accesses, 100u);
-    EXPECT_EQ(e.l1Hits, 75u);    // 100 * 6 / 8
-    EXPECT_EQ(e.l2Accesses, 25u); // misses = accesses - hits
-    EXPECT_EQ(e.l2Hits, 12u);     // 25 * 1 / 2
-    EXPECT_EQ(e.dramLines, 13u);  // 25 - 12
-    EXPECT_EQ(model.exactWalks(), 8u);
-    EXPECT_EQ(model.modeledWalks(), 100u);
-}
-
-TEST(FastMem, ExactVsFastPercentMatchesHandComputedReference)
-{
-    // The campaign's reported error is |fast - exact| / exact * 100
-    // over the audited sums; check the exact values and the edges.
-    EXPECT_DOUBLE_EQ(FastMemModel::exactVsFastPercent(200.0, 190.0),
-                     5.0);
-    EXPECT_DOUBLE_EQ(FastMemModel::exactVsFastPercent(200.0, 213.0),
-                     6.5);
-    EXPECT_DOUBLE_EQ(FastMemModel::exactVsFastPercent(50.0, 50.0),
-                     0.0);
-    EXPECT_DOUBLE_EQ(FastMemModel::exactVsFastPercent(0.0, 0.0), 0.0);
-    EXPECT_DOUBLE_EQ(FastMemModel::exactVsFastPercent(0.0, 3.0),
-                     100.0);
 }

@@ -300,17 +300,27 @@ TEST(PerfReportTest, DeltasCarrySignAndModeSurvivesRoundTrip)
     for (const perf::PerfDelta &d : up)
         EXPECT_GT(d.deltaPercent, 0.0);
 
-    // mem_mode round-trips, and a report without one loads as exact
-    // (every pre-fast-mem baseline was).
-    base.memMode = "fast";
-    auto parsed = perf::PerfReport::fromJson(base.toJson());
-    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-    EXPECT_EQ(parsed->memMode, "fast");
+    // The exact mem_mode is written and a baseline without one (an
+    // older writer) loads; one from the removed sampled cache model is
+    // refused rather than compared.
+    const util::Json exact = base.toJson();
+    ASSERT_NE(exact.find("mem_mode"), nullptr);
+    EXPECT_EQ(exact.find("mem_mode")->asString(), "exact");
+    util::Json old = util::Json::object();
+    for (const auto &[key, value] : exact.members())
+        if (key != "mem_mode")
+            old.set(key, value);
+    auto legacy = perf::PerfReport::fromJson(old);
+    ASSERT_TRUE(legacy.ok()) << legacy.error().message;
+    EXPECT_EQ(legacy->framesPerSec, base.framesPerSec);
 
-    util::Json old = base.toJson();
-    old.set("mem_mode", util::Json()); // drop: null is skipped on load
-    perf::PerfReport legacy;
-    EXPECT_EQ(legacy.memMode, "exact");
+    util::Json sampled = exact;
+    sampled.set("mem_mode", "fast");
+    auto refused = perf::PerfReport::fromJson(sampled);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error().code, resilience::Errc::BadVersion);
+    EXPECT_NE(refused.error().message.find("'fast'"), std::string::npos)
+        << refused.error().message;
 }
 
 TEST_F(PerfGoldenTest, DisabledMshrReproducesDefaultStatsExactly)
@@ -340,28 +350,6 @@ TEST_F(PerfGoldenTest, DisabledMshrReproducesDefaultStatsExactly)
     EXPECT_EQ(statsCsv(merged.frameStats()),
               statsCsv(unmerged.frameStats()))
         << "MSHR merging changed simulated statistics";
-}
-
-TEST(PerfReportTest, FastMemReportsFastModeAndDiffersFromExact)
-{
-    perf::PerfOptions options;
-    options.benches = {"hcr"};
-    options.frames = 4;
-    auto exact = perf::runHotpath(options);
-    ASSERT_TRUE(exact.ok()) << exact.error().message;
-    EXPECT_EQ(exact->memMode, "exact");
-
-    options.fastMem = mem::FastMemConfig{};
-    options.fastMem.enabled = true;
-    // Tiny calibration so the model actually kicks in at 4 frames.
-    options.fastMem.calibrationWalks = 64;
-    options.fastMem.probeEvery = 16;
-    auto fast = perf::runHotpath(options);
-    ASSERT_TRUE(fast.ok()) << fast.error().message;
-    EXPECT_EQ(fast->memMode, "fast");
-    EXPECT_GT(fast->benches[0].cycles, 0u);
-    EXPECT_NE(fast->benches[0].cycles, exact->benches[0].cycles)
-        << "the model should actually replace walks at this size";
 }
 
 TEST(PerfReportTest, MshrEnvOverrideParsesAndFallsBackOnGarbage)

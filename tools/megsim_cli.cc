@@ -25,7 +25,7 @@
  *
  *   megsim-cli campaign [--benches A,B,C] [--out campaign.json]
  *                       [--check thresholds.json] [--cache-dir DIR]
- *                       [--ledger PATH] [--workers N] [--fast-mem]
+ *                       [--ledger PATH] [--workers N]
  *                       [--suite-cluster]
  *       Run the full MEGsim pipeline for the whole benchmark suite
  *       through one shared worker pool and write the machine-readable
@@ -38,13 +38,6 @@
  *       processes, per-shard retry/backoff, poison-shard quarantine.
  *       A degraded (quarantined) campaign exits 8; the worker count
  *       is recorded in the ledger's run_start manifest.
- *       --fast-mem (or MEGSIM_FAST_MEM=1) replaces the exact texture
- *       walk with the calibrated sampled cache model: the report's
- *       rows carry mem_mode "fast" plus a per-benchmark exact_vs_fast
- *       error column measured by double-running audit frames, which
- *       --check gates via max_exact_vs_fast_percent. Fast results
- *       bypass the disk cache and are incompatible with --workers
- *       (the shard protocol transports cached rows, not audits).
  *       --suite-cluster (or MEGSIM_SUITE_CLUSTER=1) pools every
  *       benchmark's normalized features into ONE space, clusters
  *       suite-wide and shares representatives across benchmarks: the
@@ -71,11 +64,13 @@
  *       provenance). Prints every difference; exits 6 on mismatch.
  *       A per-bench (v2) vs suite-cluster (v3) pair refuses with a
  *       "schema mismatch" message naming both versions and exits 2
- *       (usage), distinct from the exit-6 content mismatch.
+ *       (usage), distinct from the exit-6 content mismatch. A
+ *       report whose mem_mode is not "exact" (written by the removed
+ *       sampled cache model) fails to load and exits 3.
  *
  *   megsim-cli perf [--frames N] [--out BENCH_gpusim.json]
  *                   [--benches A,B,C] [--compare BASELINE.json]
- *                   [--band PCT] [--strict] [--fast-mem]
+ *                   [--band PCT] [--strict]
  *       Run the hot-path microbench (pure timing-simulator
  *       throughput, no cache/pool) and emit the versioned
  *       BENCH_gpusim.json perf report plus its run ledger. --compare
@@ -83,18 +78,15 @@
  *       25) against a committed baseline — wall clocks are
  *       machine-dependent, so by default deviations never fail the
  *       run. With --strict a regression beyond the band exits 10,
- *       an improvement beyond the band prints the cp command that
- *       refreshes the committed baseline (and still exits 0), and
- *       reports from different mem modes refuse to gate (exit 2):
- *       a fast-mem point is a separate trajectory, not a speedup of
- *       the exact one. --fast-mem runs the simulators with the
- *       calibrated sampled cache model.
+ *       and an improvement beyond the band prints the cp command that
+ *       refreshes the committed baseline (and still exits 0). A
+ *       baseline whose mem_mode is not "exact" fails to load (exit 3).
  *
  *   megsim-cli perf --history DIR
  *       Fold every *.jsonl run ledger under DIR into a trajectory
  *       table (tool, mode, threads, status, wall seconds, final
- *       metrics). The mode column (exact / fast / suite-cluster)
- *       keeps incomparable trajectories visually separate.
+ *       metrics). The mode column (exact / suite-cluster) keeps
+ *       incomparable trajectories visually separate.
  *
  *   megsim-cli ledger --validate PATH
  *       Strictly round-trip a run ledger through the util/json parser
@@ -135,7 +127,6 @@
 #include "exec/pool.hh"
 #include "gpusim/gpu_config.hh"
 #include "gpusim/timing_simulator.hh"
-#include "mem/fastmem.hh"
 #include "obs/attrib.hh"
 #include "obs/ledger.hh"
 #include "obs/profile.hh"
@@ -198,7 +189,6 @@ struct Options
     double scale = 1.0;
     std::size_t threads = 0; // 0 = keep MEGSIM_THREADS / hw default
     bool baseline = false;
-    bool fastMem = false; // calibrated fast-mem model (campaign/perf)
     bool suiteCluster = false; // campaign: cross-bench clustering
     bool strict = false;  // perf/serve compare: gate instead of warn
     bool purge = false;
@@ -221,8 +211,7 @@ usage(const char *argv0)
         " [--purge]\n"
         "       %s campaign [--benches A,B,C] [--out REPORT.json]"
         " [--check THRESHOLDS.json] [--cache-dir DIR]"
-        " [--ledger PATH] [--workers N] [--fast-mem]"
-        " [--suite-cluster]\n"
+        " [--ledger PATH] [--workers N] [--suite-cluster]\n"
         "       %s campaign --diff A.json B.json\n"
         "       %s serve --socket PATH [--max-requests N]"
         " [--workers N] [--policy fifo|fair|srs]"
@@ -232,7 +221,7 @@ usage(const char *argv0)
         " [--out REPORT.json] [--ledger PATH]\n"
         "       %s perf [--frames N] [--out BENCH_gpusim.json]"
         " [--benches A,B,C] [--compare BASELINE.json] [--band PCT]"
-        " [--strict] [--fast-mem]\n"
+        " [--strict]\n"
         "       %s perf --history DIR\n"
         "       %s ledger --validate PATH\n"
         "options: --scale S, --baseline, --threads N, --attrib,"
@@ -402,8 +391,6 @@ parse(int argc, char **argv, Options &opt)
             opt.cacheDir = v;
         } else if (arg == "--baseline") {
             opt.baseline = true;
-        } else if (arg == "--fast-mem") {
-            opt.fastMem = true;
         } else if (arg == "--suite-cluster") {
             opt.suiteCluster = true;
         } else if (arg == "--strict") {
@@ -555,8 +542,6 @@ envManifest()
         "MEGSIM_TIMELINE",  "MEGSIM_ATTRIB",
         "MEGSIM_SCHED_POLICY",     "MEGSIM_SCHED_MAX_INFLIGHT",
         "MEGSIM_SHARD_REPLY_SPILL", "MEGSIM_SHARD_SPILL_DIR",
-        "MEGSIM_FAST_MEM",       "MEGSIM_FAST_MEM_CALIB",
-        "MEGSIM_FAST_MEM_PROBE", "MEGSIM_FAST_MEM_AUDIT",
         "MEGSIM_SUITE_CLUSTER",
     };
     util::Json env = util::Json::object();
@@ -575,14 +560,11 @@ ledgerRunStart(obs::RunLedger &ledger, const char *tool,
                std::size_t threads, std::size_t frameLimit,
                double scale, bool baseline,
                const std::vector<std::string> &benches,
-               std::size_t workers = 0,
-               const mem::FastMemConfig &fastMem = {},
-               bool suiteCluster = false)
+               std::size_t workers = 0, bool suiteCluster = false)
 {
-    gpusim::GpuConfig config =
+    const gpusim::GpuConfig config =
         baseline ? gpusim::GpuConfig::baseline()
                  : gpusim::GpuConfig::evaluationScaled();
-    config.fastMem = fastMem;
     char fingerprint[20];
     std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
                   static_cast<unsigned long long>(
@@ -601,14 +583,10 @@ ledgerRunStart(obs::RunLedger &ledger, const char *tool,
     fields.set("benches", std::move(aliases));
     fields.set("fingerprint", fingerprint);
     fields.set("env", envManifest());
-    fields.set("mem_mode", fastMem.enabled ? "fast" : "exact");
-    // The trajectory mode `perf --history` groups rows by: exact,
-    // fast and suite-cluster points are separate trajectories.
-    std::string mode = fastMem.enabled ? "fast" : "exact";
-    if (suiteCluster)
-        mode = fastMem.enabled ? "suite-cluster-fast"
-                               : "suite-cluster";
-    fields.set("mode", mode);
+    fields.set("mem_mode", gpusim::kMemMode);
+    // The trajectory mode `perf --history` groups rows by: exact and
+    // suite-cluster points are separate trajectories.
+    fields.set("mode", suiteCluster ? "suite-cluster" : "exact");
     ledger.event("run_start", std::move(fields));
 }
 
@@ -732,11 +710,10 @@ void
 printCampaignReport(const batch::CampaignReport &report)
 {
     std::printf("# campaign: %zu benchmarks, %zu threads, "
-                "mem %s, mean reduction %.1fx, suite reduction "
-                "%.1fx, pool utilization %.0f%%\n",
+                "mean reduction %.1fx, suite reduction %.1fx, pool "
+                "utilization %.0f%%\n",
                 report.benchmarks.size(), report.threads,
-                report.memMode.c_str(), report.meanReduction,
-                report.suiteReduction,
+                report.meanReduction, report.suiteReduction,
                 report.poolUtilization * 100.0);
     std::printf("%-10s %8s %4s %6s %10s %8s %8s %8s %8s  %s\n",
                 "benchmark", "frames", "k", "reps", "reduction",
@@ -761,14 +738,6 @@ printCampaignReport(const batch::CampaignReport &report)
                             b.alias.c_str(), b.borrowedReps,
                             b.representatives);
     }
-    for (const batch::BenchmarkReport &b : report.benchmarks)
-        if (b.hasExactVsFast)
-            std::printf("# %-10s exact_vs_fast: cycles %.4f%% dram "
-                        "%.4f%% l2 %.4f%% tile %.4f%% (%zu audited "
-                        "frames)\n",
-                        b.alias.c_str(), b.exactVsFast[0],
-                        b.exactVsFast[1], b.exactVsFast[2],
-                        b.exactVsFast[3], b.auditedFrames);
     for (const batch::QuarantinedShard &q : report.quarantined)
         std::fprintf(stderr,
                      "quarantined: shard %zu %s [%zu,%zu) after %zu "
@@ -792,21 +761,9 @@ runCampaign(const Options &opt)
         config.cacheDir = opt.cacheDir;
     if (opt.scale != 1.0)
         config.scale = opt.scale;
-    // Fast-mem is chosen HERE, not in CampaignConfig::fromEnv(), so
-    // supervised serve workers and env-driven cron runs stay exact
-    // unless this process was asked explicitly.
-    config.fastMem = mem::FastMemConfig::fromEnv();
-    if (opt.fastMem)
-        config.fastMem.enabled = true;
-    if (config.fastMem.enabled && opt.workers > 0) {
-        std::fprintf(stderr,
-                     "campaign: --fast-mem is incompatible with "
-                     "--workers (the shard protocol transports "
-                     "cached rows, not audit frames)\n");
-        return kExitUsage;
-    }
-    // Suite clustering is likewise chosen here (not in fromEnv()):
-    // --suite-cluster or MEGSIM_SUITE_CLUSTER=1.
+    // Suite clustering is chosen HERE, not in
+    // CampaignConfig::fromEnv(), so supervised serve workers stay in
+    // per-bench mode: --suite-cluster or MEGSIM_SUITE_CLUSTER=1.
     config.suiteCluster = opt.suiteCluster;
     if (const char *env = std::getenv("MEGSIM_SUITE_CLUSTER"))
         if (*env != '\0' && std::string(env) != "0")
@@ -836,8 +793,7 @@ runCampaign(const Options &opt)
                                : config.benches;
     ledgerRunStart(ledger, "campaign", exec::Pool::global().workers(),
                    config.frameLimit, config.scale, false, aliases,
-                   opt.workers, config.fastMem,
-                   config.suiteCluster);
+                   opt.workers, config.suiteCluster);
 
     auto result = [&]() {
         if (opt.workers > 0) {
@@ -896,14 +852,7 @@ runCampaign(const Options &opt)
         for (std::size_t m = 0; m < batch::kNumMetrics; ++m)
             error.set(batch::kMetricKeys[m], b.errorPercent[m]);
         fields.set("error", std::move(error));
-        fields.set("mem_mode", b.memMode);
-        if (b.hasExactVsFast) {
-            util::Json audit = util::Json::object();
-            for (std::size_t m = 0; m < batch::kNumMetrics; ++m)
-                audit.set(batch::kMetricKeys[m], b.exactVsFast[m]);
-            fields.set("exact_vs_fast", std::move(audit));
-            fields.set("audited_frames", b.auditedFrames);
-        }
+        fields.set("mem_mode", gpusim::kMemMode);
         ledger.event("bench", std::move(fields));
     }
     if (obs::hostAttribEnabled())
@@ -1117,8 +1066,8 @@ runHistory(const Options &opt)
     std::sort(paths.begin(), paths.end());
 
     std::size_t loaded = 0;
-    // The mode column keeps exact / fast-mem / suite-cluster
-    // trajectory rows visually separate — they are never comparable.
+    // The mode column keeps exact / suite-cluster trajectory rows
+    // visually separate — they are never comparable.
     std::printf("%-28s %-9s %-18s %4s %-16s %8s  %s\n", "ledger",
                 "tool", "mode", "thr", "status", "wall_s", "metrics");
     for (const std::string &path : paths) {
@@ -1188,9 +1137,6 @@ runPerf(const Options &opt)
     options.frames = opt.frameBegin; // --frames N = frames per bench
     options.scale = opt.scale;
     options.baseline = opt.baseline;
-    options.fastMem = mem::FastMemConfig::fromEnv();
-    if (opt.fastMem)
-        options.fastMem.enabled = true;
 
     // Load the baseline up front so a typoed path fails fast.
     perf::PerfReport baselineReport;
@@ -1246,8 +1192,7 @@ runPerf(const Options &opt)
     for (const perf::BenchPerf &b : report->benches)
         aliases.push_back(b.alias);
     ledgerRunStart(ledger, "perf", 1, report->frameLimit,
-                   report->scale, report->baseline, aliases, 0,
-                   options.fastMem);
+                   report->scale, report->baseline, aliases);
     for (const perf::PhaseSplit &p : report->phases) {
         util::Json fields = util::Json::object();
         fields.set("name", p.name);
@@ -1295,17 +1240,6 @@ runPerf(const Options &opt)
         printAttrib();
 
     if (haveBaseline) {
-        if (opt.strict && report->memMode != baselineReport.memMode) {
-            // A fast-mem point is a separate trajectory; gating it
-            // against an exact baseline would "pass" on model error.
-            std::fprintf(stderr,
-                         "perf --strict: current mem_mode '%s' does "
-                         "not match baseline '%s' (%s)\n",
-                         report->memMode.c_str(),
-                         baselineReport.memMode.c_str(),
-                         opt.compare.c_str());
-            return kExitUsage;
-        }
         const std::vector<perf::PerfDelta> deltas =
             perf::comparePerfDeltas(*report, baselineReport,
                                     opt.band);
