@@ -42,18 +42,24 @@ class FunctionalSimulator
     FrameActivity simulate(const GeometryIR &ir);
 
   private:
+    /**
+     * The depths of one 2x2 quad, in the rasterizer's lane order:
+     * s0 = (L, A), s1 = (R, A), s2 = (L, B), s3 = (R, B). The z buffer
+     * is quad-major, so a quad's depth test is one aligned load and
+     * one packed compare. This needs even screen sides, which both
+     * shipped screens (192x96 and 1440x720) have.
+     */
+    struct alignas(16) QuadDepth
+    {
+        float d[4];
+    };
+
     GpuConfig config_;
-    const SceneBinding *binding_;
     GeometryProcessor geometry_;
     std::vector<std::uint32_t> shaderColumn_; // global id -> column
     std::size_t numVs_ = 0;
     std::size_t numFs_ = 0;
-    // Full-screen z buffer, cleared per frame by advancing the epoch:
-    // a pixel whose stamp is stale reads as the clear value 1.0f, so
-    // no per-frame fill of the whole screen is needed.
-    std::vector<float> depth_;
-    std::vector<std::uint64_t> depthStamp_;
-    std::uint64_t depthEpoch_ = 0;
+    std::vector<QuadDepth> depth_; // full screen, filled with 1.0f per frame
     GeometryIR ir_; // reused across simulate(FrameTrace) calls
 };
 

@@ -55,6 +55,7 @@ struct ScreenTriangle
  * A 2x2 fragment quad: the x/y of its top-left pixel (even
  * coordinates), a 4-bit coverage mask (bit i = pixel (i%2, i/2)),
  * per-pixel interpolated depth and the quad-center texture coordinate.
+ * z lanes outside @c mask hold values consumers must ignore.
  */
 struct QuadFragment
 {
@@ -161,6 +162,11 @@ rasterizeSetupInTile(const TriangleSetup &setup,
     const __m128 cc1v = _mm_set1_ps(cc1);
     const __m128 cc2v = _mm_set1_ps(cc2);
     const __m128 zerov = _mm_setzero_ps();
+    const __m128 twov = _mm_set1_ps(2.0f);
+    const __m128 invv = _mm_set1_ps(inv);
+    const __m128 z0v = _mm_set1_ps(tri.z[0]);
+    const __m128 z1v = _mm_set1_ps(tri.z[1]);
+    const __m128 z2v = _mm_set1_ps(tri.z[2]);
 #endif
 
     std::size_t quads = 0;
@@ -178,11 +184,15 @@ rasterizeSetupInTile(const TriangleSetup &setup,
         const __m128 b0v = _mm_setr_ps(b0A, b0A, b0B, b0B);
         const __m128 b1v = _mm_setr_ps(b1A, b1A, b1B, b1B);
         const __m128 b2v = _mm_setr_ps(b2A, b2A, b2B, b2B);
+        // Sample x per lane, stepped by 2.0f per quad: every sample x
+        // is a multiple of 0.5 far below 2^23, so each step is exact
+        // and equals the per-quad (float)x + 0.5f bit for bit.
+        const float px0L = static_cast<float>(box.x0) + 0.5f;
+        const float px0R = static_cast<float>(box.x0 + 1) + 0.5f;
+        __m128 pxv = _mm_setr_ps(px0L, px0R, px0L, px0R);
 #endif
         bool doneA = false, doneB = false;
         for (int x = box.x0; x < box.x1; x += 2) {
-            const float pxL = static_cast<float>(x) + 0.5f;
-            const float pxR = static_cast<float>(x + 1) + 0.5f;
             // Branchless 4-sample evaluation, lane order s0 = (L,A),
             // s1 = (R,A), s2 = (L,B), s3 = (R,B). Each lane is the
             // scalar sample expression verbatim — packed mul/add are
@@ -195,7 +205,6 @@ rasterizeSetupInTile(const TriangleSetup &setup,
             alignas(16) float e0a[4], e1a[4], e2a[4];
             unsigned f0, f1, f2;
 #if defined(__SSE2__)
-            const __m128 pxv = _mm_setr_ps(pxL, pxR, pxL, pxR);
             const __m128 e0v = _mm_add_ps(
                 _mm_add_ps(_mm_mul_ps(ax0v, pxv), b0v), cc0v);
             const __m128 e1v = _mm_add_ps(
@@ -212,6 +221,8 @@ rasterizeSetupInTile(const TriangleSetup &setup,
             _mm_store_ps(e1a, e1v);
             _mm_store_ps(e2a, e2v);
 #else
+            const float pxL = static_cast<float>(x) + 0.5f;
+            const float pxR = static_cast<float>(x + 1) + 0.5f;
             e0a[0] = (ax0 * pxL + b0A) + cc0;
             e0a[1] = (ax0 * pxR + b0A) + cc0;
             e0a[2] = (ax0 * pxL + b0B) + cc0;
@@ -237,6 +248,29 @@ rasterizeSetupInTile(const TriangleSetup &setup,
                 quad.x = x;
                 quad.y = y;
                 quad.mask = static_cast<std::uint8_t>(mask);
+#if defined(__SSE2__)
+                // Barycentric weights: e1 belongs to v0 (opposite
+                // edge), e2 to v1, e0 to v2. Each lane is the scalar
+                // ((w0*z0 + w1*z1) + w2*z2) in the same order.
+                const __m128 w0v = _mm_mul_ps(e1v, invv);
+                const __m128 w1v = _mm_mul_ps(e2v, invv);
+                const __m128 w2v = _mm_mul_ps(e0v, invv);
+                _mm_storeu_ps(
+                    quad.z,
+                    _mm_add_ps(_mm_add_ps(_mm_mul_ps(w0v, z0v),
+                                          _mm_mul_ps(w1v, z1v)),
+                               _mm_mul_ps(w2v, z2v)));
+                // Texture coordinate of the first covered sample
+                // stands in for the whole quad.
+                const int first = __builtin_ctz(mask);
+                const float w0 = e1a[first] * inv;
+                const float w1 = e2a[first] * inv;
+                const float w2 = e0a[first] * inv;
+                quad.uv = {w0 * tri.uv[0].x + w1 * tri.uv[1].x +
+                               w2 * tri.uv[2].x,
+                           w0 * tri.uv[0].y + w1 * tri.uv[1].y +
+                               w2 * tri.uv[2].y};
+#else
                 int first = -1;
                 for (int s = 0; s < 4; ++s) {
                     if (!(mask & (1u << s)))
@@ -260,6 +294,7 @@ rasterizeSetupInTile(const TriangleSetup &setup,
                     quad.z[s] =
                         w0 * tri.z[0] + w1 * tri.z[1] + w2 * tri.z[2];
                 }
+#endif
                 emit(static_cast<const QuadFragment &>(quad));
                 ++quads;
             }
@@ -271,6 +306,9 @@ rasterizeSetupInTile(const TriangleSetup &setup,
             doneB = doneB || (rowFail & 8u) != 0;
             if (doneA && doneB)
                 break;
+#if defined(__SSE2__)
+            pxv = _mm_add_ps(pxv, twov);
+#endif
         }
     }
     return quads;

@@ -309,7 +309,8 @@ TEST_F(ExecTest, CheckpointJournalsAreThreadCountInvariant)
     const std::size_t threadCounts[] = {1, 2, 8};
     std::vector<std::string> stems;
     for (std::size_t t : threadCounts) {
-        const std::string cache = path("t" + std::to_string(t));
+        const std::string cache =
+            path(std::string("t").append(std::to_string(t)));
         std::filesystem::create_directories(cache);
         const pid_t child = fork();
         ASSERT_GE(child, 0);
@@ -435,7 +436,8 @@ TEST_F(ExecTest, ShardMergeIsExactUnderDynamicChunking)
     EXPECT_EQ(serial.samples, n);
     for (std::size_t threads : {std::size_t(2), std::size_t(8)}) {
         const auto parallel =
-            run(threads, "t" + std::to_string(threads));
+            run(threads,
+                std::string("t").append(std::to_string(threads)));
         EXPECT_EQ(parallel.count, serial.count) << threads;
         EXPECT_EQ(parallel.mean, serial.mean) << threads;
         EXPECT_EQ(parallel.samples, serial.samples) << threads;

@@ -165,21 +165,32 @@ TEST(TimingSimulator, HsrNeverShadesMoreFragments)
 
 TEST(TimingSimulator, ActivityAgreesWithFunctionalSimulator)
 {
-    SceneBinding binding(testScene());
+    // The first frames and the start of gameplay of every game: the
+    // per-tile scan and the full-screen functional pass share the
+    // rasterizer but not the depth buffer.
     const GpuConfig config = GpuConfig::evaluationScaled();
+    const std::size_t frames[] = {0, 1, 2, 3, 150, 151, 152, 153};
+    for (const std::string &alias : workloads::benchmarkNames()) {
+        const gfx::SceneTrace scene =
+            workloads::buildBenchmark(alias, 1.0, 154);
+        SceneBinding binding(scene);
+        FunctionalSimulator functional(config, binding);
+        TimingSimulator timing(config, binding);
+        for (std::size_t f : frames) {
+            const FrameActivity fn = functional.simulate(scene.frames[f]);
+            FrameActivity fromTiming;
+            timing.simulate(scene.frames[f], &fromTiming);
 
-    FunctionalSimulator functional(config, binding);
-    const FrameActivity fn = functional.simulate(testScene().frames[0]);
-
-    TimingSimulator timing(config, binding);
-    FrameActivity fromTiming;
-    timing.simulate(testScene().frames[0], &fromTiming);
-
-    EXPECT_EQ(fn.primitives, fromTiming.primitives);
-    EXPECT_EQ(fn.verticesShaded, fromTiming.verticesShaded);
-    EXPECT_EQ(fn.fragmentsShaded, fromTiming.fragmentsShaded);
-    EXPECT_EQ(fn.vsCounts, fromTiming.vsCounts);
-    EXPECT_EQ(fn.fsCounts, fromTiming.fsCounts);
+            const std::string where = alias + " frame " + std::to_string(f);
+            EXPECT_EQ(fn.primitives, fromTiming.primitives) << where;
+            EXPECT_EQ(fn.verticesShaded, fromTiming.verticesShaded)
+                << where;
+            EXPECT_EQ(fn.fragmentsShaded, fromTiming.fragmentsShaded)
+                << where;
+            EXPECT_EQ(fn.vsCounts, fromTiming.vsCounts) << where;
+            EXPECT_EQ(fn.fsCounts, fromTiming.fsCounts) << where;
+        }
+    }
 }
 
 TEST(TimingSimulator, TracingEmitsEveryPipelineStage)
