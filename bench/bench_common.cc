@@ -112,15 +112,6 @@ loadBenchmark(const std::string &alias)
     return b;
 }
 
-std::vector<LoadedBenchmark>
-loadAllBenchmarks()
-{
-    std::vector<LoadedBenchmark> all;
-    for (const auto &alias : workloads::benchmarkNames())
-        all.push_back(loadBenchmark(alias));
-    return all;
-}
-
 megsim::MegsimConfig
 defaultMegsimConfig()
 {

@@ -10,7 +10,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "gfx/trace.hh"
 #include "gpusim/gpu_config.hh"
@@ -43,9 +42,6 @@ std::string outDir();
  * for quick smoke runs) and MEGSIM_SCALE (workload complexity).
  */
 LoadedBenchmark loadBenchmark(const std::string &alias);
-
-/** Load all eight benchmarks in Table II order. */
-std::vector<LoadedBenchmark> loadAllBenchmarks();
 
 /** The default MEGsim methodology configuration of the evaluation. */
 megsim::MegsimConfig defaultMegsimConfig();

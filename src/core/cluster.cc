@@ -1,6 +1,7 @@
 #include "core/megsim.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -423,59 +424,57 @@ selectClustering(const FeatureMatrix &features,
         std::max<std::size_t>(1, config.maxClusters),
         std::max<std::size_t>(1, features.rows()));
 
-    // The sweep runs in waves of one pool width of k values, each
-    // fanned out over its (k, restart) k-means runs, largest k first
-    // so the longest runs start earliest. Every run writes only its
-    // own slot. The serial walk below keeps each k's best restart
-    // (restart order, strict >) and replays the exact patience rule,
-    // so the trace and the chosen k are bit-identical to a serial
-    // sweep (wave work past the stopping point is discarded). Each
-    // run is one serial kmeans().
-    exec::Pool &pool = exec::Pool::global();
-    const std::size_t wave = pool.workers();
+    // The sweep is one ordered pool job over every (k, restart) run
+    // in ascending k: item i is restart i % restarts of k = 1 + i /
+    // restarts, one serial kmeans() seeded as a serial sweep seeds it.
+    // Commits run on the calling thread in item order: each k keeps
+    // its best restart (restart order, strict >) and replays the exact
+    // patience rule, so the trace and the chosen k are bit-identical
+    // to a serial sweep. A stop publishes the first item past it, so
+    // runs not yet started are skipped; runs already past it are never
+    // folded. Nested inside a pool job the sweep runs serially and
+    // commits after every item, stopping where a serial sweep stops.
     const std::size_t restarts = std::max<std::size_t>(1, config.restarts);
+    std::atomic<std::size_t> stop{maxK * restarts};
     double bestBic = -std::numeric_limits<double>::max();
     std::size_t decreases = 0;
-    bool stopped = false;
-    for (std::size_t base = 1; base <= maxK && !stopped;
-         base += wave) {
-        const std::size_t count = std::min(wave, maxK - base + 1);
-        // runs[i * restarts + r] holds restart r of k = base + i.
-        std::vector<SelectionStep> runs(count * restarts);
-        (void)pool.parallelFor(
-            runs.size(),
-            [&](std::size_t item,
-                std::size_t) -> resilience::Expected<void> {
-                const std::size_t slot = runs.size() - 1 - item;
-                const std::size_t k = base + slot / restarts;
-                KMeansConfig kc = config.kmeans;
-                kc.seed =
-                    sim::hashMix(config.kmeans.seed, k, slot % restarts);
-                runs[slot].result = kmeans(features, k, kc);
-                runs[slot].bic = bicScore(features, runs[slot].result);
-                return {};
-            },
-            exec::Chunking::Dynamic, 1);
-
-        for (std::size_t i = 0; i < count && !stopped; ++i) {
+    SelectionStep step;
+    (void)exec::Pool::global().parallelMapOrdered<SelectionStep>(
+        maxK * restarts,
+        [&](std::size_t item,
+            std::size_t) -> resilience::Expected<SelectionStep> {
+            SelectionStep run;
+            if (item >= stop.load())
+                return run;
+            const std::size_t k = 1 + item / restarts;
+            KMeansConfig kc = config.kmeans;
+            kc.seed = sim::hashMix(config.kmeans.seed, k, item % restarts);
+            run.result = kmeans(features, k, kc);
+            run.bic = bicScore(features, run.result);
+            return run;
+        },
+        [&](std::size_t item, SelectionStep &&run) {
+            if (item >= stop.load())
+                return;
+            const std::size_t r = item % restarts;
             // Best-of-restarts guards the BIC curve against one
             // unlucky k-means++ draw ending the search prematurely.
-            SelectionStep step;
-            step.bic = -std::numeric_limits<double>::max();
-            for (std::size_t r = 0; r < restarts; ++r) {
-                SelectionStep &run = runs[i * restarts + r];
-                if (run.bic > step.bic)
-                    step = std::move(run);
+            if (r == 0) {
+                step = SelectionStep{};
+                step.bic = -std::numeric_limits<double>::max();
             }
+            if (run.bic > step.bic)
+                step = std::move(run);
+            if (r + 1 < restarts)
+                return;
             sel.trace.push_back(std::move(step));
             if (sel.trace.back().bic > bestBic) {
                 bestBic = sel.trace.back().bic;
                 decreases = 0;
             } else if (++decreases > config.patience) {
-                stopped = true;
+                stop.store(item + 1);
             }
-        }
-    }
+        });
 
     // The spread threshold T picks the smallest k whose BIC clears
     // min + T * (max - min) of the explored range (Sec. III-F).

@@ -106,9 +106,17 @@ BenchmarkData::BenchmarkData(const gfx::SceneTrace &scene,
                              const gpusim::GpuConfig &config,
                              std::string cacheDirectory)
     : scene_(&scene), config_(config),
-      cacheDir_(std::move(cacheDirectory)),
-      key_(sim::hashMix(scene.contentHash(), config.fingerprint()))
+      cacheDir_(std::move(cacheDirectory))
 {
+}
+
+std::uint64_t
+BenchmarkData::cacheKey() const
+{
+    std::call_once(keyOnce_, [this] {
+        key_ = sim::hashMix(scene_->contentHash(), config_.fingerprint());
+    });
+    return key_;
 }
 
 std::string
@@ -122,7 +130,7 @@ BenchmarkData::checkpointStem() const
 {
     char keyHex[24];
     std::snprintf(keyHex, sizeof(keyHex), "%016llx",
-                  static_cast<unsigned long long>(key_));
+                  static_cast<unsigned long long>(cacheKey()));
     const std::string name =
         scene_->name.empty() ? "scene" : scene_->name;
     return cacheDir_ + "/" + name + "_" +
@@ -137,7 +145,7 @@ BenchmarkData::loadActivityCache()
     obs::TimelineRecorder::Span span("cache.load", 0,
                                      scene_->name + ":activity");
     auto loaded = resilience::readCsvArtifact(cachePath("activity"),
-                                              key_, "activity");
+                                              cacheKey(), "activity");
     if (!loaded.ok()) {
         if (loaded.error().code == resilience::Errc::NotFound)
             return CacheProbe::Missing;
@@ -169,7 +177,7 @@ BenchmarkData::storeActivityCache() const
     for (const gpusim::FrameActivity &act : activities_)
         table.rows.push_back(activityToRow(act));
     return resilience::writeCsvArtifact(cachePath("activity"), table,
-                                        key_, "activity");
+                                        cacheKey(), "activity");
 }
 
 CacheProbe
@@ -179,7 +187,8 @@ BenchmarkData::loadStatsCache()
     obs::TimelineRecorder::Span span("cache.load", 0,
                                      scene_->name + ":stats");
     auto loaded =
-        resilience::readCsvArtifact(cachePath("stats"), key_, "stats");
+        resilience::readCsvArtifact(cachePath("stats"), cacheKey(),
+                                    "stats");
     if (!loaded.ok()) {
         if (loaded.error().code == resilience::Errc::NotFound)
             return CacheProbe::Missing;
@@ -229,7 +238,7 @@ BenchmarkData::storeStatsCache() const
     for (const gpusim::FrameStats &s : stats_)
         table.rows.push_back(s.toCsvRow());
     return resilience::writeCsvArtifact(cachePath("stats"), table,
-                                        key_, "stats");
+                                        cacheKey(), "stats");
 }
 
 resilience::Expected<void>
@@ -365,7 +374,7 @@ GroundTruthPass::GroundTruthPass(BenchmarkData &data,
     if (!data.cacheDir_.empty() && checkpointingEnabled()) {
         createCacheDir(data.cacheDir_);
         ckpt_ = std::make_unique<resilience::Checkpoint>(
-            data.checkpointStem(), data.key_, total_,
+            data.checkpointStem(), data.cacheKey(), total_,
             gpusim::FrameStats::csvHeader().size(), 4 + vs + fs);
         start_ = ckpt_->resume();
         for (std::size_t f = 0; f < start_; ++f) {

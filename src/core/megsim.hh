@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -408,9 +409,11 @@ enum class CacheProbe {
  * A benchmark's per-frame ground truth, computed lazily and cached on
  * disk (keyed by scene content hash and GPU-config fingerprint, so
  * stale caches can never be reused). An empty @p cacheDirectory
- * disables the disk cache. Constructing BenchmarkData does no
- * simulation work at all — the functional pass runs on first use of
- * activities(), the cycle-level pass on first use of frameStats().
+ * disables the disk cache. Constructing BenchmarkData does no work at
+ * all: the cache key is computed, thread-safely, on its first read,
+ * the functional pass on first use of activities(), the cycle-level
+ * pass on first use of frameStats(). The scene must outlive it and
+ * stay unchanged; the class is neither copyable nor movable.
  */
 class BenchmarkData
 {
@@ -418,6 +421,8 @@ class BenchmarkData
     BenchmarkData(const gfx::SceneTrace &scene,
                   const gpusim::GpuConfig &config,
                   std::string cacheDirectory);
+    BenchmarkData(const BenchmarkData &) = delete;
+    BenchmarkData &operator=(const BenchmarkData &) = delete;
 
     const gfx::SceneTrace &scene() const { return *scene_; }
     const gpusim::GpuConfig &config() const { return config_; }
@@ -437,8 +442,11 @@ class BenchmarkData
      */
     std::string cachePath(const std::string &kind) const;
 
-    /** Scene/config fingerprint keying caches and checkpoints. */
-    std::uint64_t cacheKey() const { return key_; }
+    /**
+     * Scene/config fingerprint keying caches and checkpoints, hashed
+     * from the scene on the first read by any thread.
+     */
+    std::uint64_t cacheKey() const;
 
     /**
      * Attempt to satisfy both passes from the disk caches without
@@ -481,7 +489,8 @@ class BenchmarkData
     const gfx::SceneTrace *scene_;
     gpusim::GpuConfig config_;
     std::string cacheDir_;
-    std::uint64_t key_ = 0;
+    mutable std::once_flag keyOnce_;
+    mutable std::uint64_t key_ = 0;
     std::vector<gpusim::FrameActivity> activities_;
     std::vector<gpusim::FrameStats> stats_;
     bool haveActivities_ = false;

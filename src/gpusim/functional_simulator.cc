@@ -16,10 +16,16 @@ namespace
 {
 
 #if defined(__SSE2__)
-/** Row i is all-ones in each lane whose bit is set in i. */
+/**
+ * Row i is all-ones in each lane whose bit is set in i, and count[i]
+ * is how many bits are set. The count is a table because the portable
+ * build has no POPCNT: a popcount builtin compiles to a libgcc call,
+ * and every live XMM register is spilled around it.
+ */
 struct LaneMasks
 {
     alignas(16) std::uint32_t lanes[16][4];
+    std::uint8_t count[16];
 };
 
 constexpr LaneMasks
@@ -27,8 +33,10 @@ makeLaneMasks()
 {
     LaneMasks t{};
     for (unsigned i = 0; i < 16; ++i)
-        for (unsigned s = 0; s < 4; ++s)
+        for (unsigned s = 0; s < 4; ++s) {
             t.lanes[i][s] = (i >> s) & 1u ? 0xFFFFFFFFu : 0u;
+            t.count[i] += (i >> s) & 1u;
+        }
     return t;
 }
 
@@ -108,8 +116,7 @@ FunctionalSimulator::simulate(const GeometryIR &ir)
                         static_cast<unsigned>(
                             _mm_movemask_ps(_mm_cmple_ps(z, d))) &
                         quad.mask;
-                    shaded += static_cast<unsigned>(
-                        __builtin_popcount(pass));
+                    shaded += kLaneMasks.count[pass];
                     if (opaque) {
                         // Select-store: a failing lane writes its own
                         // bits back.

@@ -64,8 +64,6 @@ struct QuadFragment
     std::uint8_t mask = 0;
     float z[4] = {};
     util::Vec2f uv;
-
-    int coveredPixels() const { return __builtin_popcount(mask); }
 };
 
 /**

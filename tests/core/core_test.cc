@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cmath>
 #include <filesystem>
+#include <latch>
 
 #include "core/megsim.hh"
+#include "exec/pool.hh"
 #include "scratch_dir.hh"
 #include "sim/random.hh"
 #include "workloads/workloads.hh"
@@ -456,4 +458,42 @@ TEST(Data, CachePathSurvivesLongSceneNames)
                   static_cast<unsigned long long>(data.cacheKey()));
     EXPECT_NE(stats.find(std::string("_") + keyHex + "_stats.csv"),
               std::string::npos);
+}
+
+TEST(Data, CacheKeyIsPinnedAndComputedOnFirstRead)
+{
+    // The key names every cache artifact and checkpoint journal on
+    // disk: these literals were printed before the key became lazy, and
+    // must never move.
+    const gfx::SceneTrace scene = workloads::buildBenchmark("hcr", 1.0, 3);
+    const gpusim::GpuConfig config = gpusim::GpuConfig::evaluationScaled();
+    const std::uint64_t pinned = 0x7efbf4720391b54bULL;
+
+    const BenchmarkData named(scene, config, "cache");
+    EXPECT_EQ(named.cacheKey(), pinned);
+    EXPECT_EQ(named.checkpointStem(), "cache/hcr_3_v4_7efbf4720391b54b");
+
+    BenchmarkData keyFirst(scene, config, "");
+    EXPECT_EQ(keyFirst.cacheKey(), pinned);
+    keyFirst.activities();
+    EXPECT_EQ(keyFirst.cacheKey(), pinned);
+
+    BenchmarkData passFirst(scene, config, "");
+    passFirst.activities();
+    EXPECT_EQ(passFirst.cacheKey(), pinned);
+
+    // Four pool workers race to the first read of a fresh key.
+    BenchmarkData fresh(scene, config, "");
+    exec::Pool pool(4);
+    std::latch together(4);
+    std::vector<std::uint64_t> keys(4, 0);
+    (void)pool.parallelFor(
+        keys.size(),
+        [&](std::size_t item, std::size_t) -> resilience::Expected<void> {
+            together.arrive_and_wait();
+            keys[item] = fresh.cacheKey();
+            return {};
+        },
+        exec::Chunking::Static);
+    EXPECT_EQ(keys, std::vector<std::uint64_t>(4, pinned));
 }

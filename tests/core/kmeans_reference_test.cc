@@ -3,14 +3,16 @@
  * selectClustering() must reproduce, bit for bit, a brute-force Lloyd
  * loop and a serial k-sweep kept here as the specification. The inputs
  * target what the triangle-pruned assignment, the seed-grouped
- * k-means++ and the (k, restart) sweep fan-out could get wrong:
+ * k-means++ and the ordered (k, restart) sweep job could get wrong:
  * duplicated rows, exact ties, midpoint ties at exactly the rescan
  * ball's edge, k at or above the distinct row count (empty-cluster
  * reseeds), one row per cluster, frames nearest the never-measured last
  * seed, k = 1 and 2 (no or one neighbour for the half-gap test), tiny
- * and huge feature scales, dims that are not a multiple of 4, and
- * matrices large enough for bound skips and several sweep waves — at 1,
- * 2 and 8 pool threads.
+ * and huge feature scales, dims that are not a multiple of 4, matrices
+ * large enough for bound skips, and sweeps that stop on patience 0 or 1
+ * far below the cap (runs past the stop in flight), 1 or 3 restarts, a
+ * cap of 7 or 13, and a selection made inside a pool job (the pool's
+ * serial path) — at 1, 2 and 8 pool threads.
  */
 
 #include <gtest/gtest.h>
@@ -516,25 +518,68 @@ TEST(ClusterReference, SelectionMatchesSerialSweep)
     {
         std::string name;
         FeatureMatrix matrix;
-        std::size_t maxClusters;
+        SelectorConfig config;
+        /** The spec's sweep ends on patience, short of the cap. */
+        bool stopsEarly = false;
+        /** Select from inside a pool job: the pool's serial path. */
+        bool nested = false;
+    };
+    const auto selector = [](std::size_t maxClusters,
+                             std::size_t patience = 3,
+                             std::size_t restarts = 3) {
+        SelectorConfig config;
+        config.maxClusters = maxClusters;
+        config.patience = patience;
+        config.restarts = restarts;
+        return config;
     };
     std::vector<SweepCase> cases;
-    cases.push_back({"duplicated", duplicatedMatrix(60, 8, 5), 16});
-    cases.push_back({"ties", latticeMatrix(80, 3), 16});
+    cases.push_back({"duplicated", duplicatedMatrix(60, 8, 5), selector(16)});
+    cases.push_back({"ties", latticeMatrix(80, 3), selector(16)});
     for (std::size_t dims : {1u, 3u, 5u, 24u, 25u})
         cases.push_back({"dims=" + std::to_string(dims),
-                         blobMatrix(200, dims, 5, 40 + dims), 24});
-    cases.push_back({"n=2000", blobMatrix(2000, 24, 6, 8), 20});
-    cases.push_back({"hcr", projectedHcr(320), 64});
+                         blobMatrix(200, dims, 5, 40 + dims), selector(24)});
+    cases.push_back({"n=2000", blobMatrix(2000, 24, 6, 8), selector(20)});
+    cases.push_back({"hcr", projectedHcr(320), selector(64)});
+    // Three blobs put the BIC peak early, so a short patience stops
+    // the sweep far below the cap while later runs are in flight.
+    const FeatureMatrix early = blobMatrix(400, 6, 3, 21);
+    for (std::size_t patience : {0u, 1u})
+        cases.push_back({"patience=" + std::to_string(patience), early,
+                         selector(32, patience), true});
+    for (std::size_t restarts : {1u, 3u})
+        cases.push_back({"restarts=" + std::to_string(restarts),
+                         blobMatrix(300, 5, 4, 31), selector(24, 3, restarts)});
+    for (std::size_t cap : {7u, 13u})
+        cases.push_back({"maxClusters=" + std::to_string(cap),
+                         blobMatrix(300, 5, 9, 33), selector(cap)});
+    cases.push_back({"nested", early, selector(32, 1), true, true});
 
     for (const SweepCase &c : cases) {
-        SelectorConfig config;
-        config.maxClusters = c.maxClusters;
-        const SelectionResult want = referenceSelect(c.matrix, config);
+        const SelectionResult want = referenceSelect(c.matrix, c.config);
+        if (c.stopsEarly) {
+            EXPECT_LT(want.trace.size(), c.config.maxClusters) << c.name;
+        }
         atThreadCounts([&](const std::string &threads) {
-            expectSameSelection(selectClustering(c.matrix, config), want,
-                                c.name + " " + threads);
+            const std::string what = c.name + " " + threads;
+            if (!c.nested) {
+                expectSameSelection(selectClustering(c.matrix, c.config),
+                                    want, what);
+                return;
+            }
+            // Two items, so the selections run inside a real pool job
+            // whenever the pool has more than one thread.
+            std::vector<SelectionResult> got(2);
+            (void)exec::Pool::global().parallelFor(
+                got.size(),
+                [&](std::size_t item,
+                    std::size_t) -> resilience::Expected<void> {
+                    got[item] = selectClustering(c.matrix, c.config);
+                    return {};
+                });
+            for (std::size_t i = 0; i < got.size(); ++i)
+                expectSameSelection(got[i], want,
+                                    what + " item=" + std::to_string(i));
         });
     }
 }
-
