@@ -88,106 +88,6 @@ analyzeBenchmark(const std::string &alias,
     return report;
 }
 
-SuiteAnalysis
-analyzeSuite(const std::vector<SuiteBench> &benches,
-             const megsim::MegsimConfig &config)
-{
-    obs::TimelineRecorder::Span span("campaign.analyze_suite",
-                                     benches.size());
-    SuiteAnalysis out;
-    if (benches.empty())
-        return out;
-
-    // Per-bench pipelines stay alive for the whole analysis: they own
-    // the normalized matrices the pool borrows pointers into, and
-    // they price the per-bench baseline the reduction factor is
-    // measured against.
-    std::vector<std::unique_ptr<megsim::MegsimPipeline>> pipelines;
-    std::vector<const megsim::FeatureMatrix *> normalized;
-    for (const SuiteBench &bench : benches) {
-        pipelines.push_back(std::make_unique<megsim::MegsimPipeline>(
-            *bench.data, config));
-        normalized.push_back(&pipelines.back()->features());
-    }
-
-    const megsim::PooledFeatures pooled = poolFeatures(normalized);
-    const megsim::SuiteClustering suite =
-        megsim::clusterSuite(pooled, config);
-    const std::size_t numReps = suite.representatives.size();
-    out.sharedRepresentatives = numReps;
-
-    // The shared representatives' timing is simulated once, under the
-    // benchmark each one came from; every other benchmark reuses the
-    // values through its own fold-back weights.
-    std::vector<std::vector<double>> repMetric(
-        kNumMetrics, std::vector<double>(numReps, 0.0));
-    std::vector<std::vector<double>> truthTotals(
-        kNumMetrics, std::vector<double>(benches.size(), 0.0));
-    for (std::size_t m = 0; m < kNumMetrics; ++m) {
-        for (std::size_t b = 0; b < benches.size(); ++b) {
-            const std::vector<double> truth =
-                benches[b].data->metric(kMetrics[m]);
-            for (double v : truth)
-                truthTotals[m][b] += v;
-            for (std::size_t r = 0; r < numReps; ++r) {
-                const megsim::SuiteRepresentative &rep =
-                    suite.representatives[r];
-                if (rep.bench == b)
-                    repMetric[m][r] = truth[rep.frame];
-            }
-        }
-    }
-
-    for (std::size_t b = 0; b < benches.size(); ++b) {
-        const double t0 = obs::wallSeconds();
-        const SuiteBench &bench = benches[b];
-        BenchmarkReport row;
-        row.alias = bench.alias;
-        row.frames = pooled.frames[b];
-        row.resumedFrames = bench.resumedFrames;
-        row.cacheStatus = bench.cacheStatus;
-
-        // Serving representatives: the clusters holding at least one
-        // of this benchmark's frames. Borrowed = simulated under
-        // another benchmark.
-        std::size_t serving = 0;
-        std::size_t borrowed = 0;
-        for (std::size_t r = 0; r < numReps; ++r) {
-            if (suite.memberCounts[b][r] <= 0.0)
-                continue;
-            ++serving;
-            if (suite.representatives[r].bench != b)
-                ++borrowed;
-        }
-        row.chosenK = serving;
-        row.representatives = serving;
-        row.borrowedReps = borrowed;
-        row.reduction =
-            serving == 0 ? 0.0
-                         : static_cast<double>(row.frames) /
-                               static_cast<double>(serving);
-        for (std::size_t m = 0; m < kNumMetrics; ++m)
-            row.errorPercent[m] = megsim::foldBackErrorPercent(
-                suite.memberCounts[b], repMetric[m],
-                truthTotals[m][b]);
-
-        // The per-bench baseline: exactly the clustering the default
-        // mode would run, priced here so suite_reduction_factor is a
-        // measured number, not an estimate.
-        out.perBenchRepresentatives +=
-            pipelines[b]->run().numRepresentatives();
-
-        row.wallSeconds = obs::wallSeconds() - t0;
-        out.rows.push_back(std::move(row));
-    }
-
-    if (out.sharedRepresentatives > 0)
-        out.suiteReductionFactor =
-            static_cast<double>(out.perBenchRepresentatives) /
-            static_cast<double>(out.sharedRepresentatives);
-    return out;
-}
-
 BenchmarkReport
 Campaign::analyze(Item &item)
 {
@@ -264,12 +164,7 @@ Campaign::run()
     // ordered commits serialize each benchmark's journal appends and
     // finish (cache store + checkpoint discard) the moment its last
     // frame lands, so a killed campaign keeps its completed prefix.
-    // Suite clustering needs EVERY benchmark's ground truth before any
-    // analysis can start (the feature space is pooled), so in that
-    // mode no analysis units enter the job — the job only regenerates
-    // caches, and analyzeSuite() runs at top level afterwards.
-    const std::size_t analysisUnits =
-        config_.suiteCluster ? 0 : fresh.size();
+    const std::size_t analysisUnits = fresh.size();
     std::size_t totalUnits = analysisUnits;
     std::vector<Item *> pending;
     for (Item *item : regen) {
@@ -352,34 +247,13 @@ Campaign::run()
 
     CampaignReport report;
     report.threads = pool.workers();
-    if (config_.suiteCluster) {
-        // 4. One pooled analysis over every benchmark, clustering
-        // suite-wide and folding shared representatives back into
-        // per-bench rows.
-        std::vector<SuiteBench> inputs;
-        for (auto &item : items_)
-            inputs.push_back(SuiteBench{item->alias, item->data.get(),
-                                        item->cacheStatus,
-                                        item->resumedFrames});
-        SuiteAnalysis suite = analyzeSuite(inputs, config_.megsim);
-        for (std::size_t i = 0; i < items_.size(); ++i) {
-            items_[i]->report = std::move(suite.rows[i]);
-            items_[i]->analyzed = true;
-        }
-        report.suiteCluster = true;
-        report.sharedRepresentatives = suite.sharedRepresentatives;
-        report.perBenchRepresentatives =
-            suite.perBenchRepresentatives;
-        report.suiteReductionFactor = suite.suiteReductionFactor;
-    } else {
-        // 4. Regenerated benchmarks analyze at top level, where
-        // clustering fans out over the (now idle) pool exactly like
-        // the single-benchmark drivers.
-        for (auto &item : items_) {
-            if (!item->analyzed) {
-                item->report = analyze(*item);
-                item->analyzed = true;
-            }
+    // 4. Regenerated benchmarks analyze at top level, where
+    // clustering fans out over the (now idle) pool exactly like the
+    // single-benchmark drivers.
+    for (auto &item : items_) {
+        if (!item->analyzed) {
+            item->report = analyze(*item);
+            item->analyzed = true;
         }
     }
 
@@ -436,20 +310,6 @@ publishCampaignStats(const CampaignReport &report)
     suite.scalar("suite_reduction",
                  "total frames / total representatives")
         .set(report.suiteReduction);
-    if (report.suiteCluster) {
-        suite
-            .scalar("shared_representatives",
-                    "representatives timing-simulated suite-wide")
-            .set(static_cast<double>(report.sharedRepresentatives));
-        suite
-            .scalar("per_bench_representatives",
-                    "what independent per-bench clustering needs")
-            .set(static_cast<double>(report.perBenchRepresentatives));
-        suite
-            .scalar("suite_reduction_factor",
-                    "per-bench reps / shared reps")
-            .set(report.suiteReductionFactor);
-    }
     suite.scalar("wall_seconds", "campaign wall time")
         .set(report.wallSeconds);
     suite.scalar("pool_utilization",

@@ -50,15 +50,6 @@ struct CampaignConfig
     /** Truncate every benchmark to this many frames (0 = full). */
     std::size_t frameLimit = 0;
     megsim::MegsimConfig megsim;
-    /**
-     * Opt-in suite clustering (megsim-cli --suite-cluster): pool every
-     * benchmark's normalized features into ONE space, cluster
-     * suite-wide and share representatives across benchmarks.
-     * Deliberately NOT read by fromEnv() — the CLI maps
-     * MEGSIM_SUITE_CLUSTER itself so env-driven serve workers stay in
-     * per-bench mode unless explicitly asked.
-     */
-    bool suiteCluster = false;
 
     /**
      * The evaluation defaults shared with the bench drivers (same
@@ -80,41 +71,6 @@ BenchmarkReport analyzeBenchmark(const std::string &alias,
 
 /** Publish campaign.<alias>.* / campaign.suite.* stats. */
 void publishCampaignStats(const CampaignReport &report);
-
-/** One benchmark entering the suite-level analysis. */
-struct SuiteBench
-{
-    std::string alias;
-    megsim::BenchmarkData *data = nullptr;
-    std::string cacheStatus = "built";
-    std::size_t resumedFrames = 0;
-};
-
-/** What analyzeSuite() hands back for the v3 report. */
-struct SuiteAnalysis
-{
-    /** One row per input benchmark, in input order. */
-    std::vector<BenchmarkReport> rows;
-    /** Representatives actually timing-simulated suite-wide. */
-    std::size_t sharedRepresentatives = 0;
-    /** What independent per-bench clustering would have simulated. */
-    std::size_t perBenchRepresentatives = 0;
-    /** perBenchRepresentatives / sharedRepresentatives. */
-    double suiteReductionFactor = 0.0;
-};
-
-/**
- * Suite-level analysis (--suite-cluster): pool every benchmark's
- * normalized features, cluster once suite-wide, elect shared
- * representatives and fold each benchmark's estimate back through its
- * own member counts. Also runs the independent per-bench clustering
- * (cheap — ground truth is already in memory) so the report can state
- * the measured suite reduction factor. Shared by the in-process
- * Campaign and the scheduler's finalize path so `--workers N` output
- * is bit-identical to the single-process run.
- */
-SuiteAnalysis analyzeSuite(const std::vector<SuiteBench> &benches,
-                           const megsim::MegsimConfig &config);
 
 class Campaign
 {

@@ -161,13 +161,9 @@ util::Json
 CampaignReport::toJson() const
 {
     util::Json root = util::Json::object();
-    // Suite clustering off must serialize byte-identically to the v2
-    // writer, so every v3 key below is gated on suiteCluster.
-    root.set("schema", suiteCluster ? kSchemaV3 : kSchema);
+    root.set("schema", kSchema);
     root.set("threads", threads);
     root.set("mem_mode", gpusim::kMemMode);
-    if (suiteCluster)
-        root.set("suite_cluster", true);
     root.set("degraded", degraded);
 
     util::Json quarantineRows = util::Json::array();
@@ -196,8 +192,6 @@ CampaignReport::toJson() const
         row.set("wall_seconds", b.wallSeconds);
         row.set("cache", b.cacheStatus);
         row.set("mem_mode", gpusim::kMemMode);
-        if (suiteCluster)
-            row.set("borrowed_reps", b.borrowedReps);
         rows.push(std::move(row));
     }
     root.set("benchmarks", std::move(rows));
@@ -210,12 +204,6 @@ CampaignReport::toJson() const
     suite.set("suite_reduction", suiteReduction);
     suite.set("mean_error_percent", metricObject(meanErrorPercent));
     suite.set("max_error_percent", metricObject(maxErrorPercent));
-    if (suiteCluster) {
-        suite.set("shared_representatives", sharedRepresentatives);
-        suite.set("per_bench_representatives",
-                  perBenchRepresentatives);
-        suite.set("suite_reduction_factor", suiteReductionFactor);
-    }
     suite.set("wall_seconds", wallSeconds);
     suite.set("pool_utilization", poolUtilization);
     root.set("suite", std::move(suite));
@@ -229,24 +217,17 @@ CampaignReport::fromJson(const util::Json &json)
     if (!schema || !schema->isString())
         return resilience::errorf(resilience::Errc::BadFormat,
                                   "report: missing 'schema'");
-    // v1/v2 reports load fine: every later field is optional and
-    // defaults to the value earlier rows implicitly carried.
-    if (schema->asString() != kSchema &&
-        schema->asString() != kSchemaV1 &&
-        schema->asString() != kSchemaV3)
+    if (schema->asString() != kSchema)
         return resilience::errorf(
             resilience::Errc::BadVersion,
-            "report: schema '%s', expected '%s' (or '%s', '%s')",
-            schema->asString().c_str(), kSchema, kSchemaV1, kSchemaV3);
+            "report: schema '%s', expected '%s'",
+            schema->asString().c_str(), kSchema);
 
     CampaignReport report;
-    report.schemaVersion = schema->asString();
-    if (const util::Json *sc = json.find("suite_cluster"))
-        report.suiteCluster = sc->asBool();
     if (auto mode = requireExactMemMode(json, "campaign"); !mode.ok())
         return mode.error();
-    if (auto threads = numberAt(json, "threads"); threads.ok())
-        report.threads = static_cast<std::size_t>(*threads);
+    if (auto threads = json.countAt("threads"); threads.ok())
+        report.threads = *threads;
     else
         return threads.error();
     if (const util::Json *degraded = json.find("degraded"))
@@ -274,10 +255,10 @@ CampaignReport::fromJson(const util::Json &json)
                 {"attempts", &q.attempts},
             };
             for (const auto &field : counts) {
-                auto v = numberAt(row, field.key);
+                auto v = row.countAt(field.key);
                 if (!v.ok())
                     return v.error();
-                *field.out = static_cast<std::size_t>(*v);
+                *field.out = *v;
             }
             if (const util::Json *reason = row.find("reason"))
                 q.reason = reason->asString();
@@ -306,10 +287,10 @@ CampaignReport::fromJson(const util::Json &json)
             {"representatives", &b.representatives},
         };
         for (const auto &field : counts) {
-            auto v = numberAt(row, field.key);
+            auto v = row.countAt(field.key);
             if (!v.ok())
                 return v.error();
-            *field.out = static_cast<std::size_t>(*v);
+            *field.out = *v;
         }
         auto reduction = numberAt(row, "reduction");
         if (!reduction.ok())
@@ -329,9 +310,6 @@ CampaignReport::fromJson(const util::Json &json)
         if (auto mode = requireExactMemMode(row, b.alias.c_str());
             !mode.ok())
             return mode.error();
-        if (auto borrowed = numberAt(row, "borrowed_reps");
-            borrowed.ok())
-            b.borrowedReps = static_cast<std::size_t>(*borrowed);
         report.benchmarks.push_back(std::move(b));
     }
 
@@ -366,12 +344,6 @@ CampaignReport::fromJson(const util::Json &json)
                                    report.maxErrorPercent);
     if (!maxErr.ok())
         return maxErr.error();
-    if (auto v = numberAt(*suite, "shared_representatives"); v.ok())
-        report.sharedRepresentatives = static_cast<std::size_t>(*v);
-    if (auto v = numberAt(*suite, "per_bench_representatives"); v.ok())
-        report.perBenchRepresentatives = static_cast<std::size_t>(*v);
-    if (auto v = numberAt(*suite, "suite_reduction_factor"); v.ok())
-        report.suiteReductionFactor = *v;
     return report;
 }
 
@@ -395,11 +367,8 @@ CampaignReport::load(const std::string &path)
 
 Thresholds::Thresholds()
 {
-    for (std::size_t m = 0; m < kNumMetrics; ++m) {
+    for (std::size_t m = 0; m < kNumMetrics; ++m)
         maxErrorPercent[m] = std::numeric_limits<double>::infinity();
-        suiteMaxErrorPercent[m] =
-            std::numeric_limits<double>::infinity();
-    }
 }
 
 resilience::Expected<Thresholds>
@@ -415,15 +384,11 @@ Thresholds::fromJson(const util::Json &json)
     std::vector<LimitField> fields = {
         {"min_reduction", &limits.minReduction},
         {"min_mean_reduction", &limits.minMeanReduction},
-        {"suite.min_gain", &limits.suiteMinGain},
     };
-    for (std::size_t m = 0; m < kNumMetrics; ++m) {
-        const std::string metric = kMetricKeys[m];
-        fields.push_back({"max_error_percent." + metric,
+    for (std::size_t m = 0; m < kNumMetrics; ++m)
+        fields.push_back({std::string("max_error_percent.") +
+                              kMetricKeys[m],
                           &limits.maxErrorPercent[m]});
-        fields.push_back({"suite.max_error_percent." + metric,
-                          &limits.suiteMaxErrorPercent[m]});
-    }
     if (auto parsed = limitsInto(json, "", fields); !parsed.ok())
         return parsed.error();
     return limits;
@@ -446,19 +411,15 @@ checkThresholds(const CampaignReport &report, const Thresholds &limits)
 {
     std::vector<std::string> violations;
     char line[160];
-    // Suite-cluster fold-back errors come from cross-benchmark reuse
-    // and are calibrated by the `suite` block, not the per-bench one.
-    const double *errorLimits = report.suiteCluster
-                                    ? limits.suiteMaxErrorPercent
-                                    : limits.maxErrorPercent;
     for (const BenchmarkReport &b : report.benchmarks) {
         for (std::size_t m = 0; m < kNumMetrics; ++m) {
-            if (b.errorPercent[m] > errorLimits[m]) {
+            if (b.errorPercent[m] > limits.maxErrorPercent[m]) {
                 std::snprintf(line, sizeof(line),
                               "%s: %s error %.4f%% exceeds limit "
                               "%.4f%%",
                               b.alias.c_str(), kMetricKeys[m],
-                              b.errorPercent[m], errorLimits[m]);
+                              b.errorPercent[m],
+                              limits.maxErrorPercent[m]);
                 violations.emplace_back(line);
             }
         }
@@ -474,15 +435,6 @@ checkThresholds(const CampaignReport &report, const Thresholds &limits)
         std::snprintf(line, sizeof(line),
                       "suite: mean reduction %.2fx below floor %.2fx",
                       report.meanReduction, limits.minMeanReduction);
-        violations.emplace_back(line);
-    }
-    if (report.suiteCluster &&
-        report.suiteReductionFactor < limits.suiteMinGain) {
-        std::snprintf(line, sizeof(line),
-                      "suite: suite reduction factor %.2fx below "
-                      "floor %.2fx",
-                      report.suiteReductionFactor,
-                      limits.suiteMinGain);
         violations.emplace_back(line);
     }
     return violations;
@@ -502,13 +454,6 @@ diffReports(const CampaignReport &a, const CampaignReport &b)
         diffs.emplace_back(line);
     };
 
-    if (a.suiteCluster != b.suiteCluster) {
-        std::snprintf(line, sizeof(line),
-                      "suite: suite_cluster %s != %s",
-                      a.suiteCluster ? "true" : "false",
-                      b.suiteCluster ? "true" : "false");
-        diffs.emplace_back(line);
-    }
     if (a.benchmarks.size() != b.benchmarks.size()) {
         std::snprintf(line, sizeof(line),
                       "suite: %zu benchmarks != %zu",
@@ -543,10 +488,6 @@ diffReports(const CampaignReport &a, const CampaignReport &b)
             number(where, what, ra.errorPercent[m],
                    rb.errorPercent[m]);
         }
-        if (a.suiteCluster && b.suiteCluster)
-            number(where, "borrowed_reps",
-                   static_cast<double>(ra.borrowedReps),
-                   static_cast<double>(rb.borrowedReps));
     }
 
     if (a.degraded != b.degraded) {
@@ -597,16 +538,6 @@ diffReports(const CampaignReport &a, const CampaignReport &b)
                       kMetricKeys[m]);
         number("suite", what, a.maxErrorPercent[m],
                b.maxErrorPercent[m]);
-    }
-    if (a.suiteCluster && b.suiteCluster) {
-        number("suite", "shared_representatives",
-               static_cast<double>(a.sharedRepresentatives),
-               static_cast<double>(b.sharedRepresentatives));
-        number("suite", "per_bench_representatives",
-               static_cast<double>(a.perBenchRepresentatives),
-               static_cast<double>(b.perBenchRepresentatives));
-        number("suite", "suite_reduction_factor",
-               a.suiteReductionFactor, b.suiteReductionFactor);
     }
     return diffs;
 }

@@ -48,12 +48,6 @@ struct BenchmarkReport
      * (no cache existed).
      */
     std::string cacheStatus = "built";
-    /**
-     * Suite-cluster column (schema v3): how many of this benchmark's
-     * serving representatives were simulated under ANOTHER benchmark
-     * (cross-benchmark timing reuse). Zero in per-bench mode.
-     */
-    std::size_t borrowedReps = 0;
 };
 
 /**
@@ -75,20 +69,12 @@ struct QuarantinedShard
 struct CampaignReport
 {
     /**
-     * v2 adds `mem_mode` (campaign and per row), always "exact".
-     * fromJson() accepts v1 reports, which lack it, and refuses any
-     * other mode: those came from the removed sampled cache model.
-     *
-     * v3 adds the suite-cluster fields (campaign `suite_cluster`,
-     * per-row `borrowed_reps`, suite `shared_representatives` /
-     * `per_bench_representatives` / `suite_reduction_factor`).
-     * toJson() only emits v3 when suiteCluster is set — a campaign
-     * with suite clustering off serializes BYTE-IDENTICALLY to the
-     * v2 writer, which is what the golden tests pin.
+     * The one report schema. fromJson() refuses every other tag, and
+     * a `mem_mode` (campaign or row) other than "exact": those came
+     * from the removed sampled cache model. `mem_mode` itself is
+     * optional on read.
      */
     static constexpr const char *kSchema = "megsim-campaign-v2";
-    static constexpr const char *kSchemaV1 = "megsim-campaign-v1";
-    static constexpr const char *kSchemaV3 = "megsim-campaign-v3";
 
     std::size_t threads = 0;
     /**
@@ -99,20 +85,6 @@ struct CampaignReport
     bool degraded = false;
     std::vector<QuarantinedShard> quarantined;
     std::vector<BenchmarkReport> benchmarks;
-
-    /**
-     * Suite-cluster provenance (schema v3). The schema the report was
-     * parsed from (or will serialize as) is recorded so tooling can
-     * refuse cross-schema comparisons with a clear message.
-     */
-    bool suiteCluster = false;
-    /** Shared representatives actually timing-simulated suite-wide. */
-    std::size_t sharedRepresentatives = 0;
-    /** What independent per-bench clustering would have simulated. */
-    std::size_t perBenchRepresentatives = 0;
-    /** perBenchRepresentatives / sharedRepresentatives (>= 1 good). */
-    double suiteReductionFactor = 0.0;
-    std::string schemaVersion = kSchema;
 
     // Suite aggregates, derived by computeAggregates().
     double totalFrames = 0.0;
@@ -154,15 +126,6 @@ struct Thresholds
     double minReduction = 0.0;
     /** Suite floor on the mean reduction factor. */
     double minMeanReduction = 0.0;
-    /**
-     * Optional nested `suite` block gating suite-cluster reports:
-     * per-benchmark fold-back error ceilings (REPLACING
-     * max_error_percent for v3 reports, whose errors come from
-     * cross-benchmark reuse and are calibrated separately) and the
-     * floor on suite_reduction_factor. Ignored for per-bench reports.
-     */
-    double suiteMaxErrorPercent[kNumMetrics];
-    double suiteMinGain = 0.0;
 
     Thresholds();
 

@@ -292,101 +292,6 @@ struct MegsimConfig
 };
 
 /**
- * Pooled cross-benchmark feature space (suite clustering): every
- * benchmark's NORMALIZED feature rows stacked into one matrix, with
- * per-row provenance back to (benchmark, local frame). Benchmarks
- * disagree on shader counts, so rows are zero-padded to the widest
- * vs/fs group across the pool — a missing shader contributes no work,
- * which is exactly what a zero column says. Normalization happens
- * per benchmark BEFORE pooling (GroupSumWeights rescales each group
- * to a fixed budget), so a heavyweight title cannot dominate the
- * distance metric by sheer magnitude.
- */
-struct PooledFeatures
-{
-    /** frames(total) x (maxVs + maxFs + 1), PRIM last. */
-    FeatureMatrix features;
-    /** Per pooled row: owning benchmark index (pool order). */
-    std::vector<std::size_t> bench;
-    /** Per pooled row: local frame index within that benchmark. */
-    std::vector<std::size_t> frame;
-    /** Per benchmark: its first pooled row (rows are bench-major). */
-    std::vector<std::size_t> firstRow;
-    /** Per benchmark: its frame count. */
-    std::vector<std::size_t> frames;
-
-    std::size_t numBenches() const { return firstRow.size(); }
-};
-
-/**
- * Stack per-benchmark normalized feature matrices (pool order) into
- * one padded matrix with provenance. Pure row copying — pooling never
- * re-normalizes, so each benchmark's rows are bit-identical to the
- * ones its own per-bench pipeline would cluster.
- */
-PooledFeatures
-poolFeatures(const std::vector<const FeatureMatrix *> &normalized);
-
-/**
- * One shared representative: the pooled frame closest to its cluster
- * centroid, with provenance naming the benchmark that must simulate
- * it. Its timing metrics are simulated ONCE and reused by every
- * benchmark with members in the cluster.
- */
-struct SuiteRepresentative
-{
-    std::size_t cluster = 0; // cluster index in the chosen k-means
-    std::size_t bench = 0;   // provenance: owning benchmark
-    std::size_t frame = 0;   // local frame within that benchmark
-    double weight = 0.0;     // suite-wide cluster population
-};
-
-/** Cross-benchmark clustering plus the per-bench fold-back weights. */
-struct SuiteClustering
-{
-    SelectionResult selection;
-    /** One entry per non-empty cluster, in cluster order. */
-    std::vector<SuiteRepresentative> representatives;
-    /**
-     * memberCounts[b][r]: how many of benchmark b's frames landed in
-     * representatives[r]'s cluster — the per-benchmark fold-back
-     * weights (columns sum to representatives[r].weight, rows to the
-     * benchmark's frame count).
-     */
-    std::vector<std::vector<double>> memberCounts;
-};
-
-/**
- * Representative election + fold-back weights for an existing
- * clustering of @p pooled rows (the golden tests drive this directly
- * with a hand-built k-means result).
- */
-SuiteClustering suiteFromClustering(const PooledFeatures &pooled,
-                                    const FeatureMatrix &clustered,
-                                    const KMeansResult &clustering);
-
-/**
- * The full suite-level pipeline on pooled features: random projection
- * (same seed as the per-bench path), BIC-guided k-selection, and
- * suite-wide representative election. @p seed overrides the k-means
- * seed (0 keeps the configured one). Thread-count invariant like the
- * per-bench pipeline.
- */
-SuiteClustering clusterSuite(const PooledFeatures &pooled,
-                             const MegsimConfig &config,
-                             std::uint64_t seed = 0);
-
-/**
- * Relative error (%) of the fold-back estimate
- * sum_r counts[r] * repValues[r] against @p truthTotal — the suite
- * twin of MegsimPipeline::errorPercent, as a pure function so both
- * the campaign and the golden tests compute it identically.
- */
-double foldBackErrorPercent(const std::vector<double> &counts,
-                            const std::vector<double> &repValues,
-                            double truthTotal);
-
-/**
  * Column layout of the activity cache/journal rows (frame, primitives,
  * vertices, fragments, then one column per vertex and fragment
  * shader). Shared by the checkpoint journals, the cache artifacts and

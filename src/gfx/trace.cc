@@ -97,7 +97,15 @@ struct Fnv
         }
     }
 
-    void mixF(float f) { mix(static_cast<std::uint64_t>(f * 4096.0f)); }
+    // Through int64_t: draw coordinates can be negative, and a
+    // negative float converted straight to an unsigned type is
+    // undefined. Scene values keep |f * 4096| far below 2^63.
+    void
+    mixF(float f)
+    {
+        mix(static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(f * 4096.0f)));
+    }
 };
 
 } // namespace

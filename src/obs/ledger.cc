@@ -19,11 +19,12 @@ using util::Json;
 namespace
 {
 
-// Per-event field tables. `Str`/`Num` require that JSON kind; `StrArr`
-// is an array of strings; `StrMap`/`NumMap` are open objects whose
-// *values* must be strings/numbers (the keys are free — env vars,
-// metric names, domain names).
-enum class FieldKind { Str, Num, StrArr, StrMap, NumMap };
+// Per-event field tables. `Str`/`Num` require that JSON kind; `Count`
+// requires a number that Json::countAt() accepts; `StrArr` is an array
+// of strings; `StrMap`/`NumMap` are open objects whose *values* must
+// be strings/numbers (the keys are free — env vars, metric names,
+// domain names).
+enum class FieldKind { Str, Num, Count, StrArr, StrMap, NumMap };
 
 struct FieldSpec
 {
@@ -41,7 +42,7 @@ struct EventSpec
 
 constexpr FieldSpec kRunStartFields[] = {
     {"tool", FieldKind::Str, true},
-    {"threads", FieldKind::Num, true},
+    {"threads", FieldKind::Count, true},
     {"workers", FieldKind::Num, false},
     {"frame_limit", FieldKind::Num, false},
     {"scale", FieldKind::Num, false},
@@ -50,9 +51,9 @@ constexpr FieldSpec kRunStartFields[] = {
     {"fingerprint", FieldKind::Str, false},
     {"env", FieldKind::StrMap, false},
     {"mem_mode", FieldKind::Str, false},
-    // Trajectory mode: "exact" or "suite-cluster" — what
-    // `perf --history` groups rows by so modes never compare against
-    // each other.
+    // Trajectory mode: "exact" on every current run; older ledgers
+    // carry other modes. `perf --history` groups rows by it so modes
+    // never compare against each other.
     {"mode", FieldKind::Str, false},
 };
 
@@ -198,10 +199,12 @@ findSpec(const std::string &type)
     return nullptr;
 }
 
+/** Check field @p spec of @p event, which holds it. */
 Expected<void>
 checkField(const std::string &type, const FieldSpec &spec,
-           const Json &value)
+           const Json &event)
 {
+    const Json &value = *event.find(spec.name);
     switch (spec.kind) {
       case FieldKind::Str:
         if (!value.isString())
@@ -210,10 +213,16 @@ checkField(const std::string &type, const FieldSpec &spec,
                           spec.name);
         break;
       case FieldKind::Num:
+      case FieldKind::Count:
         if (!value.isNumber())
             return errorf(Errc::BadFormat,
                           "%s.%s: expected number", type.c_str(),
                           spec.name);
+        if (spec.kind == FieldKind::Count)
+            if (auto count = event.countAt(spec.name); !count.ok())
+                return errorf(Errc::BadFormat, "%s.%s: %s",
+                              type.c_str(), spec.name,
+                              count.error().message.c_str());
         break;
       case FieldKind::StrArr:
         if (!value.isArray())
@@ -353,16 +362,14 @@ RunLedger::validateEvent(const Json &ev)
 
     for (std::size_t i = 0; i < spec->count; ++i) {
         const FieldSpec &f = spec->fields[i];
-        const Json *value = ev.find(f.name);
-        if (!value) {
+        if (!ev.find(f.name)) {
             if (f.required)
                 return errorf(Errc::BadFormat,
                               "%s: missing required field '%s'",
                               spec->type, f.name);
             continue;
         }
-        Expected<void> fieldOk =
-            checkField(spec->type, f, *value);
+        Expected<void> fieldOk = checkField(spec->type, f, ev);
         if (!fieldOk.ok())
             return fieldOk;
     }
@@ -394,8 +401,8 @@ summarizeLedger(const std::string &path,
         const std::string &type = ev.find("event")->asString();
         if (type == "run_start") {
             row.tool = ev.find("tool")->asString();
-            row.threads = static_cast<std::size_t>(
-                ev.find("threads")->asNumber());
+            if (auto threads = ev.countAt("threads"); threads.ok())
+                row.threads = *threads;
             // Pre-`mode` ledgers carried the trajectory mode in
             // mem_mode (exact/fast); older ones were always exact.
             if (const Json *mode = ev.find("mode"))

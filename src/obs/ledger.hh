@@ -123,8 +123,9 @@ struct LedgerSummary
 {
     std::string path;          // ledger file (basename in reports)
     std::string tool;          // "campaign" / "perf"
-    // Trajectory mode: "exact" / "fast" / "suite-cluster" / ...;
-    // falls back to the run_start mem_mode for pre-mode ledgers.
+    // Trajectory mode: "exact" on every current run; ledgers from
+    // removed modes keep their old names. Falls back to the
+    // run_start mem_mode for pre-mode ledgers.
     std::string mode = "exact";
     std::size_t threads = 0;
     std::string status;        // "ok" / "failed" / "" if no run_end

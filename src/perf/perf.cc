@@ -108,8 +108,8 @@ PerfReport::fromJson(const util::Json &json)
             schema->asString().c_str(), kSchema);
 
     PerfReport report;
-    if (auto v = numberAt(json, "frame_limit"); v.ok())
-        report.frameLimit = static_cast<std::size_t>(*v);
+    if (auto v = json.countAt("frame_limit"); v.ok())
+        report.frameLimit = *v;
     else
         return v.error();
     if (auto v = numberAt(json, "scale"); v.ok())
@@ -147,14 +147,14 @@ PerfReport::fromJson(const util::Json &json)
             {"frames_per_sec", &b.framesPerSec},
             {"mcycles_per_sec", &b.mcyclesPerSec},
         };
-        auto frames = numberAt(row, "frames");
+        auto frames = row.countAt("frames");
         if (!frames.ok())
             return frames.error();
-        b.frames = static_cast<std::size_t>(*frames);
-        auto cycles = numberAt(row, "cycles");
+        b.frames = *frames;
+        auto cycles = row.countAt("cycles");
         if (!cycles.ok())
             return cycles.error();
-        b.cycles = static_cast<std::uint64_t>(*cycles);
+        b.cycles = *cycles;
         for (const auto &field : fields) {
             auto v = numberAt(row, field.key);
             if (!v.ok())

@@ -73,20 +73,29 @@ ServeReport::fromJson(const Json &json)
         return errorf(Errc::BadVersion,
                       "serve report: schema is not '%s'", kSchema);
     ServeReport report;
-    if (auto v = numberAt(json, "frame_limit"); v.ok())
-        report.frameLimit = static_cast<std::size_t>(*v);
-    if (auto v = numberAt(json, "shard_frames"); v.ok())
-        report.shardFrames = static_cast<std::size_t>(*v);
-    if (auto v = numberAt(json, "think_ms"); v.ok())
-        report.thinkMs = static_cast<std::size_t>(*v);
+    // Every megsim-serve-v1 writer has emitted all three.
+    struct {
+        const char *key;
+        std::size_t *out;
+    } counts[] = {
+        {"frame_limit", &report.frameLimit},
+        {"shard_frames", &report.shardFrames},
+        {"think_ms", &report.thinkMs},
+    };
+    for (const auto &field : counts) {
+        auto v = json.countAt(field.key);
+        if (!v.ok())
+            return v.error();
+        *field.out = *v;
+    }
     const Json *rows = json.find("points");
     if (!rows || !rows->isArray())
         return errorf(Errc::BadFormat,
                       "serve report: missing 'points'");
     for (const Json &row : rows->items()) {
         ServeLoadPoint p;
-        auto workers = numberAt(row, "workers");
-        auto requests = numberAt(row, "requests");
+        auto workers = row.countAt("workers");
+        auto requests = row.countAt("requests");
         auto makespan = numberAt(row, "makespan_seconds");
         auto rps = numberAt(row, "requests_per_sec");
         auto p50 = numberAt(row, "p50_latency_seconds");
@@ -103,8 +112,8 @@ ServeReport::fromJson(const Json &json)
             return p50.error();
         if (!p95.ok())
             return p95.error();
-        p.workers = static_cast<std::size_t>(*workers);
-        p.requests = static_cast<std::size_t>(*requests);
+        p.workers = *workers;
+        p.requests = *requests;
         if (const Json *policy = row.find("policy");
             policy && policy->isString())
             p.policy = policy->asString();

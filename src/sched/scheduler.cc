@@ -459,9 +459,8 @@ Scheduler::routeFleetEvents()
 {
     for (auto &[type, fields] : fleet_.drainLedgerEvents()) {
         Request *owner = nullptr;
-        if (const Json *shard = fields.find("shard")) {
-            auto it = owner_.find(
-                static_cast<std::size_t>(shard->asNumber()));
+        if (auto shard = fields.countAt("shard"); shard.ok()) {
+            auto it = owner_.find(*shard);
             if (it != owner_.end())
                 owner = it->second.first;
         }
@@ -561,15 +560,14 @@ Scheduler::handleEvent(const serve::Fleet::Event &event)
     auto stats = rowsFromJson(event.reply.find("stats"), "stats");
     auto acts =
         rowsFromJson(event.reply.find("activity"), "activity");
-    if (!stats.ok() || !acts.ok() ||
+    auto resumed = event.reply.countAt("resumed");
+    if (!stats.ok() || !acts.ok() || !resumed.ok() ||
         stats->size() != shard.endFrame - shard.beginFrame ||
         acts->size() != stats->size()) {
         failShard(request, shard, "malformed shard reply");
         return;
     }
-    if (const Json *resumed = event.reply.find("resumed"))
-        shard.resumed =
-            static_cast<std::size_t>(resumed->asNumber());
+    shard.resumed = *resumed;
     shard.statsRows = std::move(*stats);
     shard.activityRows = std::move(*acts);
     shard.state = Shard::State::Done;
@@ -644,35 +642,14 @@ Scheduler::finalize(std::unique_ptr<Request> request)
         // identical inputs, identical rows to the in-process
         // campaign.
         batch::CampaignReport &report = result.report;
-        if (base_.suiteCluster) {
-            std::vector<batch::SuiteBench> inputs;
-            for (auto &item : request->items) {
-                if (item->quarantined)
-                    continue;
-                inputs.push_back(batch::SuiteBench{
-                    item->alias, item->data.get(), item->cacheStatus,
-                    item->resumedFrames});
-            }
-            batch::SuiteAnalysis suite =
-                batch::analyzeSuite(inputs, base_.megsim);
-            for (batch::BenchmarkReport &row : suite.rows)
-                report.benchmarks.push_back(std::move(row));
-            report.suiteCluster = true;
-            report.sharedRepresentatives =
-                suite.sharedRepresentatives;
-            report.perBenchRepresentatives =
-                suite.perBenchRepresentatives;
-            report.suiteReductionFactor = suite.suiteReductionFactor;
-        } else {
-            for (auto &item : request->items) {
-                if (item->quarantined)
-                    continue;
-                batch::BenchmarkReport row = batch::analyzeBenchmark(
-                    item->alias, *item->data, base_.megsim);
-                row.resumedFrames = item->resumedFrames;
-                row.cacheStatus = item->cacheStatus;
-                report.benchmarks.push_back(std::move(row));
-            }
+        for (auto &item : request->items) {
+            if (item->quarantined)
+                continue;
+            batch::BenchmarkReport row = batch::analyzeBenchmark(
+                item->alias, *item->data, base_.megsim);
+            row.resumedFrames = item->resumedFrames;
+            row.cacheStatus = item->cacheStatus;
+            report.benchmarks.push_back(std::move(row));
         }
         for (const Shard &shard : request->shards) {
             if (shard.state != Shard::State::Quarantined)

@@ -295,12 +295,11 @@ parseShardRequest(const util::Json &m)
         {"attempt", &spec.attempt},
     };
     for (const auto &field : counts) {
-        const util::Json *v = m.find(field.key);
-        if (!v || !v->isNumber())
-            return errorf(Errc::BadFormat,
-                          "shard request: missing number '%s'",
-                          field.key);
-        *field.out = static_cast<std::size_t>(v->asNumber());
+        auto v = m.countAt(field.key);
+        if (!v.ok())
+            return errorf(Errc::BadFormat, "shard request: %s",
+                          v.error().message.c_str());
+        *field.out = *v;
     }
     if (spec.endFrame <= spec.beginFrame)
         return errorf(Errc::BadFormat,

@@ -1,6 +1,7 @@
 #include "util/json.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -276,6 +277,24 @@ Json::findPath(const std::string &dottedPath) const
         begin = dot + 1;
     }
     return node;
+}
+
+resilience::Expected<std::size_t>
+Json::countAt(const std::string &key) const
+{
+    constexpr double kMaxCount = 9007199254740992.0; // 2^53
+    const Json *v = find(key);
+    if (!v || !v->isNumber())
+        return resilience::errorf(resilience::Errc::BadFormat,
+                                  "missing count '%s'", key.c_str());
+    // The negated range test also refuses NaN.
+    const double d = v->number_;
+    if (!(d >= 0.0 && d <= kMaxCount) || d != std::floor(d))
+        return resilience::errorf(
+            resilience::Errc::BadFormat,
+            "'%s' is %g, not a count (an integer in [0, 2^53])",
+            key.c_str(), d);
+    return static_cast<std::size_t>(d);
 }
 
 Json &

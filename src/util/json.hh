@@ -84,6 +84,16 @@ class Json
     /** Object: nested lookup `a.b.c`, or nullptr. */
     const Json *findPath(const std::string &dottedPath) const;
 
+    /**
+     * Object: the count at @p key, a finite non-negative integer no
+     * larger than 2^53 (beyond it a double skips integers). Anything
+     * else, a missing key included, is a BadFormat error naming the
+     * key: casting a negative, fractional or non-finite number to
+     * std::size_t is undefined behaviour.
+     */
+    resilience::Expected<std::size_t>
+    countAt(const std::string &key) const;
+
     /** Array: append. */
     Json &push(Json value);
 

@@ -208,10 +208,44 @@ TEST_F(BatchTest, ReportJsonRoundTripsBitForBit)
     ASSERT_FALSE(bogus.ok());
     EXPECT_EQ(bogus.error().code, resilience::Errc::BadVersion);
 
+    // There is one schema: the same report under the retired v1 and
+    // v3 tags refuses to load as well.
+    const std::string text = report.toJson().dump(0);
+    const std::string v2tag = batch::CampaignReport::kSchema;
+    for (const char *retired :
+         {"megsim-campaign-v1", "megsim-campaign-v3"}) {
+        std::string old = text;
+        old.replace(old.find(v2tag), v2tag.size(), retired);
+        std::ofstream(path("retired.json")) << old;
+        auto refused = batch::CampaignReport::load(path("retired.json"));
+        ASSERT_FALSE(refused.ok()) << retired;
+        EXPECT_EQ(refused.error().code, resilience::Errc::BadVersion)
+            << retired;
+        EXPECT_NE(refused.error().message.find(retired),
+                  std::string::npos)
+            << refused.error().message;
+    }
+
+    // A row count must be a non-negative integer a double holds
+    // exactly; anything else is refused naming the key.
+    const std::string frames = "\"frames\":240,";
+    for (const char *bad : {"-1", "2.5", "1e400"}) {
+        std::string doc = text;
+        doc.replace(doc.find(frames), frames.size(),
+                    "\"frames\":" + std::string(bad) + ",");
+        std::ofstream(path("count.json")) << doc;
+        auto refused = batch::CampaignReport::load(path("count.json"));
+        ASSERT_FALSE(refused.ok()) << bad;
+        EXPECT_EQ(refused.error().code, resilience::Errc::BadFormat)
+            << bad;
+        EXPECT_NE(refused.error().message.find("'frames'"),
+                  std::string::npos)
+            << refused.error().message;
+    }
+
     // Reports from the removed sampled cache model refuse to load
     // too, whether the campaign-level mem_mode (written first) or a
     // row-level one (the last) says so.
-    const std::string text = report.toJson().dump(0);
     const std::string exactMode = "\"mem_mode\":\"exact\"";
     for (const std::size_t at :
          {text.find(exactMode), text.rfind(exactMode)}) {
@@ -226,25 +260,6 @@ TEST_F(BatchTest, ReportJsonRoundTripsBitForBit)
                   std::string::npos)
             << refused.error().message;
     }
-
-    // A v1 report (older schema tag, no mem_mode anywhere) still
-    // loads with the same numbers.
-    std::string v1 = text;
-    const std::string v2tag = batch::CampaignReport::kSchema;
-    v1.replace(v1.find(v2tag), v2tag.size(),
-               batch::CampaignReport::kSchemaV1);
-    for (std::size_t at = v1.find("," + exactMode);
-         at != std::string::npos; at = v1.find("," + exactMode))
-        v1.erase(at, exactMode.size() + 1);
-    ASSERT_EQ(v1.find("mem_mode"), std::string::npos);
-    std::ofstream(path("v1.json")) << v1;
-    auto legacy = batch::CampaignReport::load(path("v1.json"));
-    ASSERT_TRUE(legacy.ok()) << legacy.error().message;
-    EXPECT_EQ(legacy->schemaVersion, batch::CampaignReport::kSchemaV1);
-    ASSERT_EQ(legacy->benchmarks.size(), report.benchmarks.size());
-    for (std::size_t i = 0; i < report.benchmarks.size(); ++i)
-        expectSameNumbers(legacy->benchmarks[i], report.benchmarks[i],
-                          "v1 row " + std::to_string(i));
 }
 
 TEST_F(BatchTest, JsonParserRejectsMalformedInput)
@@ -302,11 +317,23 @@ TEST_F(BatchTest, ThresholdCheckFlagsEveryBreachedLimit)
         {"\"max_error_percent\": {\"l3\": 1.0}", "max_error_percent.l3"},
         {"\"max_error_percent\": {\"l2\": null}", "max_error_percent.l2"},
         {"\"max_error_percent\": 5.0", "max_error_percent"},
-        {"\"suite\": {\"min_gian\": 1.3}", "suite.min_gian"},
+        {"\"suite\": {\"min_gian\": 1.3}", "suite"},
         {"\"suite\": {\"max_error_percent\": {\"l3\": 1.0}}",
-         "suite.max_error_percent.l3"},
-        {"\"suite\": {\"min_gain\": true}", "suite.min_gain"},
+         "suite"},
+        {"\"suite\": {\"min_gain\": true}", "suite"},
         {"\"suite\": 1.3", "suite"},
+        // The retired suite-clustering block of ci/thresholds.json,
+        // verbatim: no gate reads it any more.
+        {R"("suite": {
+    "max_error_percent": {
+      "cycles": 4.0,
+      "dram": 3.0,
+      "l2": 1.0,
+      "tile": 2.5
+    },
+    "min_gain": 1.3
+  })",
+         "suite"},
     };
     for (const auto &c : refused) {
         std::ofstream(path("t.json"))
@@ -521,161 +548,4 @@ TEST_F(BatchTest, CanonicalReportMatchesGoldenAtEveryThreadCount)
          {std::size_t(1), std::size_t(2), std::size_t(8)})
         EXPECT_EQ(runAt(threads), expected)
             << "campaign report diverged at " << threads << " threads";
-}
-
-TEST_F(BatchTest, SuiteClusterReportIsDeterministicAcrossThreads)
-{
-    // The suite-cluster trajectory must be thread-count invariant
-    // exactly like the per-bench one: the canonical v3 report is
-    // byte-identical at 1, 2 and 8 threads, and the measured
-    // reduction bookkeeping is internally consistent.
-    std::string first;
-    for (std::size_t threads :
-         {std::size_t(1), std::size_t(2), std::size_t(8)}) {
-        exec::Pool::setConfiguredThreads(threads);
-        const std::string cache =
-            path("suite_cache_t" + std::to_string(threads));
-        std::filesystem::create_directories(cache);
-        batch::CampaignConfig config = testConfig(cache);
-        config.suiteCluster = true;
-        batch::Campaign campaign(config);
-        auto report = campaign.run();
-        ASSERT_TRUE(report.ok()) << report.error().message;
-
-        EXPECT_TRUE(report->suiteCluster);
-        ASSERT_GE(report->sharedRepresentatives, 1u);
-        ASSERT_GE(report->perBenchRepresentatives,
-                  report->sharedRepresentatives)
-            << "pooling must not need more timing frames than "
-               "independent per-bench clustering at this scope";
-        EXPECT_DOUBLE_EQ(
-            report->suiteReductionFactor,
-            static_cast<double>(report->perBenchRepresentatives) /
-                static_cast<double>(report->sharedRepresentatives));
-        ASSERT_EQ(report->benchmarks.size(), kSuite.size());
-        for (const batch::BenchmarkReport &row : report->benchmarks) {
-            EXPECT_EQ(row.frames, kFrames);
-            ASSERT_GE(row.representatives, 1u);
-            EXPECT_LE(row.borrowedReps, row.representatives);
-            EXPECT_LE(row.representatives,
-                      report->sharedRepresentatives);
-        }
-
-        const std::string canon = canonicalReport(*report);
-        EXPECT_NE(canon.find("megsim-campaign-v3"),
-                  std::string::npos);
-        EXPECT_NE(canon.find("borrowed_reps"), std::string::npos);
-        if (first.empty())
-            first = canon;
-        else
-            EXPECT_EQ(canon, first)
-                << "suite report diverged at " << threads
-                << " threads";
-    }
-}
-
-TEST_F(BatchTest, SuiteReportRoundTripsBitForBitAndDiffsSuiteFields)
-{
-    batch::CampaignReport report;
-    report.suiteCluster = true;
-    report.sharedRepresentatives = 4;
-    report.perBenchRepresentatives = 22;
-    report.suiteReductionFactor = 5.5;
-    for (std::size_t i = 0; i < 2; ++i) {
-        batch::BenchmarkReport b;
-        b.alias = "b" + std::to_string(i);
-        b.frames = 12;
-        b.chosenK = 4;
-        b.representatives = 4 - i;
-        b.borrowedReps = 3 - i;
-        b.reduction = 12.0 / static_cast<double>(4 - i);
-        for (std::size_t m = 0; m < batch::kNumMetrics; ++m)
-            b.errorPercent[m] = 0.1 * static_cast<double>(m + i);
-        report.benchmarks.push_back(b);
-    }
-    report.computeAggregates();
-
-    ASSERT_TRUE(report.save(path("suite.json")).ok());
-    auto loaded = batch::CampaignReport::load(path("suite.json"));
-    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-    EXPECT_TRUE(loaded->suiteCluster);
-    EXPECT_EQ(loaded->sharedRepresentatives, 4u);
-    EXPECT_EQ(loaded->perBenchRepresentatives, 22u);
-    EXPECT_EQ(loaded->suiteReductionFactor, 5.5);
-    EXPECT_EQ(loaded->benchmarks[0].borrowedReps, 3u);
-    EXPECT_EQ(loaded->benchmarks[1].borrowedReps, 2u);
-    // Bit-for-bit: re-serializing the loaded report reproduces the
-    // original v3 document exactly.
-    EXPECT_EQ(loaded->toJson().dump(), report.toJson().dump());
-
-    // Same numbers, different trajectory: the suite_cluster flag
-    // itself is a diff, reported before any row comparison.
-    batch::CampaignReport perBench = report;
-    perBench.suiteCluster = false;
-    const std::vector<std::string> modeDiff =
-        batch::diffReports(report, perBench);
-    ASSERT_FALSE(modeDiff.empty());
-    EXPECT_NE(modeDiff[0].find("suite_cluster"), std::string::npos);
-
-    // Between two suite reports, borrowed_reps and the suite scalars
-    // participate in the diff.
-    batch::CampaignReport other = report;
-    other.benchmarks[0].borrowedReps = 1;
-    other.suiteReductionFactor = 4.0;
-    const std::vector<std::string> diffs =
-        batch::diffReports(report, other);
-    ASSERT_EQ(diffs.size(), 2u);
-    EXPECT_NE(diffs[0].find("borrowed_reps"), std::string::npos);
-    EXPECT_NE(diffs[1].find("suite_reduction_factor"),
-              std::string::npos);
-}
-
-TEST_F(BatchTest, SuiteThresholdsReplacePerBenchLimitsForV3Reports)
-{
-    batch::CampaignReport report;
-    report.suiteCluster = true;
-    report.sharedRepresentatives = 4;
-    report.perBenchRepresentatives = 8;
-    report.suiteReductionFactor = 2.0;
-    batch::BenchmarkReport b;
-    b.alias = "hcr";
-    b.frames = 12;
-    b.chosenK = 4;
-    b.representatives = 4;
-    b.reduction = 3.0;
-    b.errorPercent[0] = 2.5; // cycles, via fold-back weights
-    report.benchmarks.push_back(b);
-    report.computeAggregates();
-
-    // Per-bench error limits do NOT gate a v3 report: fold-back
-    // error has its own calibrated budget in the `suite` block.
-    batch::Thresholds limits;
-    limits.maxErrorPercent[0] = 1.0;
-    EXPECT_TRUE(batch::checkThresholds(report, limits).empty());
-
-    // The suite limits do gate, and so does the reduction floor.
-    limits.suiteMaxErrorPercent[0] = 1.0;
-    limits.suiteMinGain = 3.0;
-    const std::vector<std::string> violations =
-        batch::checkThresholds(report, limits);
-    ASSERT_EQ(violations.size(), 2u);
-    EXPECT_NE(violations[0].find("cycles"), std::string::npos);
-    EXPECT_NE(violations[1].find("suite reduction factor"),
-              std::string::npos);
-
-    // The nested `suite` block parses from the thresholds file.
-    std::ofstream(path("t.json"))
-        << "{\"schema\": \"megsim-thresholds-v1\",\n"
-           " \"max_error_percent\": {\"cycles\": 1.0},\n"
-           " \"suite\": {\n"
-           "   \"max_error_percent\": {\"cycles\": 3.5},\n"
-           "   \"min_gain\": 1.3}}\n";
-    auto parsed = batch::Thresholds::load(path("t.json"));
-    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-    EXPECT_EQ(parsed->maxErrorPercent[0], 1.0);
-    EXPECT_EQ(parsed->suiteMaxErrorPercent[0], 3.5);
-    EXPECT_EQ(parsed->suiteMinGain, 1.3);
-    EXPECT_TRUE(batch::checkThresholds(report, *parsed).empty())
-        << "2.5% fold-back error and 2.0x gain pass the parsed "
-           "suite limits";
 }

@@ -284,19 +284,34 @@ TEST(CampaignCli, DiffOfDifferentReportsExitsSix)
         "campaign --diff " + a.string() + " " + b.string(), log);
     EXPECT_EQ(rc, 6) << slurp(log);
 
-    // A report from the removed sampled cache model is not compared
-    // at all: it fails to load (exit 3), naming the file.
-    std::string text = slurp(a);
-    const std::string exactMode = "\"mem_mode\": \"exact\"";
-    const std::size_t at = text.find(exactMode);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, exactMode.size(), "\"mem_mode\": \"fast\"");
-    const std::filesystem::path sampled = dir / "sampled.json";
-    std::ofstream(sampled) << text;
-    const int loadRc = runCli(
-        "campaign --diff " + a.string() + " " + sampled.string(), log);
-    EXPECT_EQ(loadRc, 3) << slurp(log);
-    EXPECT_NE(slurp(log).find(sampled.string()), std::string::npos);
+    // Reports of removed modes are not compared at all: one from the
+    // sampled cache model and copies under the retired v1 and v3
+    // schema tags each fail to load (exit 3), naming the file.
+    const std::string text = slurp(a);
+    const struct
+    {
+        std::string from;
+        std::string to;
+        const char *file;
+    } retired[] = {
+        {"\"mem_mode\": \"exact\"", "\"mem_mode\": \"fast\"",
+         "sampled.json"},
+        {"megsim-campaign-v2", "megsim-campaign-v1", "v1.json"},
+        {"megsim-campaign-v2", "megsim-campaign-v3", "v3.json"},
+    };
+    for (const auto &r : retired) {
+        std::string copy = text;
+        const std::size_t at = copy.find(r.from);
+        ASSERT_NE(at, std::string::npos) << r.from;
+        copy.replace(at, r.from.size(), r.to);
+        const std::filesystem::path old = dir / r.file;
+        std::ofstream(old) << copy;
+        const int loadRc = runCli(
+            "campaign --diff " + a.string() + " " + old.string(), log);
+        EXPECT_EQ(loadRc, 3) << r.file << ": " << slurp(log);
+        EXPECT_NE(slurp(log).find(old.string()), std::string::npos)
+            << slurp(log);
+    }
 }
 
 int
@@ -390,87 +405,4 @@ TEST(CampaignCli, StrictPerfRegressionExitsTen)
         << slurp(ilog);
     EXPECT_NE(slurp(ilog).find("refresh the committed baseline"),
               std::string::npos);
-}
-
-TEST(CampaignCli, SuiteClusterWritesV3ReportAndValidLedger)
-{
-    ASSERT_FALSE(cliPath.empty());
-    const std::filesystem::path dir = tempDir();
-    const std::filesystem::path json = dir / "suite.json";
-    const std::filesystem::path ledger = dir / "suite.run.jsonl";
-    const std::filesystem::path log = dir / "suite.log";
-
-    const int rc = runCli("campaign --benches hcr,jjo --suite-cluster"
-                          " --out " + json.string() +
-                          " --ledger " + ledger.string(),
-                          log);
-    ASSERT_EQ(rc, 0) << slurp(log);
-
-    const std::string text = slurp(json);
-    EXPECT_NE(text.find("\"schema\": \"megsim-campaign-v3\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"suite_cluster\": true"), std::string::npos);
-    EXPECT_NE(text.find("\"borrowed_reps\""), std::string::npos);
-    EXPECT_NE(text.find("\"shared_representatives\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"per_bench_representatives\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"suite_reduction_factor\""),
-              std::string::npos);
-    EXPECT_NE(slurp(log).find("suite-cluster:"), std::string::npos);
-
-    // The strict ledger schema accepts the new trajectory-mode field.
-    EXPECT_EQ(runCli("ledger --validate " + ledger.string(), log), 0)
-        << slurp(log);
-    EXPECT_NE(slurp(ledger).find("\"mode\":\"suite-cluster\""),
-              std::string::npos);
-
-    // perf --history folds the run_start mode into its mode column.
-    const std::filesystem::path hlog = dir / "history.log";
-    EXPECT_EQ(runCli("perf --history " + dir.string(), hlog), 0)
-        << slurp(hlog);
-    EXPECT_NE(slurp(hlog).find("mode"), std::string::npos);
-    EXPECT_NE(slurp(hlog).find("suite-cluster"), std::string::npos);
-
-    // The MEGSIM_SUITE_CLUSTER env var is the flag's cron-job twin.
-    const std::filesystem::path envJson = dir / "suite-env.json";
-    ASSERT_EQ(runCli("campaign --benches hcr,jjo --out " +
-                         envJson.string(),
-                     log, "MEGSIM_SUITE_CLUSTER=1"),
-              0)
-        << slurp(log);
-    EXPECT_NE(slurp(envJson).find("\"schema\": \"megsim-campaign-v3\""),
-              std::string::npos);
-}
-
-TEST(CampaignCli, DiffRefusesMixedSchemasWithExitTwo)
-{
-    // A per-bench (v2) and a suite-cluster (v3) report are different
-    // trajectories: --diff must refuse with a schema-mismatch usage
-    // error, NOT report a content mismatch (exit 6).
-    ASSERT_FALSE(cliPath.empty());
-    const std::filesystem::path dir = tempDir();
-    const std::filesystem::path perBench = dir / "pb.json";
-    const std::filesystem::path suite = dir / "sc.json";
-    const std::filesystem::path log = dir / "mixed.log";
-
-    ASSERT_EQ(runCli("campaign --benches hcr --out " +
-                         perBench.string(),
-                     log),
-              0)
-        << slurp(log);
-    ASSERT_EQ(runCli("campaign --benches hcr --suite-cluster --out " +
-                         suite.string(),
-                     log),
-              0)
-        << slurp(log);
-
-    const int rc = runCli("campaign --diff " + perBench.string() +
-                              " " + suite.string(),
-                          log);
-    EXPECT_EQ(rc, 2) << slurp(log);
-    const std::string text = slurp(log);
-    EXPECT_NE(text.find("schema mismatch"), std::string::npos);
-    EXPECT_NE(text.find("megsim-campaign-v2"), std::string::npos);
-    EXPECT_NE(text.find("megsim-campaign-v3"), std::string::npos);
 }

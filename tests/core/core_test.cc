@@ -270,172 +270,6 @@ TEST(Sampling, FindsASampleSizeMatchingTheTargetError)
     EXPECT_LE(loose, m) << "looser bound needs no more samples";
 }
 
-TEST(Suite, PoolFeaturesPadsAndTracksProvenance)
-{
-    // Bench 0: 3 frames, 2 VS, 1 FS (4 cols). Bench 1: 2 frames,
-    // 1 VS, 3 FS (5 cols). The pool pads both to 2 VS + 3 FS + PRIM.
-    FeatureMatrix a(3, 2, 1);
-    for (std::size_t f = 0; f < a.rows(); ++f)
-        for (std::size_t d = 0; d < a.cols(); ++d)
-            a.at(f, d) = 10.0 * static_cast<double>(f + 1) +
-                         static_cast<double>(d);
-    FeatureMatrix b(2, 1, 3);
-    for (std::size_t f = 0; f < b.rows(); ++f)
-        for (std::size_t d = 0; d < b.cols(); ++d)
-            b.at(f, d) = 100.0 * static_cast<double>(f + 1) +
-                         static_cast<double>(d);
-
-    const PooledFeatures pooled = poolFeatures({&a, &b});
-    ASSERT_EQ(pooled.features.rows(), 5u);
-    EXPECT_EQ(pooled.features.vsDims(), 2u);
-    EXPECT_EQ(pooled.features.fsDims(), 3u);
-    ASSERT_EQ(pooled.features.cols(), 6u);
-    ASSERT_EQ(pooled.numBenches(), 2u);
-    EXPECT_EQ(pooled.firstRow, (std::vector<std::size_t>{0, 3}));
-    EXPECT_EQ(pooled.frames, (std::vector<std::size_t>{3, 2}));
-    EXPECT_EQ(pooled.bench,
-              (std::vector<std::size_t>{0, 0, 0, 1, 1}));
-    EXPECT_EQ(pooled.frame,
-              (std::vector<std::size_t>{0, 1, 2, 0, 1}));
-
-    // Bench 0 rows: VS cols verbatim, its one FS col first in the FS
-    // group, FS padding zero, PRIM moved to the (shared) last column.
-    for (std::size_t f = 0; f < 3; ++f) {
-        EXPECT_DOUBLE_EQ(pooled.features.at(f, 0), a.at(f, 0));
-        EXPECT_DOUBLE_EQ(pooled.features.at(f, 1), a.at(f, 1));
-        EXPECT_DOUBLE_EQ(pooled.features.at(f, 2), a.at(f, 2));
-        EXPECT_DOUBLE_EQ(pooled.features.at(f, 3), 0.0);
-        EXPECT_DOUBLE_EQ(pooled.features.at(f, 4), 0.0);
-        EXPECT_DOUBLE_EQ(pooled.features.at(f, 5), a.at(f, 3));
-    }
-    // Bench 1 rows: one VS col plus a zero pad, all three FS cols.
-    for (std::size_t f = 0; f < 2; ++f) {
-        EXPECT_DOUBLE_EQ(pooled.features.at(3 + f, 0), b.at(f, 0));
-        EXPECT_DOUBLE_EQ(pooled.features.at(3 + f, 1), 0.0);
-        EXPECT_DOUBLE_EQ(pooled.features.at(3 + f, 2), b.at(f, 1));
-        EXPECT_DOUBLE_EQ(pooled.features.at(3 + f, 3), b.at(f, 2));
-        EXPECT_DOUBLE_EQ(pooled.features.at(3 + f, 4), b.at(f, 3));
-        EXPECT_DOUBLE_EQ(pooled.features.at(3 + f, 5), b.at(f, 4));
-    }
-}
-
-TEST(Suite, GoldenTwoBenchFoldBackWeightsAndError)
-{
-    // Two 3-frame benchmarks pooled into 6 rows with a single active
-    // feature column, clustered by a HAND-BUILT k-means result so
-    // every representative and fold-back weight is checkable by hand.
-    FeatureMatrix a(3, 1, 1);
-    FeatureMatrix b(3, 1, 1);
-    const double aVals[3] = {1.0, 2.0, 10.0};
-    const double bVals[3] = {2.9, 10.5, 12.0};
-    for (std::size_t f = 0; f < 3; ++f) {
-        a.at(f, 0) = aVals[f];
-        b.at(f, 0) = bVals[f];
-    }
-    const PooledFeatures pooled = poolFeatures({&a, &b});
-    ASSERT_EQ(pooled.features.rows(), 6u);
-
-    // Cluster 0 holds {1.0, 2.0, 2.9}, cluster 2 holds {10.0, 10.5,
-    // 12.0}; cluster 1 is deliberately empty and must be skipped.
-    KMeansResult clustering;
-    clustering.k = 3;
-    clustering.dims = pooled.features.cols();
-    clustering.labels = {0, 0, 2, 0, 2, 2};
-    clustering.sizes = {3, 0, 3};
-    clustering.centroids.assign(3 * clustering.dims, 0.0);
-    clustering.centroids[0 * clustering.dims] = 3.0;  // row 3 closest
-    clustering.centroids[2 * clustering.dims] = 10.4; // row 4 closest
-
-    const SuiteClustering suite =
-        suiteFromClustering(pooled, pooled.features, clustering);
-    ASSERT_EQ(suite.representatives.size(), 2u)
-        << "the empty cluster must not elect a representative";
-
-    // Representative 0: pooled row 3 = bench 1 frame 0, weight 3.
-    EXPECT_EQ(suite.representatives[0].cluster, 0u);
-    EXPECT_EQ(suite.representatives[0].bench, 1u);
-    EXPECT_EQ(suite.representatives[0].frame, 0u);
-    EXPECT_DOUBLE_EQ(suite.representatives[0].weight, 3.0);
-    // Representative 1: pooled row 4 = bench 1 frame 1, weight 3.
-    EXPECT_EQ(suite.representatives[1].cluster, 2u);
-    EXPECT_EQ(suite.representatives[1].bench, 1u);
-    EXPECT_EQ(suite.representatives[1].frame, 1u);
-    EXPECT_DOUBLE_EQ(suite.representatives[1].weight, 3.0);
-
-    // Fold-back weights: bench 0 has 2 frames in cluster 0 and 1 in
-    // cluster 2; bench 1 the mirror image. Rows sum to the bench's
-    // frame count, columns to the representative's weight.
-    ASSERT_EQ(suite.memberCounts.size(), 2u);
-    EXPECT_EQ(suite.memberCounts[0],
-              (std::vector<double>{2.0, 1.0}));
-    EXPECT_EQ(suite.memberCounts[1],
-              (std::vector<double>{1.0, 2.0}));
-
-    // Hand-computed fold-back error. Bench 0 truth {100, 110, 200}
-    // (total 410), bench 1 truth {95, 210, 205}. Representative
-    // timing values are bench 1 frames 0 and 1: {95, 210}.
-    const std::vector<double> repValues = {95.0, 210.0};
-    // Bench 0 estimate: 2*95 + 1*210 = 400 -> |400-410|/410 %.
-    EXPECT_DOUBLE_EQ(
-        foldBackErrorPercent(suite.memberCounts[0], repValues, 410.0),
-        10.0 / 410.0 * 100.0);
-    // Bench 1 estimate: 1*95 + 2*210 = 515 -> |515-510|/510 %.
-    EXPECT_DOUBLE_EQ(
-        foldBackErrorPercent(suite.memberCounts[1], repValues, 510.0),
-        5.0 / 510.0 * 100.0);
-    // An all-zero truth series folds to zero error by definition.
-    EXPECT_DOUBLE_EQ(
-        foldBackErrorPercent(suite.memberCounts[0], repValues, 0.0),
-        0.0);
-}
-
-TEST(Suite, ClusterSuitePipelineElectsProvenancedRepresentatives)
-{
-    // End-to-end over the real pipeline stages (normalize, pool,
-    // project, BIC-select): every representative must carry valid
-    // provenance and the fold-back weights must partition each
-    // benchmark's frames.
-    std::vector<FeatureMatrix> normalized;
-    std::vector<const FeatureMatrix *> ptrs;
-    for (const char *alias : {"hcr", "jjo"}) {
-        const gfx::SceneTrace scene =
-            workloads::buildBenchmark(alias, 1.0, 8);
-        gpusim::SceneBinding binding(scene);
-        gpusim::FunctionalSimulator functional(
-            gpusim::GpuConfig::evaluationScaled(), binding);
-        std::vector<gpusim::FrameActivity> activities;
-        for (const gfx::FrameTrace &frame : scene.frames)
-            activities.push_back(functional.simulate(frame));
-        FeatureMatrix m = buildFeatureMatrix(activities, scene);
-        normalize(m, NormalizationScheme::GroupSumWeights,
-                  GroupWeights{});
-        normalized.push_back(std::move(m));
-    }
-    for (const FeatureMatrix &m : normalized)
-        ptrs.push_back(&m);
-
-    const PooledFeatures pooled = poolFeatures(ptrs);
-    ASSERT_EQ(pooled.features.rows(), 16u);
-    const SuiteClustering suite =
-        clusterSuite(pooled, MegsimConfig{});
-    ASSERT_GE(suite.representatives.size(), 1u);
-    ASSERT_LT(suite.representatives.size(), 16u);
-
-    double totalWeight = 0.0;
-    for (const SuiteRepresentative &rep : suite.representatives) {
-        ASSERT_LT(rep.bench, 2u);
-        ASSERT_LT(rep.frame, pooled.frames[rep.bench]);
-        totalWeight += rep.weight;
-    }
-    EXPECT_DOUBLE_EQ(totalWeight, 16.0);
-    for (std::size_t b = 0; b < 2; ++b) {
-        double benchFrames = 0.0;
-        for (double count : suite.memberCounts[b])
-            benchFrames += count;
-        EXPECT_DOUBLE_EQ(benchFrames, 8.0) << "bench " << b;
-    }
-}
-
 TEST(Data, CachePathSurvivesLongSceneNames)
 {
     // The cache path used to be composed into a fixed 160-byte

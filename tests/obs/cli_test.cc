@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -172,6 +174,15 @@ TEST(MegsimCli, BadUsageFailsCleanly)
     const std::filesystem::path log = dir / "usage.log";
     EXPECT_NE(runCli("frobnicate", log), 0);
     EXPECT_NE(slurp(log).find("usage:"), std::string::npos);
+
+    // A retired option is an unknown option (usage, exit 2), never a
+    // silent no-op.
+    const int retired = runCli("campaign --suite-cluster", log);
+    ASSERT_TRUE(WIFEXITED(retired));
+    EXPECT_EQ(WEXITSTATUS(retired), 2) << slurp(log);
+    EXPECT_NE(slurp(log).find("unknown option '--suite-cluster'"),
+              std::string::npos)
+        << slurp(log);
 }
 
 int

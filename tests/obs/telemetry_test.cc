@@ -343,6 +343,17 @@ TEST_F(TelemetryTest, LedgerRejectsMissingRequiredAndBadKinds)
     ASSERT_FALSE(badKind.ok());
     EXPECT_NE(badKind.error().message.find("expected number"),
               std::string::npos);
+    // A number that is not a count: negative, fractional, infinite.
+    for (const char *bad : {"-1", "2.5", "1e400"}) {
+        ev.set("threads", *util::Json::parse(bad));
+        auto notCount = RunLedger::validateEvent(ev);
+        ASSERT_FALSE(notCount.ok()) << bad;
+        EXPECT_EQ(notCount.error().code, resilience::Errc::BadFormat)
+            << bad;
+        EXPECT_NE(notCount.error().message.find("'threads'"),
+                  std::string::npos)
+            << notCount.error().message;
+    }
 }
 
 TEST_F(TelemetryTest, LedgerRejectsUnknownEventAndBadSchema)

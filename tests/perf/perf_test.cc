@@ -321,6 +321,19 @@ TEST(PerfReportTest, DeltasCarrySignAndModeSurvivesRoundTrip)
     EXPECT_EQ(refused.error().code, resilience::Errc::BadVersion);
     EXPECT_NE(refused.error().message.find("'fast'"), std::string::npos)
         << refused.error().message;
+    // A count that is negative, fractional or overflows to infinity
+    // is refused naming the key, never cast.
+    for (const char *bad : {"-1", "2.5", "1e400"}) {
+        util::Json broken = exact;
+        broken.set("frame_limit", *util::Json::parse(bad));
+        auto notCount = perf::PerfReport::fromJson(broken);
+        ASSERT_FALSE(notCount.ok()) << bad;
+        EXPECT_EQ(notCount.error().code, resilience::Errc::BadFormat)
+            << bad;
+        EXPECT_NE(notCount.error().message.find("'frame_limit'"),
+                  std::string::npos)
+            << notCount.error().message;
+    }
 }
 
 TEST_F(PerfGoldenTest, DisabledMshrReproducesDefaultStatsExactly)

@@ -19,6 +19,7 @@
 #include "obs/stats.hh"
 #include "resilience/fault.hh"
 #include "sched/policy.hh"
+#include "sched/report.hh"
 #include "sched/scheduler.hh"
 #include "scratch_dir.hh"
 #include "serve/fleet.hh"
@@ -134,6 +135,54 @@ TEST_F(SchedTest, PolicyNamesParseAndRoundTrip)
     auto bad = sched::parsePolicy("round-robin");
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.error().code, Errc::BadFormat);
+}
+
+TEST_F(SchedTest, ServeReportRoundTripsAndRefusesBadCounts)
+{
+    sched::ServeReport report;
+    report.frameLimit = 48;
+    report.shardFrames = 24;
+    report.thinkMs = 200;
+    report.points.push_back({4, 4, "fair", 1.5, 2.5, 1.25, 1.5});
+    report.fifoRequestsPerSec = 1.0;
+    report.fairRequestsPerSec = 2.5;
+    report.fairSpeedup = 2.5;
+
+    auto loaded = sched::ServeReport::fromJson(report.toJson());
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    EXPECT_EQ(loaded->frameLimit, 48u);
+    EXPECT_EQ(loaded->shardFrames, 24u);
+    EXPECT_EQ(loaded->thinkMs, 200u);
+    ASSERT_EQ(loaded->points.size(), 1u);
+    EXPECT_EQ(loaded->points[0].workers, 4u);
+    EXPECT_EQ(loaded->points[0].requests, 4u);
+    EXPECT_EQ(loaded->points[0].policy, "fair");
+    EXPECT_EQ(loaded->points[0].p50LatencySeconds, 1.25);
+    EXPECT_EQ(loaded->fairSpeedup, 2.5);
+
+    // A run parameter or a point's count that is negative, fractional
+    // or overflows to infinity is refused naming the key.
+    for (const char *bad : {"-1", "2.5", "1e400"}) {
+        const util::Json count = *util::Json::parse(bad);
+        util::Json top = report.toJson();
+        top.set("think_ms", count);
+        util::Json row = report.toJson();
+        util::Json point = row.find("points")->items()[0];
+        point.set("workers", count);
+        util::Json points = util::Json::array();
+        points.push(std::move(point));
+        row.set("points", std::move(points));
+        const std::pair<const util::Json *, const char *> cases[] = {
+            {&top, "'think_ms'"}, {&row, "'workers'"}};
+        for (const auto &[json, key] : cases) {
+            auto refused = sched::ServeReport::fromJson(*json);
+            ASSERT_FALSE(refused.ok()) << key << " = " << bad;
+            EXPECT_EQ(refused.error().code, Errc::BadFormat) << bad;
+            EXPECT_NE(refused.error().message.find(key),
+                      std::string::npos)
+                << refused.error().message;
+        }
+    }
 }
 
 TEST_F(SchedTest, FifoIsExclusiveToTheOldestUnfinishedRequest)
@@ -543,44 +592,4 @@ TEST_F(SchedTest, LeaseFallsBackToRebuildWhenProducerQuarantines)
     }
     EXPECT_EQ(rebuilds, 1u);
     EXPECT_GE(dispatches, 2u);
-}
-
-TEST_F(SchedTest, SuiteClusterRequestsMatchInProcessSuiteAnalysis)
-{
-    // A suite-cluster campaign through the scheduler (the --workers
-    // path) must reproduce the in-process suite analysis exactly:
-    // finalize() pools the reassembled ground truth the same way
-    // Campaign::run does.
-    constexpr std::size_t kFrames = 12;
-    batch::CampaignConfig soloConfig =
-        campaignConfig(path("solo"), kFrames);
-    soloConfig.benches = {"hcr", "jjo"};
-    soloConfig.suiteCluster = true;
-    batch::Campaign soloCampaign(soloConfig);
-    auto solo = soloCampaign.run();
-    ASSERT_TRUE(solo.ok()) << solo.error().message;
-    ASSERT_TRUE(solo->suiteCluster);
-
-    batch::CampaignConfig base = campaignConfig(path("cache"), kFrames);
-    base.suiteCluster = true;
-    serve::Fleet fleet(base, 2);
-    sched::Scheduler scheduler(
-        base, schedConfig(sched::Policy::FairShare, 8), fleet);
-    sched::RequestSpec spec;
-    spec.benches = {"hcr", "jjo"};
-    auto id = scheduler.admit(spec);
-    ASSERT_TRUE(id.ok()) << id.error().message;
-    std::vector<sched::RequestResult> results =
-        scheduler.runToCompletion();
-    fleet.shutdown();
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].status, "ok");
-    EXPECT_TRUE(results[0].report.suiteCluster);
-    EXPECT_EQ(results[0].report.sharedRepresentatives,
-              solo->sharedRepresentatives);
-    EXPECT_EQ(results[0].report.suiteReductionFactor,
-              solo->suiteReductionFactor);
-    const std::vector<std::string> diffs =
-        batch::diffReports(*solo, results[0].report);
-    EXPECT_TRUE(diffs.empty()) << diffs.front();
 }

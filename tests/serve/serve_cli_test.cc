@@ -122,45 +122,6 @@ TEST(ServeCli, SupervisedCampaignSurvivesKillsAndDiffsClean)
     EXPECT_NE(text.find("\"workers\":2"), std::string::npos);
 }
 
-TEST(ServeCli, SuiteClusterSurvivesWorkerKillsAtEveryFleetSize)
-{
-    // Suite-cluster analysis runs in the parent over worker-rebuilt
-    // caches, so `--suite-cluster --workers N` must be bit-identical
-    // to the in-process suite run at every fleet size, including
-    // under injected worker crashes.
-    ASSERT_FALSE(cliPath.empty());
-    const std::filesystem::path dir = tempDir();
-    const std::filesystem::path inprocess = dir / "suite-inproc.json";
-    const std::filesystem::path log = dir / "suite.log";
-
-    ASSERT_EQ(runCli(cacheEnv("suite_inproc_cache"),
-                     "campaign --benches hcr,jjo --suite-cluster"
-                     " --out " + inprocess.string(),
-                     log),
-              0)
-        << slurp(log);
-
-    for (const int workers : {1, 2, 4}) {
-        const std::string tag = std::to_string(workers);
-        const std::filesystem::path out =
-            dir / ("suite-w" + tag + ".json");
-        ASSERT_EQ(
-            runCli(cacheEnv("suite_w" + tag + "_cache") +
-                       " MEGSIM_SHARD_FRAMES=4"
-                       " MEGSIM_FAULTS=worker.kill:shard=1,times=1",
-                   "campaign --benches hcr,jjo --suite-cluster"
-                   " --workers " + tag + " --out " + out.string(),
-                   log),
-            0)
-            << workers << " workers: " << slurp(log);
-        EXPECT_EQ(runCli("", "campaign --diff " + inprocess.string() +
-                                 " " + out.string(),
-                         log),
-                  0)
-            << workers << " workers: " << slurp(log);
-    }
-}
-
 TEST(ServeCli, PoisonShardDegradesTheCampaignWithExitEight)
 {
     ASSERT_FALSE(cliPath.empty());

@@ -186,6 +186,19 @@ TEST_F(ServeTest, ShardRequestsRoundTripAndValidate)
     EXPECT_EQ(parsed->endFrame, 12u);
     EXPECT_EQ(parsed->attempt, 2u);
 
+    // A count off the pipe that is negative, fractional or overflows
+    // to infinity is malformed, and the error names the key.
+    for (const char *bad : {"-1", "2.5", "1e400"}) {
+        util::Json request = serve::shardRequest(spec);
+        request.set("begin_frame", *util::Json::parse(bad));
+        auto refused = serve::parseShardRequest(request);
+        ASSERT_FALSE(refused.ok()) << bad;
+        EXPECT_EQ(refused.error().code, Errc::BadFormat) << bad;
+        EXPECT_NE(refused.error().message.find("'begin_frame'"),
+                  std::string::npos)
+            << refused.error().message;
+    }
+
     // An empty range is malformed, not a zero-work success.
     spec.endFrame = spec.beginFrame;
     EXPECT_FALSE(

@@ -26,7 +26,6 @@
  *   megsim-cli campaign [--benches A,B,C] [--out campaign.json]
  *                       [--check thresholds.json] [--cache-dir DIR]
  *                       [--ledger PATH] [--workers N]
- *                       [--suite-cluster]
  *       Run the full MEGsim pipeline for the whole benchmark suite
  *       through one shared worker pool and write the machine-readable
  *       accuracy report CI gates on. --check compares the report
@@ -38,14 +37,6 @@
  *       processes, per-shard retry/backoff, poison-shard quarantine.
  *       A degraded (quarantined) campaign exits 8; the worker count
  *       is recorded in the ledger's run_start manifest.
- *       --suite-cluster (or MEGSIM_SUITE_CLUSTER=1) pools every
- *       benchmark's normalized features into ONE space, clusters
- *       suite-wide and shares representatives across benchmarks: the
- *       report becomes megsim-campaign-v3, rows gain borrowed_reps,
- *       the suite block gains shared_representatives /
- *       per_bench_representatives / suite_reduction_factor, and
- *       --check gates fold-back errors via the thresholds `suite`
- *       block. Works with --workers (analysis runs in the parent).
  *
  *   megsim-cli serve --socket PATH [--max-requests N] [--workers N]
  *                    [--benches A,B,C] [--cache-dir DIR]
@@ -62,11 +53,9 @@
  *       Compare two campaign reports modulo the documented host-side
  *       fields (wall clocks, pool utilization, thread count, cache
  *       provenance). Prints every difference; exits 6 on mismatch.
- *       A per-bench (v2) vs suite-cluster (v3) pair refuses with a
- *       "schema mismatch" message naming both versions and exits 2
- *       (usage), distinct from the exit-6 content mismatch. A
- *       report whose mem_mode is not "exact" (written by the removed
- *       sampled cache model) fails to load and exits 3.
+ *       A report with another schema tag or a mem_mode other than
+ *       "exact" (written by a removed mode) fails to load and exits
+ *       3, naming the file.
  *
  *   megsim-cli perf [--frames N] [--out BENCH_gpusim.json]
  *                   [--benches A,B,C] [--compare BASELINE.json]
@@ -85,8 +74,8 @@
  *   megsim-cli perf --history DIR
  *       Fold every *.jsonl run ledger under DIR into a trajectory
  *       table (tool, mode, threads, status, wall seconds, final
- *       metrics). The mode column (exact / suite-cluster) keeps
- *       incomparable trajectories visually separate.
+ *       metrics). The mode column keeps rows from older ledgers of
+ *       other modes visually separate.
  *
  *   megsim-cli ledger --validate PATH
  *       Strictly round-trip a run ledger through the util/json parser
@@ -189,7 +178,6 @@ struct Options
     double scale = 1.0;
     std::size_t threads = 0; // 0 = keep MEGSIM_THREADS / hw default
     bool baseline = false;
-    bool suiteCluster = false; // campaign: cross-bench clustering
     bool strict = false;  // perf/serve compare: gate instead of warn
     bool purge = false;
     bool outSet = false;
@@ -211,7 +199,7 @@ usage(const char *argv0)
         " [--purge]\n"
         "       %s campaign [--benches A,B,C] [--out REPORT.json]"
         " [--check THRESHOLDS.json] [--cache-dir DIR]"
-        " [--ledger PATH] [--workers N] [--suite-cluster]\n"
+        " [--ledger PATH] [--workers N]\n"
         "       %s campaign --diff A.json B.json\n"
         "       %s serve --socket PATH [--max-requests N]"
         " [--workers N] [--policy fifo|fair|srs]"
@@ -391,8 +379,6 @@ parse(int argc, char **argv, Options &opt)
             opt.cacheDir = v;
         } else if (arg == "--baseline") {
             opt.baseline = true;
-        } else if (arg == "--suite-cluster") {
-            opt.suiteCluster = true;
         } else if (arg == "--strict") {
             opt.strict = true;
         } else if (arg == "--purge") {
@@ -542,7 +528,6 @@ envManifest()
         "MEGSIM_TIMELINE",  "MEGSIM_ATTRIB",
         "MEGSIM_SCHED_POLICY",     "MEGSIM_SCHED_MAX_INFLIGHT",
         "MEGSIM_SHARD_REPLY_SPILL", "MEGSIM_SHARD_SPILL_DIR",
-        "MEGSIM_SUITE_CLUSTER",
     };
     util::Json env = util::Json::object();
     for (const char *var : kVars)
@@ -560,7 +545,7 @@ ledgerRunStart(obs::RunLedger &ledger, const char *tool,
                std::size_t threads, std::size_t frameLimit,
                double scale, bool baseline,
                const std::vector<std::string> &benches,
-               std::size_t workers = 0, bool suiteCluster = false)
+               std::size_t workers = 0)
 {
     const gpusim::GpuConfig config =
         baseline ? gpusim::GpuConfig::baseline()
@@ -584,9 +569,9 @@ ledgerRunStart(obs::RunLedger &ledger, const char *tool,
     fields.set("fingerprint", fingerprint);
     fields.set("env", envManifest());
     fields.set("mem_mode", gpusim::kMemMode);
-    // The trajectory mode `perf --history` groups rows by: exact and
-    // suite-cluster points are separate trajectories.
-    fields.set("mode", suiteCluster ? "suite-cluster" : "exact");
+    // The trajectory mode `perf --history` groups rows by; only
+    // ledgers of removed modes carry another value.
+    fields.set("mode", "exact");
     ledger.event("run_start", std::move(fields));
 }
 
@@ -678,19 +663,6 @@ runCampaignDiff(const Options &opt)
                      opt.diffB.c_str(), b.error().message.c_str());
         return kExitLoadFailure;
     }
-    // A per-bench (v2) report and a suite-cluster (v3) report measure
-    // different things — refusing the comparison is a usage error,
-    // deliberately distinct from the exit-6 content mismatch.
-    if (a->suiteCluster != b->suiteCluster) {
-        std::fprintf(stderr,
-                     "campaign --diff: schema mismatch: '%s' is %s "
-                     "but '%s' is %s — per-bench and suite-cluster "
-                     "reports are different trajectories and cannot "
-                     "be compared\n",
-                     opt.diffA.c_str(), a->schemaVersion.c_str(),
-                     opt.diffB.c_str(), b->schemaVersion.c_str());
-        return kExitUsage;
-    }
     const std::vector<std::string> diffs = batch::diffReports(*a, *b);
     if (diffs.empty()) {
         std::printf("reports match (modulo host-side fields): %s "
@@ -725,19 +697,6 @@ printCampaignReport(const batch::CampaignReport &report)
                     b.representatives, b.reduction, b.errorPercent[0],
                     b.errorPercent[1], b.errorPercent[2],
                     b.errorPercent[3], b.cacheStatus.c_str());
-    if (report.suiteCluster) {
-        std::printf("# suite-cluster: %zu shared representatives vs "
-                    "%zu per-bench (%.2fx fewer timing frames)\n",
-                    report.sharedRepresentatives,
-                    report.perBenchRepresentatives,
-                    report.suiteReductionFactor);
-        for (const batch::BenchmarkReport &b : report.benchmarks)
-            if (b.borrowedReps > 0)
-                std::printf("# %-10s borrows %zu of %zu "
-                            "representatives from other benchmarks\n",
-                            b.alias.c_str(), b.borrowedReps,
-                            b.representatives);
-    }
     for (const batch::QuarantinedShard &q : report.quarantined)
         std::fprintf(stderr,
                      "quarantined: shard %zu %s [%zu,%zu) after %zu "
@@ -761,13 +720,6 @@ runCampaign(const Options &opt)
         config.cacheDir = opt.cacheDir;
     if (opt.scale != 1.0)
         config.scale = opt.scale;
-    // Suite clustering is chosen HERE, not in
-    // CampaignConfig::fromEnv(), so supervised serve workers stay in
-    // per-bench mode: --suite-cluster or MEGSIM_SUITE_CLUSTER=1.
-    config.suiteCluster = opt.suiteCluster;
-    if (const char *env = std::getenv("MEGSIM_SUITE_CLUSTER"))
-        if (*env != '\0' && std::string(env) != "0")
-            config.suiteCluster = true;
 
     // Load the thresholds BEFORE the (expensive) campaign, so a typoed
     // path fails in seconds, not hours.
@@ -793,7 +745,7 @@ runCampaign(const Options &opt)
                                : config.benches;
     ledgerRunStart(ledger, "campaign", exec::Pool::global().workers(),
                    config.frameLimit, config.scale, false, aliases,
-                   opt.workers, config.suiteCluster);
+                   opt.workers);
 
     auto result = [&]() {
         if (opt.workers > 0) {
@@ -865,16 +817,6 @@ runCampaign(const Options &opt)
         values.set("total_representatives",
                    result->totalRepresentatives);
         values.set("pool_utilization", result->poolUtilization);
-        if (result->suiteCluster) {
-            values.set("shared_representatives",
-                       static_cast<double>(
-                           result->sharedRepresentatives));
-            values.set("per_bench_representatives",
-                       static_cast<double>(
-                           result->perBenchRepresentatives));
-            values.set("suite_reduction_factor",
-                       result->suiteReductionFactor);
-        }
         util::Json fields = util::Json::object();
         fields.set("values", std::move(values));
         ledger.event("metrics", std::move(fields));
@@ -1066,8 +1008,8 @@ runHistory(const Options &opt)
     std::sort(paths.begin(), paths.end());
 
     std::size_t loaded = 0;
-    // The mode column keeps exact / suite-cluster trajectory rows
-    // visually separate — they are never comparable.
+    // The mode column keeps rows of older ledgers written in other
+    // modes visually separate — they are never comparable.
     std::printf("%-28s %-9s %-18s %4s %-16s %8s  %s\n", "ledger",
                 "tool", "mode", "thr", "status", "wall_s", "metrics");
     for (const std::string &path : paths) {
