@@ -524,34 +524,4 @@ representativeSet(const FeatureMatrix &features,
     return reps;
 }
 
-RankedClusters
-rankClusterMembers(const FeatureMatrix &features,
-                   const KMeansResult &clustering)
-{
-    RankedClusters ranked;
-    const std::size_t dims = features.cols();
-    for (std::size_t cl = 0; cl < clustering.k; ++cl) {
-        std::vector<std::pair<double, std::size_t>> members;
-        for (std::size_t f = 0; f < features.rows(); ++f) {
-            if (clustering.labels[f] != cl)
-                continue;
-            members.emplace_back(
-                sqDist(features.row(f),
-                       clustering.centroids.data() + cl * dims, dims),
-                f);
-        }
-        if (members.empty())
-            continue; // empty cluster
-        std::sort(members.begin(), members.end());
-        std::vector<std::size_t> frames;
-        frames.reserve(members.size());
-        for (const auto &[d2, f] : members)
-            frames.push_back(f);
-        ranked.members.push_back(std::move(frames));
-        ranked.weights.push_back(
-            static_cast<double>(clustering.sizes[cl]));
-    }
-    return ranked;
-}
-
 } // namespace msim::megsim

@@ -13,7 +13,6 @@
 #include "obs/timeline.hh"
 #include "resilience/artifact.hh"
 #include "resilience/checkpoint.hh"
-#include "resilience/degrade.hh"
 #include "resilience/fault.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -396,36 +395,40 @@ GroundTruthPass::GroundTruthPass(BenchmarkData &data,
 GroundTruthPass::~GroundTruthPass() = default;
 
 resilience::Expected<GroundTruthFrame>
+simulateGuarded(gpusim::TimingSimulator &sim,
+                const gfx::SceneTrace &scene, std::size_t frame,
+                const resilience::WatchdogConfig &watchdog)
+{
+    if (resilience::FaultInjector::global().hangFrame(frame))
+        return resilience::errorf(resilience::Errc::FrameTimeout,
+                                  "frame %zu hung (injected)", frame);
+    GroundTruthFrame out;
+    out.stats = sim.simulate(scene.frames[frame], &out.activity);
+    if (watchdog.cycleBudget && out.stats.cycles > watchdog.cycleBudget)
+        return resilience::errorf(
+            resilience::Errc::FrameTimeout,
+            "frame %zu blew the cycle budget (%llu > %llu)", frame,
+            static_cast<unsigned long long>(out.stats.cycles),
+            static_cast<unsigned long long>(watchdog.cycleBudget));
+    if (watchdog.wallBudgetSeconds > 0.0 &&
+        sim.lastFrameWallSeconds() > watchdog.wallBudgetSeconds)
+        return resilience::errorf(
+            resilience::Errc::FrameTimeout,
+            "frame %zu blew the wall budget (%.3fs > %.3fs)", frame,
+            sim.lastFrameWallSeconds(), watchdog.wallBudgetSeconds);
+    return out;
+}
+
+resilience::Expected<GroundTruthFrame>
 GroundTruthPass::produce(std::size_t i, std::size_t w)
 {
     const std::size_t f = start_ + i;
     obs::TimelineRecorder::Span span("gt.frame", f,
                                      data_->scene_->name);
-    if (resilience::FaultInjector::global().hangFrame(f))
-        return resilience::errorf(resilience::Errc::FrameTimeout,
-                                  "frame %zu hung (injected)", f);
     if (!sims_[w])
         sims_[w] = std::make_unique<gpusim::TimingSimulator>(
             data_->config_, *binding_);
-    GroundTruthFrame out;
-    out.stats =
-        sims_[w]->simulate(data_->scene_->frames[f], &out.activity);
-    if (watchdog_.cycleBudget &&
-        out.stats.cycles > watchdog_.cycleBudget)
-        return resilience::errorf(
-            resilience::Errc::FrameTimeout,
-            "frame %zu blew the cycle budget (%llu > %llu)", f,
-            static_cast<unsigned long long>(out.stats.cycles),
-            static_cast<unsigned long long>(watchdog_.cycleBudget));
-    if (watchdog_.wallBudgetSeconds > 0.0 &&
-        sims_[w]->lastFrameWallSeconds() >
-            watchdog_.wallBudgetSeconds)
-        return resilience::errorf(
-            resilience::Errc::FrameTimeout,
-            "frame %zu blew the wall budget (%.3fs > %.3fs)", f,
-            sims_[w]->lastFrameWallSeconds(),
-            watchdog_.wallBudgetSeconds);
-    return out;
+    return simulateGuarded(*sims_[w], *data_->scene_, f, watchdog_);
 }
 
 void

@@ -220,21 +220,6 @@ RepresentativeSet representativeSet(const FeatureMatrix &features,
                                     const KMeansResult &clustering);
 
 /**
- * Every cluster's members ordered closest-to-centroid first — the
- * fallback chain graceful degradation walks when a representative
- * frame fails or times out. members[c][0] is exactly the frame
- * representativeSet() picks.
- */
-struct RankedClusters
-{
-    std::vector<std::vector<std::size_t>> members;
-    std::vector<double> weights; // cluster populations
-};
-
-RankedClusters rankClusterMembers(const FeatureMatrix &features,
-                                  const KMeansResult &clustering);
-
-/**
  * Pairwise Euclidean frame distances (the Fig. 5 similarity matrix;
  * darker = more similar in the exported plots).
  */
@@ -408,6 +393,18 @@ struct GroundTruthFrame
     gpusim::FrameStats stats;
     gpusim::FrameActivity activity;
 };
+
+/**
+ * The frame watchdog: simulate frame @p frame of @p scene (in range)
+ * on @p sim, or report FrameTimeout when a `frame.hang` fault targets
+ * it or the run blows @p watchdog's cycle or wall budget, checked in
+ * that order. Both ground-truth producers call it: GroundTruthPass
+ * and the served worker's shard loop.
+ */
+resilience::Expected<GroundTruthFrame>
+simulateGuarded(gpusim::TimingSimulator &sim,
+                const gfx::SceneTrace &scene, std::size_t frame,
+                const resilience::WatchdogConfig &watchdog);
 
 /**
  * The checkpointed cycle-level ground-truth pass of ONE benchmark,

@@ -1,46 +1,14 @@
 #include "gpusim/gpu_config.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "sim/random.hh"
 
 namespace msim::gpusim
 {
 
-namespace
-{
-
-/**
- * MEGSIM_L2_MSHR overrides the L2 MSHR file with a gpgpusim-style
- * spec (`F:128:4`, `A:16:0`, `F:0:0` to disable). Result-neutral by
- * construction, so the override is safe to flip per run without
- * invalidating any committed frame cache.
- */
-void
-applyMshrEnv(GpuConfig &c)
-{
-    const char *env = std::getenv("MEGSIM_L2_MSHR");
-    if (!env || env[0] == '\0')
-        return;
-    auto parsed = mem::MshrConfig::parse(env);
-    if (parsed.ok()) {
-        c.memory.l2Mshr = *parsed;
-    } else {
-        std::fprintf(stderr,
-                     "MEGSIM_L2_MSHR '%s' ignored: %s\n", env,
-                     parsed.error().message.c_str());
-    }
-}
-
-} // namespace
-
 GpuConfig
 GpuConfig::baseline()
 {
-    GpuConfig c;
-    applyMshrEnv(c);
-    return c;
+    return GpuConfig{};
 }
 
 GpuConfig
@@ -60,7 +28,6 @@ GpuConfig::evaluationScaled()
     c.triangleQueueEntries = 8;
     c.fragmentQueueEntries = 32;
     c.colorQueueEntries = 32;
-    applyMshrEnv(c);
     return c;
 }
 
@@ -99,8 +66,6 @@ GpuConfig::fingerprint() const
                      memory.dram.banks);
     h = sim::hashMix(h, memory.dram.lineBytes,
                      memory.dram.rowBytes);
-    // memory.l2Mshr is result-neutral and deliberately left out (see
-    // MemoryConfig).
     return h;
 }
 

@@ -12,7 +12,6 @@
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "mem/mshr.hh"
 
 namespace msim::gpusim
 {
@@ -28,14 +27,6 @@ struct MemoryConfig
 {
     mem::CacheConfig l2;
     mem::DramConfig dram;
-    /**
-     * MSHR file in front of the L2 merging redundant fill-side walks
-     * (gpgpusim texture-FIFO style, `F:128:4`). Result-neutral by
-     * construction — merged probes are provably identical replays
-     * (see mem/mshr.hh) — so it is deliberately EXCLUDED from
-     * fingerprint(): toggling it must not invalidate frame caches.
-     */
-    mem::MshrConfig l2Mshr{mem::MshrConfig::Policy::TexFifo, 128, 4};
 };
 
 struct GpuConfig

@@ -69,13 +69,6 @@ TimingSimulator::TimingSimulator(const GpuConfig &config,
         textureCaches_.emplace_back(
             config.textureCache, registry_.group("gpu.texture_cache"));
 
-    // The merge protocol is only sound when an MRU-way read hit on
-    // the L2 is provably state-free (the 2-way specialization); any
-    // other geometry silently runs with the MSHR off.
-    l2Mshr_.configure(l2_.readHitIdempotent() ? config.memory.l2Mshr
-                                              : mem::MshrConfig{});
-    l2Mshr_.bindStats(registry_.group("gpu.l2.mshr"));
-
     vertexProcFree_.resize(std::max(1u, config.numVertexProcessors));
     fragmentProcFree_.resize(
         std::max(1u, config.numFragmentProcessors));
@@ -182,7 +175,6 @@ TimingSimulator::flushFrameStats()
         c.flushStats();
     tileCache_.flushStats();
     l2_.flushStats();
-    l2Mshr_.flushStats();
     dram_.flushStats(); // sole flush this frame: latency_avg is exact
 
     vertexInQueue_.flushStats();
@@ -219,7 +211,6 @@ TimingSimulator::simulate(const GeometryIR &ir, FrameActivity *activity)
     tileCache_.invalidate();
     l2_.invalidate();
     dram_.drain();
-    l2Mshr_.reset();
     vertexInQueue_.reset(frameIndex_);
     vertexOutQueue_.reset(frameIndex_);
     triangleQueue_.reset(frameIndex_);

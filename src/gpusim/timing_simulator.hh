@@ -34,7 +34,6 @@
 #include "gpusim/scene_binding.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "mem/mshr.hh"
 #include "obs/attrib.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -216,16 +215,6 @@ class TimingSimulator
             }
             if (a.hit)
                 return t;
-            // Fill side of the L1 miss: if the MSHR still holds this
-            // line's walk and the L2 state stamp matches, the probe
-            // below would provably be an MRU-way read hit — replay
-            // its latency and counters without performing it (see
-            // mem/mshr.hh for why this is bit-identical).
-            const std::uint64_t l2Line = l2_.lineOf(addr);
-            if (l2Mshr_.tryMerge(l2Line, l2_.stateTick())) {
-                l2_.noteMergedHit();
-                return t + l2_.config().hitLatency;
-            }
             const mem::CacheAccess l2a =
                 l2_.accessDeferred(addr, false); // fills read from L2
             t += l2_.config().hitLatency;
@@ -239,9 +228,6 @@ class TimingSimulator
                             frameIndex_, t, done, addr);
                 t = done;
             }
-            // Record the completed walk: the line is resident and MRU
-            // at the current stamp, so repeat fills can merge onto it.
-            l2Mshr_.noteWalk(l2Line, l2_.stateTick());
             return t;
         }
         const mem::CacheAccess l2a = l2_.accessDeferred(addr, write);
@@ -294,8 +280,6 @@ class TimingSimulator
     mem::Cache tileCache_;
     mem::Cache l2_;
     mem::Dram dram_;
-    /** Walk records in front of the L2; see memWalk(). */
-    mem::MshrFile l2Mshr_;
 
     PipeQueue vertexInQueue_;
     PipeQueue vertexOutQueue_;

@@ -81,7 +81,6 @@ Cache::accessMiss(Line *ways, std::size_t set, std::uint64_t line,
 {
     // Miss: fill over the LRU way.
     ++pendMisses_;
-    ++stateTick_;
     Line *victim;
     if (ways2_) {
         // Same choice the lru scan below would make: prefer an
@@ -177,7 +176,6 @@ Cache::invalidate()
     // so bumping gen_ invalidates everything at once. On the (once
     // per 2^32 invalidates) wrap, really clear so no surviving line
     // can alias a recycled generation.
-    ++stateTick_;
     if (++gen_ == 0) {
         for (Line &line : lines_)
             line = Line{};

@@ -98,10 +98,8 @@ class Cache
             const std::uint32_t m = mru_[set];
             Line &a = ways[m];
             if (a.gen == gen_ && a.tag == line) {
-                if (write) {
+                if (write)
                     a.dirty = !config_.writeThrough;
-                    ++stateTick_;
-                }
                 ++pendHits_;
                 return CacheAccess{true, false, 0};
             }
@@ -110,7 +108,6 @@ class Cache
                 if (write)
                     b.dirty = !config_.writeThrough;
                 mru_[set] = m ^ 1u;
-                ++stateTick_;
                 ++pendHits_;
                 return CacheAccess{true, false, 0};
             }
@@ -118,7 +115,6 @@ class Cache
         }
 
         ++tick_;
-        ++stateTick_;
         const std::size_t base = set * config_.ways;
         // MRU fast path: tags are unique within a set, so if the last
         // way that hit here matches, no other way can — skip the scan.
@@ -192,44 +188,6 @@ class Cache
 
     const CacheConfig &config() const { return config_; }
 
-    /** Line address (addr / lineBytes) via the pow2 fast path. */
-    std::uint64_t
-    lineOf(sim::Addr addr) const
-    {
-        return linePow2_ ? addr >> lineShift_
-                         : addr / config_.lineBytes;
-    }
-
-    /**
-     * Simulated-state mutation stamp: ticks on every fill, eviction,
-     * MRU change, dirty-bit set or invalidate. An MRU-way READ hit —
-     * the one access that mutates nothing — leaves it unchanged, so
-     * stamp equality proves "no state change since" (the MSHR merge
-     * protocol, see mem/mshr.hh). Only exact for 2-way caches (see
-     * readHitIdempotent()); the generic path ticks on every access
-     * because its LRU clock itself is simulated state.
-     */
-    std::uint64_t stateTick() const { return stateTick_; }
-
-    /**
-     * True when an MRU-way read hit provably changes no simulated
-     * state: the 2-way specialization has no LRU timestamps to touch.
-     * MSHR merging in front of this cache is only sound when true.
-     */
-    bool readHitIdempotent() const { return ways2_; }
-
-    /**
-     * Book a merged MSHR walk: the counter effects of the MRU-way
-     * read hit the merged probe would have been, with no state or
-     * stamp change. See mem/mshr.hh for the identity argument.
-     */
-    void
-    noteMergedHit()
-    {
-        ++pendAccesses_;
-        ++pendHits_;
-    }
-
     std::uint64_t accesses() const
     {
         return static_cast<std::uint64_t>(accesses_->value()) +
@@ -275,7 +233,6 @@ class Cache
     std::vector<std::uint64_t> lru_; // per-line LRU stamp (ways > 2)
     std::vector<std::uint32_t> mru_; // per-set most-recent way
     std::uint64_t tick_ = 0;    // LRU clock (generic path only)
-    std::uint64_t stateTick_ = 0; // mutation stamp (see stateTick())
     std::uint32_t gen_ = 1;     // current line generation
     bool ways2_ = false;        // 2-way: lru-free hit/victim paths
 

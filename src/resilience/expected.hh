@@ -4,8 +4,8 @@
  * propagation. Loaders (trace/scene/cache artifacts, checkpoint
  * manifests, benchmark lookup) return Expected instead of calling
  * sim::fatal, so callers decide between graceful degradation
- * (regenerate a cache, fall back to another representative) and a
- * clean exit with a usable message.
+ * (regenerate a cache, quarantine a served shard) and a clean exit
+ * with a usable message.
  */
 
 #ifndef MSIM_RESILIENCE_EXPECTED_HH
@@ -31,7 +31,7 @@ enum class Errc {
     BadFormat,      // unparseable structure
     UnknownAlias,   // benchmark alias lookup failed
     FrameTimeout,   // a frame blew its watchdog budget
-    Exhausted,      // every fallback in a cluster failed
+    Exhausted,      // a run produced no result at all
     Injected,       // failure produced by the fault-injection layer
     Busy,           // a bounded resource is at capacity (backpressure)
 };

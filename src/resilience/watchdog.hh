@@ -1,9 +1,8 @@
 /**
  * @file
- * Per-frame simulation budgets shared by the watchdog-guarded
- * simulators (resilience/degrade.hh) and the ground-truth pass
- * (core/megsim.hh). Split out so core headers don't pull in the whole
- * degradation layer.
+ * Per-frame simulation budgets, checked by megsim::simulateGuarded()
+ * for both ground-truth producers: the in-process pass
+ * (megsim::GroundTruthPass) and the served worker's shard loop.
  */
 
 #ifndef MSIM_RESILIENCE_WATCHDOG_HH
@@ -22,7 +21,10 @@ struct WatchdogConfig
 
     /**
      * MEGSIM_FRAME_BUDGET_MS caps per-frame wall time,
-     * MEGSIM_FRAME_CYCLE_BUDGET caps simulated cycles.
+     * MEGSIM_FRAME_CYCLE_BUDGET caps simulated cycles. Each must be a
+     * finite, non-negative number with nothing after it (the cycle
+     * budget a whole one below 2^64); any other value is reported
+     * with a warning naming the variable and leaves that budget off.
      */
     static WatchdogConfig fromEnv();
 };

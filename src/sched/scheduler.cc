@@ -170,7 +170,9 @@ struct Scheduler::Request
 Scheduler::Scheduler(batch::CampaignConfig base,
                      SchedulerConfig config, serve::Fleet &fleet)
     : base_(std::move(base)), config_(config), fleet_(fleet),
-      ambient_(obs::processRegistry())
+      ambient_(obs::processRegistry()),
+      frameWallBudget_(
+          resilience::WatchdogConfig::fromEnv().wallBudgetSeconds)
 {
     if (config_.maxInflight == 0)
         config_.maxInflight = 1;
@@ -184,14 +186,12 @@ Scheduler::shardDeadlineSeconds(const Shard &shard) const
     if (config_.shard.shardDeadlineMs > 0)
         return static_cast<double>(config_.shard.shardDeadlineMs) /
                1000.0;
-    const resilience::WatchdogConfig watchdog =
-        resilience::WatchdogConfig::fromEnv();
-    if (watchdog.wallBudgetSeconds > 0.0) {
+    if (frameWallBudget_ > 0.0) {
         // Per-frame budget times the shard size, with slack for the
         // worker's one-time scene composition.
         const double frames = static_cast<double>(
             shard.endFrame - shard.beginFrame);
-        return watchdog.wallBudgetSeconds * frames * 4.0 + 10.0;
+        return frameWallBudget_ * frames * 4.0 + 10.0;
     }
     return 120.0;
 }

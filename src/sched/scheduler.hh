@@ -158,6 +158,8 @@ class Scheduler
     SchedulerConfig config_;
     serve::Fleet &fleet_;
     obs::StatsRegistry &ambient_;
+    /** MEGSIM_FRAME_BUDGET_MS in seconds (0 = off), read once. */
+    double frameWallBudget_;
     std::vector<std::unique_ptr<Request>> active_;
     /** Global shard id → (owning request, index into its shards). */
     std::map<std::size_t, std::pair<Request *, std::size_t>> owner_;

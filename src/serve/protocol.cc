@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "obs/profile.hh"
 #include "resilience/artifact.hh"
@@ -74,7 +75,12 @@ readAll(int fd, char *data, std::size_t size, double deadline)
             if (left <= 0.0)
                 return errorf(Errc::FrameTimeout,
                               "frame read timed out");
-            timeoutMs = static_cast<int>(left * 1000.0) + 1;
+            // A deadline beyond int's range of milliseconds (~24.8
+            // days, or infinite) means no limit.
+            const double ms = left * 1000.0;
+            if (ms < static_cast<double>(
+                         std::numeric_limits<int>::max()))
+                timeoutMs = static_cast<int>(ms) + 1;
         }
         struct pollfd pfd = {fd, POLLIN, 0};
         const int ready = ::poll(&pfd, 1, timeoutMs);

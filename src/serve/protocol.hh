@@ -58,7 +58,8 @@ resilience::Expected<void> writeFrame(int fd,
                                       const std::string &payload);
 
 /**
- * Read one frame, polling against @p timeoutMs (< 0 blocks forever).
+ * Read one frame, polling against @p timeoutMs (< 0, or beyond about
+ * 24.8 days, blocks forever).
  * EOF mid-frame (or before one) is Truncated, a checksum mismatch is
  * BadChecksum, a bad magic or oversized length is BadFormat, and an
  * expired deadline is FrameTimeout.

@@ -156,31 +156,13 @@ runShard(BenchState &bench, const ShardSpec &spec,
     }
 
     for (std::size_t i = resumed; i < frames; ++i) {
-        const std::size_t f = spec.beginFrame + i;
-        if (faults.hangFrame(f))
-            return errorf(Errc::FrameTimeout,
-                          "frame %zu hung (injected)", f);
-        gpusim::FrameActivity activity;
-        const gpusim::FrameStats stats =
-            bench.sim->simulate(scene.frames[f], &activity);
-        if (watchdog.cycleBudget &&
-            stats.cycles > watchdog.cycleBudget)
-            return errorf(
-                Errc::FrameTimeout,
-                "frame %zu blew the cycle budget (%llu > %llu)", f,
-                static_cast<unsigned long long>(stats.cycles),
-                static_cast<unsigned long long>(
-                    watchdog.cycleBudget));
-        if (watchdog.wallBudgetSeconds > 0.0 &&
-            bench.sim->lastFrameWallSeconds() >
-                watchdog.wallBudgetSeconds)
-            return errorf(
-                Errc::FrameTimeout,
-                "frame %zu blew the wall budget (%.3fs > %.3fs)", f,
-                bench.sim->lastFrameWallSeconds(),
-                watchdog.wallBudgetSeconds);
-        statsRows.push_back(stats.toCsvRow());
-        activityRows.push_back(megsim::activityToRow(activity));
+        Expected<megsim::GroundTruthFrame> frame =
+            megsim::simulateGuarded(*bench.sim, scene,
+                                    spec.beginFrame + i, watchdog);
+        if (!frame.ok())
+            return frame.error();
+        statsRows.push_back(frame->stats.toCsvRow());
+        activityRows.push_back(megsim::activityToRow(frame->activity));
         ckpt.append(statsRows.back(), activityRows.back());
         if (killAfterCommit && i == resumed) {
             // Die AFTER the first fresh frame is journaled: the next

@@ -160,6 +160,32 @@ TEST(Cluster, RepresentativeWeightsCoverEveryFrame)
         totalWeight += reps.weights[i];
     }
     EXPECT_DOUBLE_EQ(totalWeight, static_cast<double>(m.rows()));
+
+    // By brute force: each representative is the member nearest its
+    // cluster's centroid and weighs the cluster's population.
+    const std::size_t dims = m.cols();
+    auto d2 = [&](std::size_t f, std::size_t cl) {
+        double sum = 0.0;
+        for (std::size_t d = 0; d < dims; ++d) {
+            const double diff =
+                m.row(f)[d] - clustering.centroids[cl * dims + d];
+            sum += diff * diff;
+        }
+        return sum;
+    };
+    for (std::size_t i = 0; i < reps.size(); ++i) {
+        const std::size_t rep = reps.frames[i];
+        const std::size_t cl = clustering.labels[rep];
+        EXPECT_DOUBLE_EQ(reps.weights[i],
+                         static_cast<double>(clustering.sizes[cl]));
+        for (std::size_t f = 0; f < m.rows(); ++f) {
+            if (clustering.labels[f] == cl) {
+                EXPECT_LE(d2(rep, cl), d2(f, cl))
+                    << "frame " << f << " is nearer cluster " << cl
+                    << "'s centroid than representative " << rep;
+            }
+        }
+    }
 }
 
 TEST(Similarity, MatrixIsSymmetricWithZeroDiagonal)

@@ -1,8 +1,10 @@
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "mem/mshr.hh"
 #include "obs/stats.hh"
 
 using namespace msim;
@@ -173,149 +175,13 @@ TEST(Dram, ChannelBandwidthSerializesBursts)
     EXPECT_GE(b, a + burst);
 }
 
-// ---------------------------------------------------------------------
-// MSHR miss-merging (mem/mshr.hh): the stamp protocol that keeps the
-// default mode bit-identical, the texture-FIFO slot recycling, and the
-// merge-cap / full-file semantics.
-
-TEST(MshrConfig, ParsesGpgpusimTextureSyntax)
-{
-    auto f = MshrConfig::parse("F:128:4");
-    ASSERT_TRUE(f.ok());
-    EXPECT_EQ(f->policy, MshrConfig::Policy::TexFifo);
-    EXPECT_EQ(f->entries, 128u);
-    EXPECT_EQ(f->maxMerges, 4u);
-    EXPECT_TRUE(f->enabled());
-    EXPECT_EQ(f->toString(), "F:128:4");
-
-    auto a = MshrConfig::parse("A:16:0");
-    ASSERT_TRUE(a.ok());
-    EXPECT_EQ(a->policy, MshrConfig::Policy::Assoc);
-    EXPECT_EQ(a->maxMerges, 0u) << "0 = uncapped merges";
-
-    auto off = MshrConfig::parse("F:0:4");
-    ASSERT_TRUE(off.ok());
-    EXPECT_FALSE(off->enabled()) << "<entries>=0 disables the file";
-
-    EXPECT_FALSE(MshrConfig::parse("").ok());
-    EXPECT_FALSE(MshrConfig::parse("X:128:4").ok());
-    EXPECT_FALSE(MshrConfig::parse("F:128").ok());
-    EXPECT_FALSE(MshrConfig::parse("F:nope:4").ok());
-}
-
-TEST(Mshr, SameLineMergesCollapseToOneWalk)
-{
-    MshrFile mshr(MshrConfig{MshrConfig::Policy::TexFifo, 8, 0});
-    // One completed walk of line 7 at downstream stamp 42 ...
-    mshr.noteWalk(7, 42);
-    // ... absorbs any number of repeat requesters at that stamp.
-    EXPECT_TRUE(mshr.tryMerge(7, 42));
-    EXPECT_TRUE(mshr.tryMerge(7, 42));
-    EXPECT_TRUE(mshr.tryMerge(7, 42));
-    EXPECT_EQ(mshr.allocations(), 1u);
-    EXPECT_EQ(mshr.merges(), 3u);
-    // A different line or a moved stamp must fall through to the
-    // real probe: the recorded walk no longer proves anything.
-    EXPECT_FALSE(mshr.tryMerge(6, 42));
-    EXPECT_FALSE(mshr.tryMerge(7, 43)) << "stale stamp must refuse";
-}
-
-TEST(Mshr, MergeCapBoundsRepeatRequesters)
-{
-    MshrFile mshr(MshrConfig{MshrConfig::Policy::TexFifo, 8, 2});
-    mshr.noteWalk(3, 1);
-    EXPECT_TRUE(mshr.tryMerge(3, 1));
-    EXPECT_TRUE(mshr.tryMerge(3, 1));
-    EXPECT_FALSE(mshr.tryMerge(3, 1)) << "merge credit exhausted";
-    // A fresh walk of the same line re-arms the credit.
-    mshr.noteWalk(3, 1);
-    EXPECT_TRUE(mshr.tryMerge(3, 1));
-}
-
-TEST(Mshr, TexFifoRecyclesConflictingSlotAssocStalls)
-{
-    // 4 slots, direct-mapped by line: lines 1 and 5 collide.
-    MshrFile fifo(MshrConfig{MshrConfig::Policy::TexFifo, 4, 0});
-    fifo.noteWalk(1, 9);
-    fifo.noteWalk(5, 9); // texture FIFO: recycle the live slot
-    EXPECT_EQ(fifo.evictions(), 1u);
-    EXPECT_EQ(fifo.stalls(), 0u);
-    EXPECT_FALSE(fifo.tryMerge(1, 9)) << "line 1 was recycled";
-    EXPECT_TRUE(fifo.tryMerge(5, 9));
-
-    MshrFile assoc(MshrConfig{MshrConfig::Policy::Assoc, 4, 0});
-    assoc.noteWalk(1, 9);
-    assoc.noteWalk(5, 9); // assoc: refuse while the entry is live
-    EXPECT_EQ(assoc.stalls(), 1u);
-    EXPECT_EQ(assoc.evictions(), 0u);
-    EXPECT_TRUE(assoc.tryMerge(1, 9)) << "resident entry survives";
-    EXPECT_FALSE(assoc.tryMerge(5, 9));
-    // Once the resident entry goes stale (stamp moved on), the same
-    // conflicting allocation succeeds.
-    assoc.noteWalk(5, 10);
-    EXPECT_TRUE(assoc.tryMerge(5, 10));
-}
-
-TEST(Mshr, EntriesKeepTextureFifoAllocationOrder)
-{
-    MshrFile mshr(MshrConfig{MshrConfig::Policy::TexFifo, 4, 0});
-    mshr.noteWalk(0, 1);
-    mshr.noteWalk(1, 1);
-    mshr.noteWalk(2, 1);
-    // seq must record strict allocation order across slots — the
-    // texture-FIFO age that slot recycling is keyed on.
-    std::uint64_t lastSeq = 0;
-    for (std::uint32_t line = 0; line < 3; ++line) {
-        const MshrFile::SlotView v = mshr.slot(line);
-        ASSERT_TRUE(v.valid);
-        EXPECT_EQ(v.line, line);
-        if (line > 0) {
-            EXPECT_GT(v.seq, lastSeq);
-        }
-        lastSeq = v.seq;
-    }
-    // reset() drops entries (cold start) but keeps counters.
-    mshr.reset();
-    EXPECT_FALSE(mshr.slot(0).valid);
-    EXPECT_EQ(mshr.allocations(), 3u);
-}
-
-TEST(Mshr, StampEqualityProvesMruReadHit)
-{
-    // The full protocol against a real 2-way cache: after a walk
-    // fills a line, a repeat probe at an unchanged stamp would be an
-    // MRU-way read hit (no state change); any mutation in between
-    // moves the stamp and disables the merge.
-    Cache cache(smallCache());
-    ASSERT_TRUE(cache.readHitIdempotent());
-    MshrFile mshr(MshrConfig{MshrConfig::Policy::TexFifo, 8, 0});
-
-    cache.access(0x0000, false); // miss + fill
-    const std::uint64_t line = cache.lineOf(0x0000);
-    mshr.noteWalk(line, cache.stateTick());
-
-    ASSERT_TRUE(mshr.tryMerge(line, cache.stateTick()));
-    // The merged probe books the hit the real access would have.
-    const std::uint64_t stampBefore = cache.stateTick();
-    cache.noteMergedHit();
-    EXPECT_EQ(cache.stateTick(), stampBefore)
-        << "a merged hit must not move the stamp";
-    // Cross-check against the real thing: an actual MRU read hit
-    // leaves the stamp unchanged too, so the two are identical.
-    cache.access(0x0000, false);
-    EXPECT_EQ(cache.stateTick(), stampBefore);
-
-    // Any real mutation (a fill of another set) moves the stamp and
-    // the recorded walk stops matching.
-    cache.access(0x0040, false);
-    EXPECT_FALSE(mshr.tryMerge(line, cache.stateTick()));
-}
-
 TEST(Cache, AccessRangeMatchesPerLineLoop)
 {
     // The batched multi-line walk must be observationally identical
-    // to the per-line loop it replaced: same hits, same counters,
-    // same state stamp — on aligned, unaligned and multi-set spans.
+    // to the per-line loop it replaced: same hits and counters, and
+    // the same tags, MRU and LRU state afterwards, as a probe sequence
+    // run on both caches shows — on aligned, unaligned and multi-set
+    // spans.
     const struct
     {
         sim::Addr addr;
@@ -326,9 +192,16 @@ TEST(Cache, AccessRangeMatchesPerLineLoop)
         {0x2030, 200},  // straddles 4 lines, unaligned start
         {0x0000, 1024}, // 16 lines, wraps every set
     };
+    const CacheConfig config = smallCache();
+    const std::uint64_t lineBytes = config.lineBytes;
+    const std::uint64_t sets =
+        config.sizeBytes / (lineBytes * config.ways);
+    // A multiple of `sets` lines above every span: line
+    // conflictBase + s maps to set s and is never in a span.
+    const std::uint64_t conflictBase = 0x8000 / lineBytes;
     for (const auto &span : spans) {
-        Cache batched(smallCache());
-        Cache looped(smallCache());
+        Cache batched(config);
+        Cache looped(config);
         // Warm both identically so the spans see mixed hits/misses.
         batched.access(0x2040, false);
         looped.access(0x2040, false);
@@ -337,18 +210,35 @@ TEST(Cache, AccessRangeMatchesPerLineLoop)
             batched.accessRange(span.addr, span.bytes, false);
 
         std::uint32_t lines = 0, hits = 0;
-        const std::uint64_t first = looped.lineOf(span.addr);
+        const std::uint64_t first = span.addr / lineBytes;
         const std::uint64_t last =
-            looped.lineOf(span.addr + span.bytes - 1);
+            (span.addr + span.bytes - 1) / lineBytes;
         for (std::uint64_t l = first; l <= last; ++l) {
             ++lines;
-            hits += looped.access(l * 64, false).hit ? 1 : 0;
+            hits += looped.access(l * lineBytes, false).hit ? 1 : 0;
         }
         EXPECT_EQ(r.lines, lines);
         EXPECT_EQ(r.hits, hits);
+
+        // Re-probe the span (tags), then one conflicting line per
+        // touched set (it evicts that set's LRU way, so MRU/LRU order
+        // shows), then the span again (which way survived).
+        std::vector<std::uint64_t> probes;
+        for (std::uint64_t l = first; l <= last; ++l)
+            probes.push_back(l);
+        for (std::uint64_t s = 0; s < std::min(sets, last - first + 1);
+             ++s)
+            probes.push_back(conflictBase + (first + s) % sets);
+        for (std::uint64_t l = first; l <= last; ++l)
+            probes.push_back(l);
+        for (std::size_t i = 0; i < probes.size(); ++i)
+            EXPECT_EQ(batched.access(probes[i] * lineBytes, false).hit,
+                      looped.access(probes[i] * lineBytes, false).hit)
+                << "span 0x" << std::hex << span.addr << " probe "
+                << std::dec << i << " (line " << probes[i] << ")";
         EXPECT_EQ(batched.accesses(), looped.accesses());
         EXPECT_EQ(batched.hits(), looped.hits());
         EXPECT_EQ(batched.misses(), looped.misses());
-        EXPECT_EQ(batched.stateTick(), looped.stateTick());
+        EXPECT_EQ(batched.writebacks(), looped.writebacks());
     }
 }

@@ -335,65 +335,3 @@ TEST(PerfReportTest, DeltasCarrySignAndModeSurvivesRoundTrip)
             << notCount.error().message;
     }
 }
-
-TEST_F(PerfGoldenTest, DisabledMshrReproducesDefaultStatsExactly)
-{
-    // Satellite guard for the miss-merge fill path: an explicit
-    // `<entries>=0` MSHR config must take the untouched pre-MSHR
-    // probe path and reproduce the default config's stats (which DO
-    // use the MSHR on idempotent caches) bit-for-bit — merging is
-    // provably invisible, not approximately so. One benchmark at one
-    // thread count keeps this golden-fast (the full cross-thread
-    // sweep already runs above).
-    const gfx::SceneTrace scene =
-        workloads::buildBenchmark("hcr", 1.0, kFrames);
-    exec::Pool::setConfiguredThreads(1);
-
-    const gpusim::GpuConfig defaults =
-        gpusim::GpuConfig::evaluationScaled();
-    ASSERT_TRUE(defaults.memory.l2Mshr.enabled())
-        << "default config should exercise the MSHR";
-    megsim::BenchmarkData merged(scene, defaults, "");
-
-    gpusim::GpuConfig off = defaults;
-    off.memory.l2Mshr = mem::MshrConfig{};
-    ASSERT_FALSE(off.memory.l2Mshr.enabled());
-    megsim::BenchmarkData unmerged(scene, off, "");
-
-    EXPECT_EQ(statsCsv(merged.frameStats()),
-              statsCsv(unmerged.frameStats()))
-        << "MSHR merging changed simulated statistics";
-}
-
-TEST(PerfReportTest, MshrEnvOverrideParsesAndFallsBackOnGarbage)
-{
-    setenv("MEGSIM_L2_MSHR", "A:16:2", 1);
-    gpusim::GpuConfig overridden = gpusim::GpuConfig::evaluationScaled();
-    EXPECT_EQ(overridden.memory.l2Mshr.policy,
-              mem::MshrConfig::Policy::Assoc);
-    EXPECT_EQ(overridden.memory.l2Mshr.entries, 16u);
-    EXPECT_EQ(overridden.memory.l2Mshr.maxMerges, 2u);
-
-    setenv("MEGSIM_L2_MSHR", "F:0:0", 1);
-    EXPECT_FALSE(gpusim::GpuConfig::evaluationScaled()
-                     .memory.l2Mshr.enabled());
-
-    // A malformed spec is ignored (with a warning), not fatal.
-    setenv("MEGSIM_L2_MSHR", "bogus", 1);
-    gpusim::GpuConfig fallback = gpusim::GpuConfig::evaluationScaled();
-    unsetenv("MEGSIM_L2_MSHR");
-    const gpusim::GpuConfig defaults =
-        gpusim::GpuConfig::evaluationScaled();
-    EXPECT_EQ(fallback.memory.l2Mshr.policy,
-              defaults.memory.l2Mshr.policy);
-    EXPECT_EQ(fallback.memory.l2Mshr.entries,
-              defaults.memory.l2Mshr.entries);
-
-    // Result-neutral by design: the override never shifts the config
-    // fingerprint, so committed frame caches survive MSHR flips.
-    setenv("MEGSIM_L2_MSHR", "A:64:8", 1);
-    const std::uint64_t flipped =
-        gpusim::GpuConfig::evaluationScaled().fingerprint();
-    unsetenv("MEGSIM_L2_MSHR");
-    EXPECT_EQ(flipped, defaults.fingerprint());
-}

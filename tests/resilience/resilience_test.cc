@@ -4,17 +4,19 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/megsim.hh"
+#include "gpusim/scene_binding.hh"
+#include "gpusim/timing_simulator.hh"
 #include "obs/stats.hh"
 #include "resilience/artifact.hh"
 #include "resilience/checkpoint.hh"
 #include "resilience/checksum.hh"
-#include "resilience/degrade.hh"
 #include "resilience/expected.hh"
 #include "resilience/fault.hh"
 #include "scratch_dir.hh"
@@ -490,126 +492,96 @@ TEST_F(ResilienceTest, InjectedIoFaultsDegradeGracefully)
     EXPECT_FALSE(std::filesystem::exists(mute.cachePath("stats")));
 }
 
-TEST_F(ResilienceTest, RankClusterMembersOrdersByCentroidDistance)
-{
-    // Two well-separated 1-D clusters.
-    megsim::FeatureMatrix m(6, 0, 0);
-    const double values[6] = {0.0, 1.0, 0.5, 100.0, 101.0, 100.2};
-    for (std::size_t f = 0; f < 6; ++f)
-        m.at(f, 0) = values[f];
-
-    megsim::KMeansConfig kc;
-    const megsim::KMeansResult clustering = megsim::kmeans(m, 2, kc);
-    const megsim::RankedClusters ranked =
-        megsim::rankClusterMembers(m, clustering);
-    const megsim::RepresentativeSet reps =
-        megsim::representativeSet(m, clustering);
-
-    ASSERT_EQ(ranked.members.size(), reps.frames.size());
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < ranked.members.size(); ++c) {
-        ASSERT_FALSE(ranked.members[c].empty());
-        // The closest-ranked member is exactly the representative.
-        EXPECT_EQ(ranked.members[c][0], reps.frames[c]);
-        EXPECT_DOUBLE_EQ(ranked.weights[c], reps.weights[c]);
-        total += ranked.members[c].size();
-    }
-    EXPECT_EQ(total, 6u);
-}
-
-TEST_F(ResilienceTest, DegradationFallsBackWithinTheCluster)
-{
-    megsim::RankedClusters ranked;
-    ranked.members = {{0, 1, 2}, {3, 4}};
-    ranked.weights = {3.0, 2.0};
-
-    auto simulate = [](std::size_t frame) -> Expected<gpusim::FrameStats> {
-        if (frame == 0)
-            return errorf(Errc::FrameTimeout, "frame %zu hung", frame);
-        gpusim::FrameStats stats;
-        stats.cycles = 100 * (frame + 1);
-        return stats;
-    };
-
-    auto estimate = estimateWithDegradation(
-        ranked, gpusim::Metric::Cycles, simulate);
-    ASSERT_TRUE(estimate.ok());
-    // Cluster 0 fell back from frame 0 to frame 1; cluster 1 intact.
-    EXPECT_EQ(estimate->frames, (std::vector<std::size_t>{1, 3}));
-    EXPECT_DOUBLE_EQ(estimate->total, 3.0 * 200.0 + 2.0 * 400.0);
-    EXPECT_TRUE(estimate->report.degraded());
-    EXPECT_EQ(estimate->report.quarantined, 1u);
-    EXPECT_EQ(estimate->report.fallbacks, 1u);
-    EXPECT_EQ(estimate->report.exhausted, 0u);
-    EXPECT_EQ(estimate->report.quarantinedFrames,
-              (std::vector<std::size_t>{0}));
-
-    // An exhausted cluster is dropped; all-exhausted is an error.
-    auto alwaysFail =
-        [](std::size_t frame) -> Expected<gpusim::FrameStats> {
-        return errorf(Errc::FrameTimeout, "frame %zu hung", frame);
-    };
-    auto none = estimateWithDegradation(ranked, gpusim::Metric::Cycles,
-                                        alwaysFail);
-    ASSERT_FALSE(none.ok());
-    EXPECT_EQ(none.error().code, Errc::Exhausted);
-}
-
-TEST_F(ResilienceTest, HangFaultQuarantinesRepresentativeEndToEnd)
-{
-    const gfx::SceneTrace scene = workloads::buildBenchmark("hcr", 1.0, 6);
-    const gpusim::GpuConfig config =
-        gpusim::GpuConfig::evaluationScaled();
-    megsim::BenchmarkData data(scene, config, "");
-    megsim::MegsimPipeline pipeline(data);
-    const megsim::MegsimRun run = pipeline.run();
-    ASSERT_FALSE(run.representatives.frames.empty());
-
-    // Hang the first chosen representative; the estimate must still
-    // come out, served by a fallback frame.
-    const std::size_t victim = run.representatives.frames[0];
-    FaultInjector::setGlobalSpec(
-        "frame.hang:frame=" + std::to_string(victim));
-
-    WatchdogConfig watchdog; // no budgets; only the injected hang
-    auto estimate = estimateResilient(pipeline, run,
-                                      gpusim::Metric::Cycles, watchdog);
-    ASSERT_TRUE(estimate.ok());
-    EXPECT_GT(estimate->total, 0.0);
-    EXPECT_EQ(estimate->report.quarantined, 1u);
-    EXPECT_EQ(estimate->report.quarantinedFrames,
-              (std::vector<std::size_t>{victim}));
-    for (std::size_t frame : estimate->frames)
-        EXPECT_NE(frame, victim);
-
-    // Without faults the same pass is clean and uses the original
-    // representatives.
-    FaultInjector::setGlobalSpec("");
-    auto clean = estimateResilient(pipeline, run,
-                                   gpusim::Metric::Cycles, watchdog);
-    ASSERT_TRUE(clean.ok());
-    EXPECT_FALSE(clean->report.degraded());
-    EXPECT_EQ(clean->frames[0], victim);
-}
-
 TEST_F(ResilienceTest, WatchdogCycleBudgetTimesOut)
+{
+    const gfx::SceneTrace scene = workloads::buildBenchmark("hcr", 1.0, 2);
+    const gpusim::SceneBinding binding(scene);
+    gpusim::TimingSimulator sim(gpusim::GpuConfig::evaluationScaled(),
+                                binding);
+
+    WatchdogConfig tight;
+    tight.cycleBudget = 1; // every real frame blows this
+    auto timedOut = megsim::simulateGuarded(sim, scene, 0, tight);
+    ASSERT_FALSE(timedOut.ok());
+    EXPECT_EQ(timedOut.error().code, Errc::FrameTimeout);
+    EXPECT_NE(timedOut.error().message.find("cycle budget"),
+              std::string::npos)
+        << timedOut.error().message;
+
+    const WatchdogConfig roomy; // budgets disabled
+    auto frame = megsim::simulateGuarded(sim, scene, 0, roomy);
+    ASSERT_TRUE(frame.ok());
+    EXPECT_GT(frame->stats.cycles, 1u);
+
+    FaultInjector::setGlobalSpec("frame.hang:frame=0");
+    auto hung = megsim::simulateGuarded(sim, scene, 0, roomy);
+    ASSERT_FALSE(hung.ok());
+    EXPECT_EQ(hung.error().code, Errc::FrameTimeout);
+    EXPECT_NE(hung.error().message.find("hung (injected)"),
+              std::string::npos)
+        << hung.error().message;
+
+    // The budgets parse strictly: anything but a finite, non-negative
+    // number with nothing after it warns, naming the variable, and
+    // leaves that budget off.
+    for (const char *bad : {"-1", "abc", "5k", "inf", "nan", "1e400"}) {
+        ::setenv("MEGSIM_FRAME_BUDGET_MS", bad, 1);
+        ::setenv("MEGSIM_FRAME_CYCLE_BUDGET", bad, 1);
+        ::testing::internal::CaptureStderr();
+        const WatchdogConfig parsed = WatchdogConfig::fromEnv();
+        const std::string warned =
+            ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(parsed.wallBudgetSeconds, 0.0) << bad;
+        EXPECT_EQ(parsed.cycleBudget, 0u) << bad;
+        EXPECT_NE(warned.find("MEGSIM_FRAME_BUDGET_MS"),
+                  std::string::npos)
+            << warned;
+        EXPECT_NE(warned.find("MEGSIM_FRAME_CYCLE_BUDGET"),
+                  std::string::npos)
+            << warned;
+    }
+    ::setenv("MEGSIM_FRAME_BUDGET_MS", "250", 1);
+    ::setenv("MEGSIM_FRAME_CYCLE_BUDGET", "7", 1);
+    const WatchdogConfig parsed = WatchdogConfig::fromEnv();
+    ::unsetenv("MEGSIM_FRAME_BUDGET_MS");
+    ::unsetenv("MEGSIM_FRAME_CYCLE_BUDGET");
+    EXPECT_DOUBLE_EQ(parsed.wallBudgetSeconds, 0.25);
+    EXPECT_EQ(parsed.cycleBudget, 7u);
+    const WatchdogConfig unset = WatchdogConfig::fromEnv();
+    EXPECT_EQ(unset.wallBudgetSeconds, 0.0);
+    EXPECT_EQ(unset.cycleBudget, 0u);
+}
+
+TEST_F(ResilienceTest, GroundTruthPassEnforcesTheFrameWatchdog)
 {
     const gfx::SceneTrace scene = workloads::buildBenchmark("hcr", 1.0, 2);
     const gpusim::GpuConfig config =
         gpusim::GpuConfig::evaluationScaled();
 
-    WatchdogConfig tight;
-    tight.cycleBudget = 1; // every real frame blows this
-    GuardedFrameSimulator guarded(scene, config, tight);
-    auto timedOut = guarded.simulate(0);
-    ASSERT_FALSE(timedOut.ok());
-    EXPECT_EQ(timedOut.error().code, Errc::FrameTimeout);
+    // An injected hang fails only the frame it names.
+    FaultInjector::setGlobalSpec("frame.hang:frame=1");
+    {
+        megsim::BenchmarkData data(scene, config, "");
+        megsim::GroundTruthPass pass(data, 1);
+        ASSERT_EQ(pass.remaining(), 2u);
+        auto hung = pass.produce(1, 0);
+        ASSERT_FALSE(hung.ok());
+        EXPECT_EQ(hung.error().code, Errc::FrameTimeout);
+        EXPECT_TRUE(pass.produce(0, 0).ok());
+    }
+    FaultInjector::setGlobalSpec("");
 
-    WatchdogConfig roomy; // budgets disabled
-    GuardedFrameSimulator relaxed(scene, config, roomy);
-    auto stats = relaxed.simulate(0);
-    ASSERT_TRUE(stats.ok());
-    EXPECT_GT(stats->cycles, 1u);
+    // The cycle budget is read when the pass is built.
+    ::setenv("MEGSIM_FRAME_CYCLE_BUDGET", "1", 1);
+    megsim::BenchmarkData data(scene, config, "");
+    megsim::GroundTruthPass pass(data, 1);
+    ::unsetenv("MEGSIM_FRAME_CYCLE_BUDGET");
+    auto blown = pass.produce(0, 0);
+    ASSERT_FALSE(blown.ok());
+    EXPECT_EQ(blown.error().code, Errc::FrameTimeout);
+    EXPECT_NE(blown.error().message.find("cycle budget"),
+              std::string::npos)
+        << blown.error().message;
 }
 
 TEST(WorkloadErrors, UnknownAliasSuggestsClosestMatch)

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -122,10 +123,14 @@ TEST_F(ServeTest, FramesRoundTripThroughAPipe)
     EXPECT_EQ(read->dump(), msg.dump());
 
     // Two frames queue back to back without bleeding into each other.
+    // Timeouts beyond int's range of milliseconds (an infinite frame
+    // budget, a ~95-year shard deadline) mean no limit.
     ASSERT_TRUE(serve::writeMessage(pipe.fds[1], msg).ok());
     ASSERT_TRUE(serve::writeMessage(pipe.fds[1], msg).ok());
-    EXPECT_TRUE(serve::readMessage(pipe.fds[0], 1000.0).ok());
-    EXPECT_TRUE(serve::readMessage(pipe.fds[0], 1000.0).ok());
+    EXPECT_TRUE(serve::readMessage(pipe.fds[0],
+                                   std::numeric_limits<double>::infinity())
+                    .ok());
+    EXPECT_TRUE(serve::readMessage(pipe.fds[0], 3e12).ok());
 }
 
 TEST_F(ServeTest, CorruptPayloadIsBadChecksumNotGarbage)
@@ -386,48 +391,71 @@ TEST_F(ServeTest, PoisonShardIsQuarantinedAndTheRestCompletes)
     const std::vector<std::string> benches = {"hcr", "jjo"};
     constexpr std::size_t kFrames = 6;
 
-    // Shard 0 (hcr's only shard at shardFrames=6) dies on EVERY
-    // attempt: the retry cap must trip, not spin forever.
-    FaultInjector::setGlobalSpec("worker.kill:shard=0");
-    serve::SupervisorConfig sup = supConfig(2);
-    sup.shardFrames = kFrames;
-    sup.retryCap = 1;
-    obs::RunLedger ledger;
-    serve::Supervisor supervisor(
-        campaignConfig(path("cache"), benches, kFrames), sup,
-        &ledger);
-    auto report = supervisor.run();
-    FaultInjector::setGlobalSpec("");
-    ASSERT_TRUE(report.ok()) << report.error().message;
+    // Each poison fails its shards on EVERY attempt: the retry cap
+    // must trip, not spin forever. Shard 0 is hcr's only shard at
+    // shardFrames=6, and frame 4 lies in every bench's one shard, so
+    // the in-worker frame watchdog quarantines them all.
+    const struct
+    {
+        std::string spec;
+        std::vector<std::string> quarantined;
+        std::vector<std::string> rows; // the benches that still report
+        std::string reason;            // "" = any non-empty reason
+    } poisons[] = {
+        {"worker.kill:shard=0", {"hcr"}, {"jjo"}, ""},
+        {"frame.hang:frame=4", {"hcr", "jjo"}, {}, "frame 4 hung (injected)"},
+    };
+    for (std::size_t p = 0; p < std::size(poisons); ++p) {
+        const auto &poison = poisons[p];
+        SCOPED_TRACE(poison.spec);
+        const std::string cache = path("cache" + std::to_string(p));
+        FaultInjector::setGlobalSpec(poison.spec);
+        serve::SupervisorConfig sup = supConfig(2);
+        sup.shardFrames = kFrames;
+        sup.retryCap = 1;
+        obs::RunLedger ledger;
+        serve::Supervisor supervisor(
+            campaignConfig(cache, benches, kFrames), sup, &ledger);
+        auto report = supervisor.run();
+        FaultInjector::setGlobalSpec("");
+        ASSERT_TRUE(report.ok()) << report.error().message;
 
-    EXPECT_TRUE(report->degraded);
-    ASSERT_EQ(report->quarantined.size(), 1u);
-    EXPECT_EQ(report->quarantined[0].bench, "hcr");
-    EXPECT_EQ(report->quarantined[0].beginFrame, 0u);
-    EXPECT_EQ(report->quarantined[0].endFrame, kFrames);
-    EXPECT_EQ(report->quarantined[0].attempts, sup.retryCap + 1);
-    EXPECT_FALSE(report->quarantined[0].reason.empty());
+        EXPECT_TRUE(report->degraded);
+        ASSERT_EQ(report->quarantined.size(), poison.quarantined.size());
+        for (std::size_t q = 0; q < poison.quarantined.size(); ++q) {
+            const batch::QuarantinedShard &shard = report->quarantined[q];
+            EXPECT_EQ(shard.bench, poison.quarantined[q]);
+            EXPECT_EQ(shard.beginFrame, 0u);
+            EXPECT_EQ(shard.endFrame, kFrames);
+            EXPECT_EQ(shard.attempts, sup.retryCap + 1);
+            EXPECT_FALSE(shard.reason.empty());
+            EXPECT_NE(shard.reason.find(poison.reason), std::string::npos)
+                << shard.reason;
+        }
 
-    // The poisoned benchmark has no result row; the healthy one does.
-    ASSERT_EQ(report->benchmarks.size(), 1u);
-    EXPECT_EQ(report->benchmarks[0].alias, "jjo");
+        // A poisoned benchmark has no result row; a healthy one does.
+        std::vector<std::string> rows;
+        for (const batch::BenchmarkReport &row : report->benchmarks)
+            rows.push_back(row.alias);
+        EXPECT_EQ(rows, poison.rows);
 
-    // The ledger carries the full supervision story.
-    std::size_t retries = 0, quarantines = 0, spawns = 0;
-    for (const util::Json &ev : ledger.events()) {
-        const std::string type = ev.find("event")->asString();
-        retries += type == "shard_retry";
-        quarantines += type == "shard_quarantine";
-        spawns += type == "worker_spawn";
-        ASSERT_TRUE(obs::RunLedger::validateEvent(ev).ok());
+        // The ledger carries the full supervision story.
+        std::size_t retries = 0, quarantines = 0, spawns = 0;
+        for (const util::Json &ev : ledger.events()) {
+            const std::string type = ev.find("event")->asString();
+            retries += type == "shard_retry";
+            quarantines += type == "shard_quarantine";
+            spawns += type == "worker_spawn";
+            ASSERT_TRUE(obs::RunLedger::validateEvent(ev).ok());
+        }
+        EXPECT_EQ(retries, sup.retryCap * poison.quarantined.size());
+        EXPECT_EQ(quarantines, poison.quarantined.size());
+        EXPECT_GE(spawns, 2u);
+
+        // The degraded report round-trips bit-for-bit.
+        auto back = batch::CampaignReport::fromJson(report->toJson());
+        ASSERT_TRUE(back.ok()) << back.error().message;
+        EXPECT_EQ(back->toJson().dump(), report->toJson().dump());
+        EXPECT_TRUE(batch::diffReports(*report, *back).empty());
     }
-    EXPECT_EQ(retries, sup.retryCap);
-    EXPECT_EQ(quarantines, 1u);
-    EXPECT_GE(spawns, 2u);
-
-    // The degraded report round-trips bit-for-bit.
-    auto back = batch::CampaignReport::fromJson(report->toJson());
-    ASSERT_TRUE(back.ok()) << back.error().message;
-    EXPECT_EQ(back->toJson().dump(), report->toJson().dump());
-    EXPECT_TRUE(batch::diffReports(*report, *back).empty());
 }
