@@ -1,7 +1,6 @@
 #include "core/megsim.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
 #include "exec/pool.hh"
@@ -26,14 +25,6 @@ namespace
 
 /** Cache/checkpoint artifact format generation. */
 constexpr const char *kCacheVersion = "v4";
-
-/** MEGSIM_CHECKPOINT=0 disables ground-truth checkpointing. */
-bool
-checkpointingEnabled()
-{
-    const char *env = std::getenv("MEGSIM_CHECKPOINT");
-    return !env || std::string(env) != "0";
-}
 
 void
 createCacheDir(const std::string &dir)
@@ -323,11 +314,19 @@ BenchmarkData::activities()
 const std::vector<gpusim::FrameStats> &
 BenchmarkData::frameStats()
 {
+    if (auto ready = ensureFrameStats(); !ready.ok())
+        sim::fatal("%s", ready.error().message.c_str());
+    return stats_;
+}
+
+resilience::Expected<void>
+BenchmarkData::ensureFrameStats()
+{
     if (haveStats_)
-        return stats_;
+        return {};
     if (!cacheDir_.empty() && loadStatsCache() == CacheProbe::Loaded) {
         haveStats_ = true;
-        return stats_;
+        return {};
     }
 
     // The expensive pass: cycle-level simulation of every frame,
@@ -353,12 +352,13 @@ BenchmarkData::frameStats()
         // The journal already holds the frames committed before the
         // failure; a rerun resumes from there instead of starting
         // over.
-        sim::fatal("ground-truth pass of '%s' failed: %s",
-                   scene_->name.c_str(),
-                   pass.error().message.c_str());
+        return resilience::errorf(pass.error().code,
+                                  "ground-truth pass of '%s' failed: %s",
+                                  scene_->name.c_str(),
+                                  pass.error().message.c_str());
     }
     gt.finish();
-    return stats_;
+    return {};
 }
 
 GroundTruthPass::GroundTruthPass(BenchmarkData &data,
@@ -370,7 +370,7 @@ GroundTruthPass::GroundTruthPass(BenchmarkData &data,
     const std::size_t fs = data.scene_->numFragmentShaders();
     stats_.reserve(total_);
     acts_.reserve(total_);
-    if (!data.cacheDir_.empty() && checkpointingEnabled()) {
+    if (!data.cacheDir_.empty()) {
         createCacheDir(data.cacheDir_);
         ckpt_ = std::make_unique<resilience::Checkpoint>(
             data.checkpointStem(), data.cacheKey(), total_,

@@ -320,8 +320,19 @@ class BenchmarkData
     /** Functional activity of every frame (cheap pass). */
     const std::vector<gpusim::FrameActivity> &activities();
 
-    /** Cycle-level stats of every frame (the expensive pass). */
+    /**
+     * Cycle-level stats of every frame (the expensive pass); a failed
+     * pass ends the process through sim::fatal.
+     */
     const std::vector<gpusim::FrameStats> &frameStats();
+
+    /**
+     * Make frameStats() free: load the stats cache, or run the
+     * checkpointed ground-truth pass. A failed pass (a frame past a
+     * watchdog budget) comes back as an error; the frames committed
+     * before it stay journaled for the next run to resume.
+     */
+    resilience::Expected<void> ensureFrameStats();
 
     /** One ground-truth metric value per frame. */
     std::vector<double> metric(gpusim::Metric metric);

@@ -103,26 +103,29 @@ PhaseProfilerOverride::~PhaseProfilerOverride()
 Heartbeat::Heartbeat(std::size_t total, std::string label,
                      double intervalSeconds)
     : total_(total), label_(std::move(label)),
-      interval_(intervalSeconds), start_(wallSeconds()),
-      lastPrint_(start_)
+      interval_(intervalSeconds)
 {}
 
 void
 Heartbeat::tick(std::size_t done)
 {
     const double now = wallSeconds();
-    if (now - lastPrint_ < interval_ || done == 0)
+    if (!started_) {
+        // A pass may wait in a queue long after it was built; its
+        // rate counts from its first completed unit.
+        started_ = true;
+        start_ = lastPrint_ = now;
+        startDone_ = done;
+        return;
+    }
+    if (now - lastPrint_ < interval_ || done <= startDone_)
         return;
     lastPrint_ = now;
     printed_ = true;
-    const double elapsed = now - start_;
-    const double rate = static_cast<double>(done) / elapsed;
+    const double rate =
+        static_cast<double>(done - startDone_) / (now - start_);
     const double eta =
-        rate > 0.0
-            ? static_cast<double>(total_ - done > 0 ? total_ - done
-                                                    : 0) /
-                  rate
-            : 0.0;
+        static_cast<double>(total_ > done ? total_ - done : 0) / rate;
     std::fprintf(stderr,
                  "\r%s: %zu/%zu frames (%.1f%%), %.1f frames/s, "
                  "ETA %.0fs   ",

@@ -103,9 +103,11 @@ class Heartbeat
 {
   public:
     /**
-     * Progress over @p total units (frames). Prints at most once per
-     * @p intervalSeconds, only after the first interval has passed —
-     * short runs stay silent.
+     * Progress over @p total units (frames). The clock and the rate's
+     * done-count start at the first tick(), not here, so a pass built
+     * long before it runs reports its own rate. Prints at most once
+     * per @p intervalSeconds, only after the first interval has
+     * passed — short runs stay silent.
      */
     Heartbeat(std::size_t total, std::string label,
               double intervalSeconds = 2.0);
@@ -122,8 +124,10 @@ class Heartbeat
     std::size_t total_;
     std::string label_;
     double interval_;
-    double start_;
-    double lastPrint_;
+    double start_ = 0.0;
+    double lastPrint_ = 0.0;
+    std::size_t startDone_ = 0;
+    bool started_ = false;
     bool printed_ = false;
 };
 

@@ -1,5 +1,7 @@
 #include "resilience/checkpoint.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -18,7 +20,7 @@ namespace msim::resilience
 namespace
 {
 
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 obs::Scalar &
 counter(const char *name, const char *desc)
@@ -27,20 +29,24 @@ counter(const char *name, const char *desc)
         std::string("resilience.checkpoint.") + name, desc);
 }
 
+/**
+ * One journal line: each cell as the shortest string that strtod()
+ * reads back to the same double, then the line's FNV-1a checksum.
+ */
 std::string
 journalLine(const std::vector<double> &row)
 {
-    std::string payload;
-    char buf[64];
+    std::string line;
+    char buf[32]; // the longest shortest double is 24 chars
     for (std::size_t c = 0; c < row.size(); ++c) {
-        std::snprintf(buf, sizeof(buf), "%.17g", row[c]);
         if (c)
-            payload += ',';
-        payload += buf;
+            line += ',';
+        line.append(buf,
+                    std::to_chars(buf, buf + sizeof(buf), row[c]).ptr);
     }
     char tail[24];
-    std::snprintf(tail, sizeof(tail), "#%016" PRIx64, fnv1a(payload));
-    return payload + tail;
+    std::snprintf(tail, sizeof(tail), "#%016" PRIx64, fnv1a(line));
+    return line + tail;
 }
 
 /**
@@ -107,21 +113,7 @@ Checkpoint::resume()
 
     auto manifest = readFileToString(manifestPath());
     if (manifest.ok()) {
-        std::uint32_t version = 0;
-        std::uint64_t fingerprint = 0;
-        std::size_t total = 0, statsCols = 0, activityCols = 0,
-                    committed = 0;
-        const int got = std::sscanf(
-            manifest->c_str(),
-            "megsim-checkpoint v%" SCNu32 "\n"
-            "fingerprint %" SCNx64 "\n"
-            "total %zu stats_cols %zu activity_cols %zu\n"
-            "frames %zu",
-            &version, &fingerprint, &total, &statsCols, &activityCols,
-            &committed);
-        if (got != 6 || version != kCheckpointVersion ||
-            fingerprint != fingerprint_ || total != totalFrames_ ||
-            statsCols != statsCols_ || activityCols != activityCols_) {
+        if (*manifest != manifestText()) {
             sim::warn("checkpoint '%s' does not match this run; "
                       "starting over",
                       manifestPath().c_str());
@@ -134,7 +126,7 @@ Checkpoint::resume()
                 statsRows_ = parseJournal(*statsText, statsCols_);
                 activityRows_ =
                     parseJournal(*activityText, activityCols_);
-                frames_ = std::min({committed, statsRows_.size(),
+                frames_ = std::min({statsRows_.size(),
                                     activityRows_.size(),
                                     totalFrames_});
                 statsRows_.resize(frames_);
@@ -153,8 +145,9 @@ Checkpoint::resume()
     }
 
     if (frames_ > 0) {
-        // Drop any torn/uncommitted journal tail so the files on disk
-        // exactly mirror the recovered state before we append to them.
+        // Drop any torn tail and the longer journal's extra line so
+        // the files on disk exactly mirror the recovered state before
+        // we append to them.
         auto statsOk = atomicWriteFile(statsJournalPath(),
                                        journalText(statsRows_));
         auto activityOk = atomicWriteFile(activityJournalPath(),
@@ -178,8 +171,8 @@ Checkpoint::resume()
         activityJnl_.open(activityJournalPath(), std::ios::app);
         if (!statsJnl_ || !activityJnl_)
             failWrites("opening journals");
-        else
-            commitManifest();
+        else if (!atomicWriteFile(manifestPath(), manifestText()).ok())
+            failWrites("writing the manifest");
     }
     return frames_;
 }
@@ -203,23 +196,19 @@ Checkpoint::append(const std::vector<double> &statsRow,
         return;
     }
     ++frames_;
-    commitManifest();
 }
 
-void
-Checkpoint::commitManifest()
+std::string
+Checkpoint::manifestText() const
 {
-    char text[256];
+    char text[160];
     std::snprintf(text, sizeof(text),
                   "megsim-checkpoint v%" PRIu32 "\n"
                   "fingerprint %016" PRIx64 "\n"
-                  "total %zu stats_cols %zu activity_cols %zu\n"
-                  "frames %zu\n",
+                  "total %zu stats_cols %zu activity_cols %zu\n",
                   kCheckpointVersion, fingerprint_, totalFrames_,
-                  statsCols_, activityCols_, frames_);
-    auto written = atomicWriteFile(manifestPath(), text);
-    if (!written.ok())
-        failWrites("committing the manifest");
+                  statsCols_, activityCols_);
+    return text;
 }
 
 void

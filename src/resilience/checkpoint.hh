@@ -4,22 +4,26 @@
  *
  * A checkpoint is three files next to the cache artifacts:
  *
- *   <stem>.ckpt.manifest      versioned, atomically rewritten after
- *                             every committed frame:
- *                               megsim-checkpoint v1
+ *   <stem>.ckpt.manifest      versioned, written once by resume()
+ *                             before the first append:
+ *                               megsim-checkpoint v2
  *                               fingerprint <16hex>
  *                               total <N> stats_cols <k> activity_cols <m>
- *                               frames <n>
- *   <stem>.ckpt.stats.jnl     one line per completed frame: the
- *   <stem>.ckpt.activity.jnl  CSV row plus `#<16hex>` FNV-1a line
- *                             checksum, appended + flushed
+ *   <stem>.ckpt.stats.jnl     one line per completed frame: the row's
+ *   <stem>.ckpt.activity.jnl  shortest round-trip doubles plus a
+ *                             `#<16hex>` FNV-1a line checksum,
+ *                             appended + flushed
  *
- * A killed run leaves at worst one torn journal line past the last
- * manifest commit; resume() recovers the longest prefix that is valid
- * in both journals AND committed by the manifest, truncates the
- * journals back to it, and the pass continues from there. Because
- * every frame simulates cold (order-independent), a resumed run is
- * bit-identical to an uninterrupted one.
+ * The manifest only keys the journals to their scene, GPU config and
+ * row shape; any other manifest (another run's, or an older version)
+ * is refused and the pass starts over. Progress lives in the journals
+ * alone: a flushed line survives a SIGKILL, so a killed run leaves at
+ * worst one torn tail line, and one journal may hold one more line
+ * than the other. resume() recovers the shorter valid prefix of the
+ * two (capped at the total), truncates both journals back to it, and
+ * the pass continues from there, having lost at most the frame in
+ * flight. Because every frame simulates cold (order-independent), a
+ * resumed run is bit-identical to an uninterrupted one.
  */
 
 #ifndef MSIM_RESILIENCE_CHECKPOINT_HH
@@ -51,7 +55,8 @@ class Checkpoint
      * Recover a previous run's progress. Returns the number of
      * completed frames recovered (0 when there is no usable
      * checkpoint); their rows are in statsRows()/activityRows().
-     * Also opens the journals for appending.
+     * Also opens the journals for appending and writes the manifest,
+     * the only time it is written.
      */
     std::size_t resume();
 
@@ -65,7 +70,7 @@ class Checkpoint
         return activityRows_;
     }
 
-    /** Journal one completed frame, then commit the manifest. */
+    /** Journal one completed frame (both lines flushed). */
     void append(const std::vector<double> &statsRow,
                 const std::vector<double> &activityRow);
 
@@ -86,7 +91,7 @@ class Checkpoint
     }
 
   private:
-    void commitManifest();
+    std::string manifestText() const;
     void failWrites(const char *what);
 
     std::string stem_;

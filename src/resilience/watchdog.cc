@@ -2,6 +2,10 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <mutex>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -10,6 +14,20 @@ namespace msim::resilience
 
 namespace
 {
+
+/**
+ * Every reader (each ground-truth pass, served worker and scheduler)
+ * parses the budgets, so report a malformed value once per process
+ * for each (variable, value) pair, not once per reader.
+ */
+bool
+firstSighting(const char *name, const char *value)
+{
+    static std::mutex mutex;
+    static std::set<std::pair<std::string, std::string>> seen;
+    std::lock_guard<std::mutex> lock(mutex);
+    return seen.emplace(name, value).second;
+}
 
 /**
  * The value of the environment variable @p name as a finite,
@@ -30,9 +48,10 @@ budgetFromEnv(const char *name, bool whole)
                                 value < 0x1p64));
     if (ok)
         return value;
-    sim::warn("%s='%s' ignored: not a finite, non-negative %s; the "
-              "budget stays off",
-              name, env, whole ? "whole number" : "number");
+    if (firstSighting(name, env))
+        sim::warn("%s='%s' ignored: not a finite, non-negative %s; "
+                  "the budget stays off",
+                  name, env, whole ? "whole number" : "number");
     return 0.0;
 }
 

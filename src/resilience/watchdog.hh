@@ -24,7 +24,8 @@ struct WatchdogConfig
      * MEGSIM_FRAME_CYCLE_BUDGET caps simulated cycles. Each must be a
      * finite, non-negative number with nothing after it (the cycle
      * budget a whole one below 2^64); any other value is reported
-     * with a warning naming the variable and leaves that budget off.
+     * with a warning naming the variable, once per process for each
+     * value, and leaves that budget off.
      */
     static WatchdogConfig fromEnv();
 };

@@ -185,6 +185,27 @@ TEST(MegsimCli, BadUsageFailsCleanly)
         << slurp(log);
 }
 
+TEST(MegsimCli, ResumeExitsOneWhenAFrameBlowsItsBudget)
+{
+    ASSERT_FALSE(cliPath.empty());
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path log = dir / "budget.log";
+    const std::filesystem::path cache = dir / "budget-cache";
+
+    // A user-set budget that a frame blows is a runtime failure
+    // (exit 1), not an internal invariant violation (SIGABRT).
+    ::setenv("MEGSIM_FRAME_LIMIT", "2", 1);
+    ::setenv("MEGSIM_FRAME_CYCLE_BUDGET", "1", 1);
+    const int rc =
+        runCli("resume --bench hcr --cache-dir " + cache.string(), log);
+    ::unsetenv("MEGSIM_FRAME_LIMIT");
+    ::unsetenv("MEGSIM_FRAME_CYCLE_BUDGET");
+    ASSERT_TRUE(WIFEXITED(rc)) << slurp(log);
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << slurp(log);
+    EXPECT_NE(slurp(log).find("cycle budget"), std::string::npos)
+        << slurp(log);
+}
+
 int
 main(int argc, char **argv)
 {

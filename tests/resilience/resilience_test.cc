@@ -3,10 +3,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <bit>
+#include <cinttypes>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -276,6 +282,121 @@ TEST_F(ResilienceTest, CheckpointRejectsForeignManifest)
     // Same stem, different scene/config fingerprint: start over.
     Checkpoint other(path("bench"), 0xdefULL, 5, 2, 2);
     EXPECT_EQ(other.resume(), 0u);
+}
+
+TEST_F(ResilienceTest, CheckpointAppendsNeverTouchTheManifest)
+{
+    {
+        Checkpoint ckpt(path("bench"), 0xabcULL, 5, 2, 2);
+        EXPECT_EQ(ckpt.resume(), 0u);
+        // resume() wrote the manifest; appends must not write it
+        // again, so a manifest that can no longer be written costs
+        // the run nothing.
+        FaultInjector::setGlobalSpec("io.write:path=.ckpt.manifest");
+        for (double f = 0; f < 3; ++f) {
+            ckpt.append({f, 10.5 + f}, {f, 1 + f});
+            EXPECT_TRUE(ckpt.writable()) << "frame " << f;
+        }
+        EXPECT_EQ(ckpt.frames(), 3u);
+    }
+    FaultInjector::setGlobalSpec("");
+    Checkpoint fresh(path("bench"), 0xabcULL, 5, 2, 2);
+    EXPECT_EQ(fresh.resume(), 3u);
+}
+
+TEST_F(ResilienceTest, CheckpointResumesTheShorterJournalPrefix)
+{
+    {
+        Checkpoint ckpt(path("bench"), 0xabcULL, 5, 2, 2);
+        EXPECT_EQ(ckpt.resume(), 0u);
+        for (double f = 0; f < 3; ++f)
+            ckpt.append({f, 10.5 + f}, {f, 1 + f});
+    }
+    // A kill between the two journal writes: the stats journal holds
+    // one more whole, checksummed line than the activity journal.
+    {
+        const std::string payload = "3,13.5";
+        char tail[24];
+        std::snprintf(tail, sizeof(tail), "#%016" PRIx64,
+                      fnv1a(payload));
+        std::ofstream extra(path("bench") + ".ckpt.stats.jnl",
+                            std::ios::app);
+        extra << payload << tail << '\n';
+    }
+    const std::vector<std::vector<double>> stats = {
+        {0, 10.5}, {1, 11.5}, {2, 12.5}};
+    const std::vector<std::vector<double>> acts = {
+        {0, 1}, {1, 2}, {2, 3}};
+    {
+        Checkpoint ckpt(path("bench"), 0xabcULL, 5, 2, 2);
+        EXPECT_EQ(ckpt.resume(), 3u);
+        EXPECT_EQ(ckpt.statsRows(), stats);
+        EXPECT_EQ(ckpt.activityRows(), acts);
+        // The extra line is gone from disk, so the next append lines
+        // up in both journals.
+        ckpt.append({3, 99.0}, {3, 4});
+    }
+    Checkpoint ckpt(path("bench"), 0xabcULL, 5, 2, 2);
+    EXPECT_EQ(ckpt.resume(), 4u);
+    EXPECT_EQ(ckpt.statsRows().back(), (std::vector<double>{3, 99.0}));
+    EXPECT_EQ(ckpt.activityRows().back(), (std::vector<double>{3, 4}));
+}
+
+TEST_F(ResilienceTest, CheckpointRefusesAVersion1Manifest)
+{
+    {
+        Checkpoint ckpt(path("bench"), 0xabcULL, 5, 2, 2);
+        EXPECT_EQ(ckpt.resume(), 0u);
+        for (double f = 0; f < 3; ++f)
+            ckpt.append({f, 10.5 + f}, {f, 1 + f});
+    }
+    // The old format, rewritten after every frame, with the same key.
+    spit(path("bench") + ".ckpt.manifest",
+         "megsim-checkpoint v1\n"
+         "fingerprint 0000000000000abc\n"
+         "total 5 stats_cols 2 activity_cols 2\n"
+         "frames 3\n");
+    Checkpoint ckpt(path("bench"), 0xabcULL, 5, 2, 2);
+    EXPECT_EQ(ckpt.resume(), 0u);
+    EXPECT_TRUE(ckpt.statsRows().empty());
+    EXPECT_EQ(slurp(path("bench") + ".ckpt.stats.jnl"), "");
+}
+
+TEST_F(ResilienceTest, CheckpointRowsRoundTripBitForBit)
+{
+    const std::vector<double> awkward = {
+        0.1,
+        1.0 / 3.0,
+        1e-300,
+        std::numeric_limits<double>::denorm_min() * 3,
+        9007199254740994.0, // 2^53 + 2
+        -0.0,
+        1e308,
+    };
+    std::vector<double> reversed(awkward.rbegin(), awkward.rend());
+    ASSERT_LT(std::fabs(awkward[3]),
+              std::numeric_limits<double>::min());
+    {
+        Checkpoint ckpt(path("bench"), 0xabcULL, 1, awkward.size(),
+                        reversed.size());
+        EXPECT_EQ(ckpt.resume(), 0u);
+        ckpt.append(awkward, reversed);
+    }
+    Checkpoint ckpt(path("bench"), 0xabcULL, 1, awkward.size(),
+                    reversed.size());
+    ASSERT_EQ(ckpt.resume(), 1u);
+    const std::vector<double> &stats = ckpt.statsRows()[0];
+    const std::vector<double> &acts = ckpt.activityRows()[0];
+    ASSERT_EQ(stats.size(), awkward.size());
+    ASSERT_EQ(acts.size(), reversed.size());
+    for (std::size_t c = 0; c < awkward.size(); ++c) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(stats[c]),
+                  std::bit_cast<std::uint64_t>(awkward[c]))
+            << "stats cell " << c << ": " << stats[c];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(acts[c]),
+                  std::bit_cast<std::uint64_t>(reversed[c]))
+            << "activity cell " << c << ": " << acts[c];
+    }
 }
 
 TEST_F(ResilienceTest, GroundTruthSurvivesSigkillAndResumesIdentically)
@@ -550,6 +671,30 @@ TEST_F(ResilienceTest, WatchdogCycleBudgetTimesOut)
     const WatchdogConfig unset = WatchdogConfig::fromEnv();
     EXPECT_EQ(unset.wallBudgetSeconds, 0.0);
     EXPECT_EQ(unset.cycleBudget, 0u);
+}
+
+TEST_F(ResilienceTest, MalformedBudgetWarnsOncePerValue)
+{
+    // Every pass, served worker and scheduler reads the budgets; one
+    // bad value is reported once per process, a new bad value again.
+    const auto warnings = [](const char *value) {
+        ::setenv("MEGSIM_FRAME_BUDGET_MS", value, 1);
+        ::testing::internal::CaptureStderr();
+        for (int read = 0; read < 2; ++read)
+            EXPECT_EQ(WatchdogConfig::fromEnv().wallBudgetSeconds, 0.0);
+        const std::string warned =
+            ::testing::internal::GetCapturedStderr();
+        ::unsetenv("MEGSIM_FRAME_BUDGET_MS");
+        std::size_t count = 0;
+        for (std::size_t at = warned.find("MEGSIM_FRAME_BUDGET_MS");
+             at != std::string::npos;
+             at = warned.find("MEGSIM_FRAME_BUDGET_MS", at + 1))
+            ++count;
+        return count;
+    };
+    EXPECT_EQ(warnings("12ms"), 1u);
+    EXPECT_EQ(warnings("12ms"), 0u);
+    EXPECT_EQ(warnings("13ms"), 1u);
 }
 
 TEST_F(ResilienceTest, GroundTruthPassEnforcesTheFrameWatchdog)

@@ -16,6 +16,8 @@
  *       Run (or resume) the checkpointed ground-truth pass for a
  *       benchmark. A run killed mid-pass picks up from the last
  *       checkpointed frame; a complete cache returns immediately.
+ *       A frame that blows a watchdog budget fails the pass (exit
+ *       1); the frames before it stay journaled.
  *
  *   megsim-cli verify-cache [--bench ALIAS] [--cache-dir DIR]
  *                           [--purge]
@@ -439,6 +441,11 @@ runResume(const Options &opt)
     if (!openBenchmarkData(opt, scene, data))
         return kExitLoadFailure;
 
+    if (auto pass = data->ensureFrameStats(); !pass.ok()) {
+        std::fprintf(stderr, "resume failed: %s\n",
+                     pass.error().message.c_str());
+        return kExitRuntime;
+    }
     const std::vector<gpusim::FrameStats> &stats = data->frameStats();
     double cycles = 0.0;
     for (const gpusim::FrameStats &s : stats)
@@ -524,8 +531,8 @@ envManifest()
 {
     static const char *const kVars[] = {
         "MEGSIM_THREADS",   "MEGSIM_FRAME_LIMIT", "MEGSIM_SCALE",
-        "MEGSIM_CACHE_DIR", "MEGSIM_CHECKPOINT",  "MEGSIM_TRACE",
-        "MEGSIM_TIMELINE",  "MEGSIM_ATTRIB",
+        "MEGSIM_CACHE_DIR", "MEGSIM_TRACE",       "MEGSIM_TIMELINE",
+        "MEGSIM_ATTRIB",
         "MEGSIM_SCHED_POLICY",     "MEGSIM_SCHED_MAX_INFLIGHT",
         "MEGSIM_SHARD_REPLY_SPILL", "MEGSIM_SHARD_SPILL_DIR",
     };
