@@ -88,12 +88,8 @@ loadBenchmark(const std::string &alias)
     sim::informOnce("exec.pool.workers", "worker pool: %zu threads",
                     exec::Pool::global().workers());
 
-    std::size_t frame_limit = 0;
-    if (const char *env = std::getenv("MEGSIM_FRAME_LIMIT"))
-        frame_limit = static_cast<std::size_t>(std::atoll(env));
-    double scale = 1.0;
-    if (const char *env = std::getenv("MEGSIM_SCALE"))
-        scale = std::atof(env);
+    const std::size_t frame_limit = workloads::frameLimitFromEnv();
+    const double scale = workloads::scaleFromEnv();
 
     auto spec = workloads::findBenchmarkSpec(alias);
     if (!spec.ok()) {

@@ -10,7 +10,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.hh"
 #include "perf/perf.hh"
@@ -21,8 +20,7 @@ main()
     using namespace msim;
 
     perf::PerfOptions options;
-    if (const char *env = std::getenv("MEGSIM_SCALE"))
-        options.scale = std::atof(env);
+    options.scale = workloads::scaleFromEnv();
 
     auto report = perf::runHotpath(options);
     if (!report.ok()) {

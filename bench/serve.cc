@@ -150,9 +150,7 @@ main(int argc, char **argv)
     std::string compare;
     bool strict = false;
     double band = 25.0;
-    std::size_t frames = 48;
-    if (const char *env = std::getenv("MEGSIM_FRAME_LIMIT"))
-        frames = static_cast<std::size_t>(std::atoll(env));
+    std::size_t frames = workloads::frameLimitFromEnv();
     // Real workloads replay API traces from disk, so shard wall time
     // is wait-dominated; the think time reproduces that I/O-bound
     // profile deterministically so the scheduling comparison measures

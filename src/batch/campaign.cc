@@ -49,11 +49,8 @@ CampaignConfig::fromEnv()
     config.megsim.selector.kmeans.seed = 0x4d4547; // "MEG"
     if (const char *env = std::getenv("MEGSIM_CACHE_DIR"))
         config.cacheDir = env;
-    if (const char *env = std::getenv("MEGSIM_FRAME_LIMIT"))
-        config.frameLimit =
-            static_cast<std::size_t>(std::atoll(env));
-    if (const char *env = std::getenv("MEGSIM_SCALE"))
-        config.scale = std::atof(env);
+    config.frameLimit = workloads::frameLimitFromEnv();
+    config.scale = workloads::scaleFromEnv();
     return config;
 }
 

@@ -1,6 +1,5 @@
 #include "perf/perf.hh"
 
-#include <cstdlib>
 
 #include "gpusim/geometry.hh"
 #include "gpusim/gpu_config.hh"
@@ -201,8 +200,7 @@ runHotpath(const PerfOptions &options)
 {
     std::size_t frames = options.frames;
     if (frames == 0)
-        if (const char *env = std::getenv("MEGSIM_FRAME_LIMIT"))
-            frames = static_cast<std::size_t>(std::atoll(env));
+        frames = workloads::frameLimitFromEnv();
 
     std::vector<std::string> benches = options.benches;
     if (benches.empty())

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -84,6 +85,76 @@ placementRank(Placement p)
 }
 
 } // namespace
+
+/** One segment's back-to-front draw order, instance counts and lifetime. */
+struct SceneComposer::SegmentPlan
+{
+    struct Layer
+    {
+        std::size_t group;
+        std::uint32_t count;
+    };
+    std::vector<Layer> layers;
+    std::size_t draws = 0; // summed counts: every frame's exact size
+    std::uint32_t lifetime = 0;
+};
+
+/**
+ * The memo of one (group, instance) pair. Its draws' parameters depend
+ * on h = mix(ih, 0x22, epoch) alone, so they are derived once per
+ * lifetime epoch, not once per frame. The phase depends on the
+ * lifetime, which each segment's churn sets.
+ */
+struct SceneComposer::Instance
+{
+    std::uint64_t ih = 0;
+    std::size_t phase = 0;
+    std::size_t epoch = std::numeric_limits<std::size_t>::max();
+    // Derived from the epoch's h (depth from the slot for backdrops
+    // and overlays). A sprite's x/y are its position at t = 0.
+    std::uint32_t meshId = 0;
+    float scale = 0.0f;
+    float x = 0.0f;
+    float y = 0.0f;
+    float vx = 0.0f;
+    float vy = 0.0f;
+    float depth = 0.0f;
+    float spin = 0.0f; // turns per lifetime: rotation = 2π·t·spin
+
+    void respawn(std::size_t e, const GroupSpec &group, std::size_t g,
+                 std::uint32_t i, std::uint32_t nworlds);
+};
+
+void
+SceneComposer::Instance::respawn(std::size_t e, const GroupSpec &group,
+                                 std::size_t g, std::uint32_t i,
+                                 std::uint32_t nworlds)
+{
+    epoch = e;
+    const std::uint64_t h = mix(ih, 0x22, epoch);
+    meshId = static_cast<std::uint32_t>(g * nworlds + h % nworlds);
+    scale = group.sizeMin + static_cast<float>(u01(mix(h, 0x33))) *
+                                (group.sizeMax - group.sizeMin);
+    switch (group.placement) {
+      case Placement::Backdrop:
+        // Screen-filling layer with a slow per-epoch drift.
+        x = 0.5f + 0.1f * (static_cast<float>(u01(mix(h, 0x44))) - 0.5f);
+        y = 0.5f + 0.1f * (static_cast<float>(u01(mix(h, 0x55))) - 0.5f);
+        depth = 0.98f - 0.005f * static_cast<float>(i);
+        break;
+      case Placement::Sprite:
+        x = static_cast<float>(u01(mix(h, 0x66)));
+        y = static_cast<float>(u01(mix(h, 0x77)));
+        vx = (static_cast<float>(u01(mix(h, 0x88))) - 0.5f) * 0.8f;
+        vy = (static_cast<float>(u01(mix(h, 0x99))) - 0.5f) * 0.8f;
+        depth = 0.2f + 0.6f * static_cast<float>(u01(mix(h, 0xaa)));
+        spin = static_cast<float>(u01(mix(h, 0xbb))) - 0.5f;
+        break;
+      case Placement::Overlay:
+        depth = 0.02f + 0.005f * static_cast<float>(i);
+        break;
+    }
+}
 
 SceneComposer::SceneComposer(const GameSpec &spec, double scale)
     : spec_(spec), scale_(scale)
@@ -176,6 +247,7 @@ SceneComposer::compose() const
     // the frame→segment mapping is identical for any requested frame
     // count — the prefix-stability guarantee.
     scene.frames.reserve(spec_.frames);
+    std::vector<std::vector<Instance>> memo(spec_.groups.size());
     std::size_t ordinal = 0;
     std::size_t begin = 0;
     while (scene.frames.size() < spec_.frames) {
@@ -188,35 +260,35 @@ SceneComposer::compose() const
             std::max(segment.maxFrames, lo);
         const std::uint64_t h = mix(spec_.seed, 0x5e67, ordinal);
         const std::size_t duration = lo + h % (hi - lo + 1);
+
+        const SegmentPlan plan = planSegment(segment);
+        for (const SegmentPlan::Layer &layer : plan.layers) {
+            std::vector<Instance> &instances = memo[layer.group];
+            for (std::uint32_t i = static_cast<std::uint32_t>(
+                     instances.size());
+                 i < layer.count; ++i)
+                instances.push_back(
+                    Instance{mix(spec_.seed, 0x11, layer.group, i)});
+            for (std::uint32_t i = 0; i < layer.count; ++i)
+                instances[i].phase = instances[i].ih % plan.lifetime;
+        }
         for (std::size_t k = 0;
              k < duration && scene.frames.size() < spec_.frames; ++k)
-            scene.frames.push_back(
-                composeFrame(begin + k, segment, ordinal, k));
+            scene.frames.push_back(composeFrame(begin + k, plan, memo));
         begin += duration;
         ++ordinal;
     }
     return scene;
 }
 
-gfx::FrameTrace
-SceneComposer::composeFrame(std::size_t f, const SegmentSpec &segment,
-                            std::size_t segmentOrdinal,
-                            std::size_t frameInSegment) const
+SceneComposer::SegmentPlan
+SceneComposer::planSegment(const SegmentSpec &segment) const
 {
-    (void)segmentOrdinal;
-    (void)frameInSegment;
-
-    const std::uint32_t nvs = std::max<std::uint32_t>(
-        spec_.numVertexShaders, 1);
-    const std::uint32_t nfs = std::max<std::uint32_t>(
-        spec_.numFragmentShaders, 1);
-    const std::uint32_t ntex = std::max<std::uint32_t>(
-        spec_.numTextures, 1);
-    const std::uint32_t nworlds = std::max<std::uint32_t>(
-        spec_.numWorlds, 1);
-
-    gfx::FrameTrace frame;
-    frame.index = static_cast<std::uint32_t>(f);
+    SegmentPlan plan;
+    // Instances live for a churn-dependent number of frames and
+    // respawn with fresh parameters.
+    plan.lifetime = static_cast<std::uint32_t>(
+        30 + (1.0f - std::clamp(segment.churn, 0.0f, 1.0f)) * 150);
 
     // Draw groups back-to-front by placement layer, preserving the
     // spec's group order within a layer.
@@ -229,9 +301,11 @@ SceneComposer::composeFrame(std::size_t f, const SegmentSpec &segment,
                                     spec_.groups[b].placement);
                      });
 
+    const std::uint32_t cap =
+        std::max<std::uint32_t>(spec_.numWorlds, 1) *
+        std::max<std::uint32_t>(spec_.instancesPerWorld, 1);
     for (std::size_t g : order) {
         const GroupSpec &group = spec_.groups[g];
-
         // Instance count: intensity interpolates the spec's range,
         // the workload scale knob thins or thickens the population.
         double wanted =
@@ -239,77 +313,71 @@ SceneComposer::composeFrame(std::size_t f, const SegmentSpec &segment,
             segment.intensity * (group.maxCount - group.minCount);
         if (group.placement == Placement::Sprite)
             wanted *= scale_;
-        const std::uint32_t cap = nworlds * std::max<std::uint32_t>(
-            spec_.instancesPerWorld, 1);
         const std::uint32_t count = std::clamp<std::uint32_t>(
             static_cast<std::uint32_t>(std::lround(wanted)), 1, cap);
+        plan.layers.push_back(SegmentPlan::Layer{g, count});
+        plan.draws += count;
+    }
+    return plan;
+}
 
-        // Instances live for a churn-dependent number of frames and
-        // respawn with fresh parameters; everything derives from the
-        // absolute frame index, never from composition order.
-        const std::uint32_t lifetime = static_cast<std::uint32_t>(
-            30 + (1.0f - std::clamp(segment.churn, 0.0f, 1.0f)) * 150);
+gfx::FrameTrace
+SceneComposer::composeFrame(std::size_t f, const SegmentPlan &plan,
+                            std::vector<std::vector<Instance>> &memo) const
+{
+    const std::uint32_t nvs = std::max<std::uint32_t>(
+        spec_.numVertexShaders, 1);
+    const std::uint32_t nfs = std::max<std::uint32_t>(
+        spec_.numFragmentShaders, 1);
+    const std::uint32_t ntex = std::max<std::uint32_t>(
+        spec_.numTextures, 1);
+    const std::uint32_t nworlds = std::max<std::uint32_t>(
+        spec_.numWorlds, 1);
 
-        for (std::uint32_t i = 0; i < count; ++i) {
-            const std::uint64_t ih = mix(spec_.seed, 0x11, g, i);
-            const std::size_t phase = ih % lifetime;
-            const std::size_t epoch = (f + phase) / lifetime;
-            const std::size_t life = (f + phase) % lifetime;
-            const float t =
-                static_cast<float>(life) / static_cast<float>(lifetime);
-            const std::uint64_t h = mix(ih, 0x22, epoch);
+    gfx::FrameTrace frame;
+    frame.index = static_cast<std::uint32_t>(f);
+    frame.draws.reserve(plan.draws);
 
-            gfx::DrawCall draw;
-            draw.meshId = static_cast<std::uint32_t>(
-                g * nworlds + h % nworlds);
-            draw.vsId = group.vs % nvs;
-            draw.fsId = nvs + group.fs % nfs;
-            draw.textureId =
-                static_cast<std::int32_t>(group.tex % ntex);
-            draw.transparent = group.transparent;
-            draw.scale = group.sizeMin +
-                         static_cast<float>(u01(mix(h, 0x33))) *
-                             (group.sizeMax - group.sizeMin);
+    for (const SegmentPlan::Layer &layer : plan.layers) {
+        const std::size_t g = layer.group;
+        const GroupSpec &group = spec_.groups[g];
+        gfx::DrawCall draw;
+        draw.vsId = group.vs % nvs;
+        draw.fsId = nvs + group.fs % nfs;
+        draw.textureId = static_cast<std::int32_t>(group.tex % ntex);
+        draw.transparent = group.transparent;
 
+        for (std::uint32_t i = 0; i < layer.count; ++i) {
+            // Everything derives from the absolute frame index, never
+            // from composition order; the memo only skips re-deriving
+            // what the instance's epoch fixes.
+            Instance &inst = memo[g][i];
+            const std::size_t epoch = (f + inst.phase) / plan.lifetime;
+            const std::size_t life = (f + inst.phase) % plan.lifetime;
+            const float t = static_cast<float>(life) /
+                            static_cast<float>(plan.lifetime);
+            if (inst.epoch != epoch)
+                inst.respawn(epoch, group, g, i, nworlds);
+
+            draw.meshId = inst.meshId;
+            draw.scale = inst.scale;
+            draw.depth = inst.depth;
             switch (group.placement) {
               case Placement::Backdrop:
-                // Screen-filling layer with a slow per-epoch drift.
-                draw.x = 0.5f +
-                         0.1f * (static_cast<float>(u01(mix(h, 0x44))) -
-                                 0.5f);
-                draw.y = 0.5f +
-                         0.1f * (static_cast<float>(u01(mix(h, 0x55))) -
-                                 0.5f);
-                draw.depth = 0.98f - 0.005f * static_cast<float>(i);
+                draw.x = inst.x;
+                draw.y = inst.y;
                 draw.rotation = 0.0f;
                 break;
-              case Placement::Sprite: {
-                const float x0 =
-                    static_cast<float>(u01(mix(h, 0x66)));
-                const float y0 =
-                    static_cast<float>(u01(mix(h, 0x77)));
-                const float vx =
-                    (static_cast<float>(u01(mix(h, 0x88))) - 0.5f) *
-                    0.8f;
-                const float vy =
-                    (static_cast<float>(u01(mix(h, 0x99))) - 0.5f) *
-                    0.8f;
-                draw.x = wrap01(x0 + vx * t);
-                draw.y = wrap01(y0 + vy * t);
-                draw.depth =
-                    0.2f +
-                    0.6f * static_cast<float>(u01(mix(h, 0xaa)));
-                draw.rotation =
-                    t * 6.2831853f *
-                    (static_cast<float>(u01(mix(h, 0xbb))) - 0.5f);
+              case Placement::Sprite:
+                draw.x = wrap01(inst.x + inst.vx * t);
+                draw.y = wrap01(inst.y + inst.vy * t);
+                draw.rotation = t * 6.2831853f * inst.spin;
                 break;
-              }
               case Placement::Overlay:
                 // HUD slots pinned along the top edge.
                 draw.x = (static_cast<float>(i) + 0.5f) /
-                         static_cast<float>(count);
+                         static_cast<float>(layer.count);
                 draw.y = 0.08f;
-                draw.depth = 0.02f + 0.005f * static_cast<float>(i);
                 draw.rotation = 0.0f;
                 break;
             }

@@ -80,17 +80,13 @@ class SceneComposer
     gfx::SceneTrace compose() const;
 
   private:
-    struct Schedule
-    {
-        std::size_t segment;
-        std::size_t begin;
-        std::size_t end;
-    };
+    struct SegmentPlan; // one segment's draw order, counts and lifetime
+    struct Instance;    // what one (group, instance) pair's draws share
 
-    gfx::FrameTrace composeFrame(std::size_t f,
-                                 const SegmentSpec &segment,
-                                 std::size_t segmentOrdinal,
-                                 std::size_t frameInSegment) const;
+    SegmentPlan planSegment(const SegmentSpec &segment) const;
+    gfx::FrameTrace composeFrame(
+        std::size_t f, const SegmentPlan &plan,
+        std::vector<std::vector<Instance>> &memo) const;
 
     GameSpec spec_;
     double scale_;

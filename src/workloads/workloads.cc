@@ -1,6 +1,7 @@
 #include "workloads/workloads.hh"
 
 #include "sim/logging.hh"
+#include "util/env.hh"
 
 namespace msim::workloads
 {
@@ -413,6 +414,21 @@ buildBenchmark(const std::string &alias, double scale,
     if (frames != 0 && frames < spec.frames)
         spec.frames = frames;
     return SceneComposer(spec, scale).compose();
+}
+
+std::size_t
+frameLimitFromEnv()
+{
+    return static_cast<std::size_t>(util::numberFromEnv(
+        "MEGSIM_FRAME_LIMIT", util::NumberRule::Whole, 0.0,
+        "read as unset"));
+}
+
+double
+scaleFromEnv()
+{
+    return util::numberFromEnv("MEGSIM_SCALE", util::NumberRule::Positive,
+                               1.0, "read as unset");
 }
 
 } // namespace msim::workloads

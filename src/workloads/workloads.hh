@@ -47,6 +47,20 @@ gfx::SceneTrace buildBenchmark(const std::string &alias,
                                double scale = 1.0,
                                std::size_t frames = 0);
 
+/**
+ * MEGSIM_FRAME_LIMIT, the @p frames of buildBenchmark: a whole number
+ * >= 0. Unset, empty or malformed reads as 0; a malformed value warns
+ * once per process for each value, naming the variable and the value.
+ */
+std::size_t frameLimitFromEnv();
+
+/**
+ * MEGSIM_SCALE, the @p scale of buildBenchmark: a finite number > 0.
+ * Unset, empty or malformed reads as 1.0; a malformed value warns like
+ * a malformed frame limit.
+ */
+double scaleFromEnv();
+
 } // namespace msim::workloads
 
 #endif // MSIM_WORKLOADS_WORKLOADS_HH

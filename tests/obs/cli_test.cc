@@ -183,6 +183,42 @@ TEST(MegsimCli, BadUsageFailsCleanly)
     EXPECT_NE(slurp(log).find("unknown option '--suite-cluster'"),
               std::string::npos)
         << slurp(log);
+
+    // So is a scale that is not a finite number above 0.
+    for (const char *bad : {"0", "-1", "abc", "nan", "inf"}) {
+        const int rc = runCli(
+            std::string("stats --bench hcr --frame 0 --scale ") + bad, log);
+        ASSERT_TRUE(WIFEXITED(rc)) << bad;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << bad << ": " << slurp(log);
+        EXPECT_NE(slurp(log).find("--scale"), std::string::npos)
+            << slurp(log);
+    }
+}
+
+TEST(MegsimCli, MalformedFrameLimitWarnsAndReadsAsUnset)
+{
+    ASSERT_FALSE(cliPath.empty());
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path log = dir / "limit.log";
+    const std::filesystem::path cache = dir / "limit-cache";
+
+    const std::filesystem::path unsetLog = dir / "unset.log";
+    const std::string verify =
+        "verify-cache --bench hcr --cache-dir " + cache.string();
+    ASSERT_EQ(runCli(verify, unsetLog), 0) << slurp(unsetLog);
+
+    // The cache names embed the scene hash: the same names as unset
+    // mean the same full-length scene.
+    ::setenv("MEGSIM_FRAME_LIMIT", "4x", 1);
+    const int rc = runCli(verify, log);
+    ::unsetenv("MEGSIM_FRAME_LIMIT");
+    ASSERT_TRUE(WIFEXITED(rc)) << slurp(log);
+    EXPECT_EQ(WEXITSTATUS(rc), 0) << slurp(log);
+    const std::string text = slurp(log);
+    const std::string warning = "MEGSIM_FRAME_LIMIT='4x'";
+    EXPECT_NE(text.find(warning), std::string::npos) << text;
+    EXPECT_NE(text.find(slurp(unsetLog)), std::string::npos)
+        << text << "\nunset:\n" << slurp(unsetLog);
 }
 
 TEST(MegsimCli, ResumeExitsOneWhenAFrameBlowsItsBudget)

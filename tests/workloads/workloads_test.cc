@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "workloads/workloads.hh"
 
 using namespace msim;
@@ -70,6 +76,24 @@ TEST(Workloads, TruncationIsPrefixStable)
     }
 }
 
+/**
+ * Every game's full-length scene, pinned. The scene hash is part of
+ * every frame-stats cache name, so a composer change that moves any
+ * draw shows here before it invalidates caches and goldens downstream.
+ */
+TEST(Workloads, FullLengthScenesArePinned)
+{
+    const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+        {"asp", 0xe383d2296ec2088cULL},  {"bbr1", 0xb4d06a967b969d85ULL},
+        {"bbr2", 0x277cc83666bc4de7ULL}, {"hcr", 0x324fd32e863b1c75ULL},
+        {"hwh", 0xf61fa0719a78135aULL},  {"jjo", 0x714f6f9ea55c8ee9ULL},
+        {"pvz", 0x4c794ef8fc6944feULL},  {"spd", 0x7715ddf02251fff7ULL},
+    };
+    ASSERT_EQ(pinned.size(), benchmarkNames().size());
+    for (const auto &[alias, hash] : pinned)
+        EXPECT_EQ(buildBenchmark(alias).contentHash(), hash) << alias;
+}
+
 TEST(Workloads, CompositionIsDeterministic)
 {
     const gfx::SceneTrace a = buildBenchmark("spd", 1.0, 8);
@@ -88,6 +112,67 @@ TEST(Workloads, ScaleThinsSpritePopulations)
     }
     EXPECT_LT(thinDraws, fullDraws);
     EXPECT_GT(thinDraws, 0u);
+}
+
+/**
+ * Warnings @p read prints for the variable @p name set to @p value,
+ * and the value it reads (@p out).
+ */
+template <typename T, typename Read>
+std::string
+readWarnings(const char *name, const char *value, Read read, T &out)
+{
+    ::setenv(name, value, 1);
+    ::testing::internal::CaptureStderr();
+    out = read();
+    const std::string warned = ::testing::internal::GetCapturedStderr();
+    ::unsetenv(name);
+    return warned;
+}
+
+TEST(Workloads, FrameLimitParsesStrictly)
+{
+    std::size_t frames = 99;
+    for (const char *bad : {"4x", "abc", "-1", "2.5", "1e400", "inf"}) {
+        const std::string warned = readWarnings(
+            "MEGSIM_FRAME_LIMIT", bad, frameLimitFromEnv, frames);
+        EXPECT_EQ(frames, 0u) << bad;
+        EXPECT_NE(warned.find(std::string("MEGSIM_FRAME_LIMIT='") + bad +
+                              "'"),
+                  std::string::npos)
+            << bad << ": " << warned;
+    }
+    // Empty reads as unset, with nothing to report.
+    EXPECT_EQ(readWarnings("MEGSIM_FRAME_LIMIT", "", frameLimitFromEnv,
+                           frames),
+              "");
+    EXPECT_EQ(frames, 0u);
+    EXPECT_EQ(readWarnings("MEGSIM_FRAME_LIMIT", "48", frameLimitFromEnv,
+                           frames),
+              "");
+    EXPECT_EQ(frames, 48u);
+    EXPECT_EQ(frameLimitFromEnv(), 0u);
+
+    // One report per process and value, however many readers.
+    EXPECT_EQ(readWarnings("MEGSIM_FRAME_LIMIT", "4x", frameLimitFromEnv,
+                           frames),
+              "");
+}
+
+TEST(Workloads, ScaleParsesStrictly)
+{
+    double scale = 0.0;
+    for (const char *bad : {"0", "-1", "abc", "nan", "inf"}) {
+        const std::string warned =
+            readWarnings("MEGSIM_SCALE", bad, scaleFromEnv, scale);
+        EXPECT_EQ(scale, 1.0) << bad;
+        EXPECT_NE(warned.find(std::string("MEGSIM_SCALE='") + bad + "'"),
+                  std::string::npos)
+            << bad << ": " << warned;
+    }
+    EXPECT_EQ(readWarnings("MEGSIM_SCALE", "0.25", scaleFromEnv, scale), "");
+    EXPECT_EQ(scale, 0.25);
+    EXPECT_EQ(scaleFromEnv(), 1.0);
 }
 
 TEST(Workloads, UnknownAliasIsFatal)

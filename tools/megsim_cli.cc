@@ -129,6 +129,7 @@
 #include "sched/scheduler.hh"
 #include "serve/service.hh"
 #include "serve/supervisor.hh"
+#include "util/env.hh"
 #include "util/json.hh"
 #include "workloads/workloads.hh"
 
@@ -327,9 +328,14 @@ parse(int argc, char **argv, Options &opt)
             opt.csv = v;
         } else if (arg == "--scale") {
             const char *v = next();
-            if (!v)
+            const auto scale =
+                util::parseNumber(v, util::NumberRule::Positive);
+            if (!scale) {
+                std::fprintf(stderr,
+                             "--scale needs a finite number above 0\n");
                 return false;
-            opt.scale = std::atof(v);
+            }
+            opt.scale = *scale;
         } else if (arg == "--threads") {
             const char *v = next();
             if (!v || std::atoll(v) < 1)
@@ -413,11 +419,8 @@ bool
 openBenchmarkData(const Options &opt, gfx::SceneTrace &scene,
                   std::unique_ptr<megsim::BenchmarkData> &data)
 {
-    std::size_t frame_limit = 0;
-    if (const char *env = std::getenv("MEGSIM_FRAME_LIMIT"))
-        frame_limit = static_cast<std::size_t>(std::atoll(env));
-    auto built =
-        workloads::tryBuildBenchmark(opt.bench, opt.scale, frame_limit);
+    auto built = workloads::tryBuildBenchmark(
+        opt.bench, opt.scale, workloads::frameLimitFromEnv());
     if (!built.ok()) {
         std::fprintf(stderr, "cannot load benchmark '%s': %s\n",
                      opt.bench.c_str(),
