@@ -1,11 +1,9 @@
 #include "exec/pool.hh"
 
-#include <cstdlib>
-
 #include <unistd.h>
 
 #include "obs/attrib.hh"
-#include "sim/logging.hh"
+#include "util/env.hh"
 
 namespace msim::exec
 {
@@ -24,14 +22,11 @@ thread_local bool tlsInsideJob = false;
 std::size_t
 readConfiguredThreads()
 {
-    if (const char *env = std::getenv("MEGSIM_THREADS")) {
-        const long long n = std::atoll(env);
-        if (n >= 1)
-            return static_cast<std::size_t>(n);
-        sim::warn("ignoring MEGSIM_THREADS='%s' (need an integer "
-                  ">= 1)",
-                  env);
-    }
+    const double n =
+        util::numberFromEnv("MEGSIM_THREADS", util::NumberRule::Count,
+                            0.0, "using the hardware thread count");
+    if (n >= 1.0)
+        return static_cast<std::size_t>(n);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

@@ -131,7 +131,8 @@ class Pool
 
     /**
      * The pool size selected by the environment: MEGSIM_THREADS if
-     * set (clamped to >= 1), else std::thread::hardware_concurrency.
+     * it is a whole number >= 1, else std::thread::hardware_concurrency
+     * (any other set value warns, naming the variable and the value).
      */
     static std::size_t configuredThreads();
 

@@ -8,7 +8,8 @@
  * thread-local attribution of wall time to a small fixed set of host
  * domains (geometry, rasterization, shading, the simulated-memory
  * walk, I/O, analysis), published as `obs.host.<domain>.seconds` /
- * `.entries` stats and reported by `megsim-cli perf --attrib`.
+ * `.entries` stats and reported by `megsim-cli campaign --attrib`,
+ * which also records them in the run ledger's `attrib` event.
  *
  * Accounting is *exclusive*: entering a nested scope stops the clock
  * on the enclosing domain and restarts it on exit, so the per-domain

@@ -51,9 +51,7 @@ constexpr FieldSpec kRunStartFields[] = {
     {"fingerprint", FieldKind::Str, false},
     {"env", FieldKind::StrMap, false},
     {"mem_mode", FieldKind::Str, false},
-    // Trajectory mode: "exact" on every current run; older ledgers
-    // carry other modes. `perf --history` groups rows by it so modes
-    // never compare against each other.
+    // No longer written; kept so that older ledgers still validate.
     {"mode", FieldKind::Str, false},
 };
 
@@ -389,39 +387,6 @@ RunLedger::validateEvent(const Json &ev)
                           key.c_str());
     }
     return {};
-}
-
-LedgerSummary
-summarizeLedger(const std::string &path,
-                const std::vector<Json> &events)
-{
-    LedgerSummary row;
-    row.path = path;
-    for (const Json &ev : events) {
-        const std::string &type = ev.find("event")->asString();
-        if (type == "run_start") {
-            row.tool = ev.find("tool")->asString();
-            if (auto threads = ev.countAt("threads"); threads.ok())
-                row.threads = *threads;
-            // Pre-`mode` ledgers carried the trajectory mode in
-            // mem_mode (exact/fast); older ones were always exact.
-            if (const Json *mode = ev.find("mode"))
-                row.mode = mode->asString();
-            else if (const Json *mem = ev.find("mem_mode"))
-                row.mode = mem->asString();
-            else
-                row.mode = "exact";
-        } else if (type == "metrics") {
-            row.metrics.clear();
-            for (const auto &[key, value] :
-                 ev.find("values")->members())
-                row.metrics.emplace_back(key, value.asNumber());
-        } else if (type == "run_end") {
-            row.wallSeconds = ev.find("wall_seconds")->asNumber();
-            row.status = ev.find("status")->asString();
-        }
-    }
-    return row;
 }
 
 } // namespace msim::obs

@@ -1,7 +1,8 @@
 /**
  * @file
  * Machine-readable run ledger: an append-only JSONL event log written
- * next to campaign.json / BENCH_gpusim.json.
+ * next to campaign.json (or where --ledger points), and returned with
+ * every served request.
  *
  * One line per event, each a compact `util::Json` object carrying the
  * schema tag (`megsim-run-v1`), a monotonically increasing sequence
@@ -59,7 +60,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "resilience/expected.hh"
@@ -117,26 +117,6 @@ class RunLedger
     double start_;
     std::uint64_t seq_ = 0;
 };
-
-/** One ledger folded to a row for `megsim-cli perf --history`. */
-struct LedgerSummary
-{
-    std::string path;          // ledger file (basename in reports)
-    std::string tool;          // "campaign" / "perf"
-    // Trajectory mode: "exact" on every current run; ledgers from
-    // removed modes keep their old names. Falls back to the
-    // run_start mem_mode for pre-mode ledgers.
-    std::string mode = "exact";
-    std::size_t threads = 0;
-    std::string status;        // "ok" / "failed" / "" if no run_end
-    double wallSeconds = 0.0;
-    // metric name → value from the final `metrics` event.
-    std::vector<std::pair<std::string, double>> metrics;
-};
-
-/** Fold a parsed ledger into a summary row. */
-LedgerSummary summarizeLedger(const std::string &path,
-                              const std::vector<util::Json> &events);
 
 } // namespace msim::obs
 

@@ -12,9 +12,7 @@
  *                     request owns the fleet even while all its
  *                     remaining shards are backing off — younger
  *                     requests never jump the queue. This is the
- *                     pre-scheduler serving discipline, kept as the
- *                     baseline bench/serve measures fair-share
- *                     against.
+ *                     pre-scheduler serving discipline.
  *   FairShare         weighted fair queueing over tenants: among
  *                     dispatchable requests, the one whose tenant has
  *                     consumed the least virtual time (each dispatch

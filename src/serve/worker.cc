@@ -141,11 +141,9 @@ runShard(BenchState &bench, const ShardSpec &spec,
             ::sleep(3600); // until the supervisor's deadline SIGKILL
     }
 
-    // Optional per-shard think time modeling trace-ingest I/O: real
-    // graphics workloads replay API traces from disk, so shard wall
-    // time is wait-dominated, not CPU-dominated. bench/serve sets
-    // this to make the fleet's wait-overlap measurable on any core
-    // count; it is 0 (free) everywhere else.
+    // Optional per-shard think time before simulating: the CLI tests
+    // set it to keep a request in flight while another arrives; it is
+    // 0 (free) everywhere else.
     {
         static const long thinkMs = [] {
             const char *env = std::getenv("MEGSIM_SHARD_THINK_MS");

@@ -29,18 +29,19 @@ firstSighting(const char *name, const char *value)
     return seen.emplace(name, value).second;
 }
 
+} // namespace
+
 const char *
 describe(NumberRule rule)
 {
     switch (rule) {
       case NumberRule::NonNegative: return "a finite, non-negative number";
       case NumberRule::Whole: return "a non-negative whole number";
+      case NumberRule::Count: return "a whole number of at least 1";
       case NumberRule::Positive: return "a finite number above 0";
     }
     return "a number";
 }
-
-} // namespace
 
 std::optional<double>
 parseNumber(const char *text, NumberRule rule)
@@ -58,6 +59,9 @@ parseNumber(const char *text, NumberRule rule)
         break;
       case NumberRule::Whole:
         ok = value >= 0.0 && value == std::floor(value) && value < 0x1p64;
+        break;
+      case NumberRule::Count:
+        ok = value >= 1.0 && value == std::floor(value) && value < 0x1p64;
         break;
       case NumberRule::Positive:
         ok = value > 0.0;

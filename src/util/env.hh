@@ -18,11 +18,15 @@ namespace msim::util
 enum class NumberRule {
     NonNegative, // finite and >= 0
     Whole,       // a whole number >= 0, below 2^64
+    Count,       // a whole number >= 1, below 2^64
     Positive,    // finite and > 0
 };
 
 /** @p text as a number obeying @p rule, or nothing. */
 std::optional<double> parseNumber(const char *text, NumberRule rule);
+
+/** What @p rule accepts, in words ("a finite number above 0"). */
+const char *describe(NumberRule rule);
 
 /**
  * The environment variable @p name as a number obeying @p rule, or

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "scratch_dir.hh"
@@ -193,6 +194,83 @@ TEST(MegsimCli, BadUsageFailsCleanly)
         EXPECT_NE(slurp(log).find("--scale"), std::string::npos)
             << slurp(log);
     }
+
+    // And every other number that is not the number its option takes,
+    // named by the option, before anything runs (no case here would
+    // start a campaign or a server if the number were taken).
+    const struct
+    {
+        const char *args;
+        const char *option;
+    } badNumbers[] = {
+        {"stats --bench hcr --frame 5x", "--frame"},
+        {"stats --bench hcr --frame -1", "--frame"},
+        {"trace --bench hcr --frames 0:3x", "--frames"},
+        {"trace --bench hcr --frames 3:1", "--frames"},
+        {"stats --bench hcr --frame 0 --threads 2x", "--threads"},
+        {"stats --bench hcr --frame 0 --threads 0", "--threads"},
+        {"submit --workers 1.5", "--workers"},
+        {"serve --max-requests 2x", "--max-requests"},
+        {"serve --max-inflight 0", "--max-inflight"},
+        {"submit --weight abc", "--weight"},
+        {"submit --weight 0", "--weight"},
+    };
+    for (const auto &bad : badNumbers) {
+        const int rc = runCli(bad.args, log);
+        ASSERT_TRUE(WIFEXITED(rc)) << bad.args;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << bad.args << ": " << slurp(log);
+        EXPECT_NE(slurp(log).find(std::string(bad.option) + " needs"),
+                  std::string::npos)
+            << bad.args << ": " << slurp(log);
+    }
+
+    // The retired perf subcommand is an unknown command, and its
+    // options are unknown options.
+    const int perf = runCli("perf", log);
+    ASSERT_TRUE(WIFEXITED(perf));
+    EXPECT_EQ(WEXITSTATUS(perf), 2) << slurp(log);
+    EXPECT_NE(slurp(log).find("unknown command 'perf'"), std::string::npos)
+        << slurp(log);
+    for (const char *gone : {"--compare", "--band", "--strict",
+                             "--history"}) {
+        const int rc = runCli(std::string("ledger ") + gone, log);
+        ASSERT_TRUE(WIFEXITED(rc)) << gone;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << gone << ": " << slurp(log);
+        EXPECT_NE(slurp(log).find(std::string("unknown option '") + gone),
+                  std::string::npos)
+            << slurp(log);
+    }
+}
+
+TEST(MegsimCli, MalformedThreadCountWarnsAndUsesTheHardware)
+{
+    ASSERT_FALSE(cliPath.empty());
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path log = dir / "threads.log";
+    const std::filesystem::path cache = dir / "threads-cache";
+
+    // MEGSIM_THREADS=2x is not 2 threads: it warns, naming the
+    // variable and the value, and the pool takes the hardware count.
+    const char *outer = std::getenv("MEGSIM_THREADS");
+    const bool hadOuter = outer != nullptr;
+    const std::string saved = hadOuter ? outer : "";
+    ::setenv("MEGSIM_THREADS", "2x", 1);
+    ::setenv("MEGSIM_FRAME_LIMIT", "2", 1);
+    const int rc =
+        runCli("resume --bench hcr --cache-dir " + cache.string(), log);
+    ::unsetenv("MEGSIM_FRAME_LIMIT");
+    if (hadOuter)
+        ::setenv("MEGSIM_THREADS", saved.c_str(), 1);
+    else
+        ::unsetenv("MEGSIM_THREADS");
+    ASSERT_TRUE(WIFEXITED(rc)) << slurp(log);
+    EXPECT_EQ(WEXITSTATUS(rc), 0) << slurp(log);
+    const std::string text = slurp(log);
+    EXPECT_NE(text.find("MEGSIM_THREADS='2x'"), std::string::npos) << text;
+    const unsigned hw = std::thread::hardware_concurrency();
+    EXPECT_NE(text.find(", " + std::to_string(hw ? hw : 1) + " threads"),
+              std::string::npos)
+        << text;
 }
 
 TEST(MegsimCli, MalformedFrameLimitWarnsAndReadsAsUnset)

@@ -291,15 +291,6 @@ TEST_F(TelemetryTest, LedgerRoundTripsThroughStrictParser)
     for (std::size_t i = 0; i < events->size(); ++i)
         EXPECT_EQ((*events)[i].find("seq")->asNumber(),
                   static_cast<double>(i));
-
-    const LedgerSummary row = summarizeLedger("x.jsonl", *events);
-    EXPECT_EQ(row.tool, "test");
-    EXPECT_EQ(row.threads, 4u);
-    EXPECT_EQ(row.status, "ok");
-    EXPECT_DOUBLE_EQ(row.wallSeconds, 2.5);
-    ASSERT_EQ(row.metrics.size(), 1u);
-    EXPECT_EQ(row.metrics[0].first, "suite_reduction");
-    EXPECT_DOUBLE_EQ(row.metrics[0].second, 88.5);
 }
 
 TEST_F(TelemetryTest, LedgerRejectsUnknownField)

@@ -21,7 +21,6 @@
 #include "core/megsim.hh"
 #include "exec/pool.hh"
 #include "gpusim/gpu_config.hh"
-#include "perf/perf.hh"
 #include "workloads/workloads.hh"
 
 using namespace msim;
@@ -226,112 +225,4 @@ TEST_F(PerfGoldenTest, CheckpointJournalMatchesGolden)
          {std::size_t(1), std::size_t(2), std::size_t(8)})
         EXPECT_EQ(artifactBytes(threads), expected)
             << alias << " stats artifact at " << threads << " threads";
-}
-
-TEST(PerfReportTest, JsonRoundTripsDeterministicFields)
-{
-    perf::PerfOptions options;
-    options.benches = {"hcr"};
-    options.frames = 3;
-    auto report = perf::runHotpath(options);
-    ASSERT_TRUE(report.ok()) << report.error().message;
-    ASSERT_EQ(report->benches.size(), 1u);
-    EXPECT_EQ(report->benches[0].frames, 3u);
-    EXPECT_GT(report->benches[0].cycles, 0u);
-
-    auto parsed = perf::PerfReport::fromJson(report->toJson());
-    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-    EXPECT_EQ(parsed->benches[0].alias, report->benches[0].alias);
-    EXPECT_EQ(parsed->benches[0].frames, report->benches[0].frames);
-    EXPECT_EQ(parsed->benches[0].cycles, report->benches[0].cycles);
-    EXPECT_EQ(parsed->frameLimit, report->frameLimit);
-}
-
-TEST(PerfReportTest, CompareFlagsOnlyDeviationsBeyondBand)
-{
-    perf::PerfReport base;
-    base.benches.push_back({"hcr", 10, 1000, 1.0, 100.0, 1.0});
-    base.computeAggregates();
-
-    perf::PerfReport same = base;
-    EXPECT_TRUE(perf::compareReports(same, base, 25.0).empty());
-
-    perf::PerfReport slower = base;
-    slower.benches[0].framesPerSec = 50.0;
-    slower.benches[0].wallSeconds = 2.0;
-    slower.computeAggregates();
-    EXPECT_FALSE(perf::compareReports(slower, base, 25.0).empty());
-
-    // A big speedup also reports (trajectory point worth recording).
-    perf::PerfReport faster = base;
-    faster.benches[0].framesPerSec = 200.0;
-    faster.benches[0].wallSeconds = 0.5;
-    faster.computeAggregates();
-    EXPECT_FALSE(perf::compareReports(faster, base, 25.0).empty());
-
-    perf::PerfReport unknownSchema;
-    EXPECT_FALSE(
-        perf::PerfReport::fromJson(util::Json::object()).ok());
-}
-
-TEST(PerfReportTest, DeltasCarrySignAndModeSurvivesRoundTrip)
-{
-    perf::PerfReport base;
-    base.benches.push_back({"hcr", 10, 1000, 1.0, 100.0, 1.0});
-    base.computeAggregates();
-
-    // The structured form the strict gate consumes: a slowdown is a
-    // negative delta, a speedup positive, both beyond the band only.
-    perf::PerfReport slower = base;
-    slower.benches[0].framesPerSec = 50.0;
-    slower.computeAggregates();
-    const std::vector<perf::PerfDelta> down =
-        perf::comparePerfDeltas(slower, base, 25.0);
-    ASSERT_FALSE(down.empty());
-    for (const perf::PerfDelta &d : down)
-        EXPECT_LT(d.deltaPercent, 0.0);
-
-    perf::PerfReport faster = base;
-    faster.benches[0].framesPerSec = 200.0;
-    faster.computeAggregates();
-    const std::vector<perf::PerfDelta> up =
-        perf::comparePerfDeltas(faster, base, 25.0);
-    ASSERT_FALSE(up.empty());
-    for (const perf::PerfDelta &d : up)
-        EXPECT_GT(d.deltaPercent, 0.0);
-
-    // The exact mem_mode is written and a baseline without one (an
-    // older writer) loads; one from the removed sampled cache model is
-    // refused rather than compared.
-    const util::Json exact = base.toJson();
-    ASSERT_NE(exact.find("mem_mode"), nullptr);
-    EXPECT_EQ(exact.find("mem_mode")->asString(), "exact");
-    util::Json old = util::Json::object();
-    for (const auto &[key, value] : exact.members())
-        if (key != "mem_mode")
-            old.set(key, value);
-    auto legacy = perf::PerfReport::fromJson(old);
-    ASSERT_TRUE(legacy.ok()) << legacy.error().message;
-    EXPECT_EQ(legacy->framesPerSec, base.framesPerSec);
-
-    util::Json sampled = exact;
-    sampled.set("mem_mode", "fast");
-    auto refused = perf::PerfReport::fromJson(sampled);
-    ASSERT_FALSE(refused.ok());
-    EXPECT_EQ(refused.error().code, resilience::Errc::BadVersion);
-    EXPECT_NE(refused.error().message.find("'fast'"), std::string::npos)
-        << refused.error().message;
-    // A count that is negative, fractional or overflows to infinity
-    // is refused naming the key, never cast.
-    for (const char *bad : {"-1", "2.5", "1e400"}) {
-        util::Json broken = exact;
-        broken.set("frame_limit", *util::Json::parse(bad));
-        auto notCount = perf::PerfReport::fromJson(broken);
-        ASSERT_FALSE(notCount.ok()) << bad;
-        EXPECT_EQ(notCount.error().code, resilience::Errc::BadFormat)
-            << bad;
-        EXPECT_NE(notCount.error().message.find("'frame_limit'"),
-                  std::string::npos)
-            << notCount.error().message;
-    }
 }

@@ -59,26 +59,6 @@
  *       "exact" (written by a removed mode) fails to load and exits
  *       3, naming the file.
  *
- *   megsim-cli perf [--frames N] [--out BENCH_gpusim.json]
- *                   [--benches A,B,C] [--compare BASELINE.json]
- *                   [--band PCT] [--strict]
- *       Run the hot-path microbench (pure timing-simulator
- *       throughput, no cache/pool) and emit the versioned
- *       BENCH_gpusim.json perf report plus its run ledger. --compare
- *       prints warn-only deviations beyond the +-PCT band (default
- *       25) against a committed baseline — wall clocks are
- *       machine-dependent, so by default deviations never fail the
- *       run. With --strict a regression beyond the band exits 10,
- *       and an improvement beyond the band prints the cp command that
- *       refreshes the committed baseline (and still exits 0). A
- *       baseline whose mem_mode is not "exact" fails to load (exit 3).
- *
- *   megsim-cli perf --history DIR
- *       Fold every *.jsonl run ledger under DIR into a trajectory
- *       table (tool, mode, threads, status, wall seconds, final
- *       metrics). The mode column keeps rows from older ledgers of
- *       other modes visually separate.
- *
  *   megsim-cli ledger --validate PATH
  *       Strictly round-trip a run ledger through the util/json parser
  *       and the megsim-run-v1 schema; exits 7 on any unknown event,
@@ -93,28 +73,28 @@
  * for Perfetto; MEGSIM_TIMELINE=PATH is the env equivalent).
  *
  * Exit codes are distinct per failure class so CI can gate on them:
- * 0 success, 1 runtime/simulation failure, 2 usage, 3 load failure
- * (unknown alias, missing/unreadable input file), 4 cache
- * verification failure, 5 threshold breach, 6 report diff mismatch,
- * 7 invalid run ledger, 8 degraded campaign (quarantined shards),
- * 9 serve queue full, 10 strict perf regression (--strict with a
- * deviation below the band). Failures print the offending path or
- * alias.
+ * 0 success, 1 runtime/simulation failure, 2 usage (including a
+ * malformed number, named with its option), 3 load failure (unknown
+ * alias, missing/unreadable input file), 4 cache verification
+ * failure, 5 threshold breach, 6 report diff mismatch, 7 invalid run
+ * ledger, 8 degraded campaign (quarantined shards), 9 serve queue
+ * full; 10 is retired and stays unused. Failures print the offending
+ * path or alias.
+ *
+ * Timing is measured by perfbench (BENCHMARK.json), not by this tool.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "batch/campaign.hh"
 #include "core/megsim.hh"
-#include "perf/perf.hh"
 #include "exec/pool.hh"
 #include "gpusim/gpu_config.hh"
 #include "gpusim/timing_simulator.hh"
@@ -149,7 +129,6 @@ constexpr int kExitDiffMismatch = 6;
 constexpr int kExitLedgerInvalid = 7;
 constexpr int kExitDegraded = 8;
 constexpr int kExitQueueFull = 9;
-constexpr int kExitPerfRegression = 10;
 
 struct Options
 {
@@ -162,17 +141,14 @@ struct Options
     std::string cacheDir;
     std::string check; // campaign: thresholds file
     std::string report = "campaign.json";
-    std::string compare; // perf: baseline report for warn-only diff
     std::string diffA, diffB; // campaign: reports to compare
     std::string ledger;   // run-ledger path ("" = next to report)
     std::string timeline; // Chrome timeline path ("" = MEGSIM_TIMELINE)
-    std::string history;  // perf: directory of run ledgers
     std::string validate; // ledger: file to schema-check
     std::string socket;   // serve/submit: unix socket path
     std::string policy;   // serve: scheduling policy name
     std::string tenant;   // submit: fair-share tenant label
     double weight = 1.0;  // submit: fair-share weight
-    double band = 25.0;  // perf: comparison band (percent)
     std::size_t maxInflight = 0; // serve: 0 = env / built-in default
     std::size_t workers = 0; // supervised workers (0 = in-process)
     std::size_t maxRequests = 0; // serve: 0 = serve forever
@@ -181,7 +157,6 @@ struct Options
     double scale = 1.0;
     std::size_t threads = 0; // 0 = keep MEGSIM_THREADS / hw default
     bool baseline = false;
-    bool strict = false;  // perf/serve compare: gate instead of warn
     bool purge = false;
     bool outSet = false;
     bool attrib = false; // host-cost attribution report
@@ -210,34 +185,59 @@ usage(const char *argv0)
         "       %s submit --socket PATH [--benches A,B,C]"
         " [--tenant NAME] [--weight W]"
         " [--out REPORT.json] [--ledger PATH]\n"
-        "       %s perf [--frames N] [--out BENCH_gpusim.json]"
-        " [--benches A,B,C] [--compare BASELINE.json] [--band PCT]"
-        " [--strict]\n"
-        "       %s perf --history DIR\n"
         "       %s ledger --validate PATH\n"
         "options: --scale S, --baseline, --threads N, --attrib,"
         " --timeline PATH\n"
         "benches:",
         argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-        argv0, argv0, argv0);
+        argv0);
     for (const std::string &alias : workloads::benchmarkNames())
         std::fprintf(stderr, " %s", alias.c_str());
     std::fprintf(stderr, "\n");
     return kExitUsage;
 }
 
+/**
+ * Option @p name's value @p text as a number obeying @p rule, stored in
+ * @p out. A missing or malformed value names the option and fails the
+ * parse (a usage error).
+ */
+template <typename T>
 bool
-parseRange(const char *text, std::size_t &begin, std::size_t &end)
+numberOption(const char *name, const char *text, util::NumberRule rule,
+             T &out)
 {
-    const char *colon = std::strchr(text, ':');
-    if (!colon) {
-        begin = static_cast<std::size_t>(std::atoll(text));
-        end = begin + 1;
-        return true;
+    const std::optional<double> value = util::parseNumber(text, rule);
+    if (!value) {
+        std::fprintf(stderr, "%s needs %s\n", name, util::describe(rule));
+        return false;
     }
-    begin = static_cast<std::size_t>(std::atoll(text));
-    end = static_cast<std::size_t>(std::atoll(colon + 1));
-    return end > begin;
+    out = static_cast<T>(*value);
+    return true;
+}
+
+/** "N" (frame N) or "A:B" (frames A to B-1), whole numbers, A < B. */
+bool
+parseRange(const char *name, const char *text, std::size_t &begin,
+           std::size_t &end)
+{
+    const std::string range = text ? text : "";
+    const std::size_t colon = range.find(':');
+    const bool single = colon == std::string::npos;
+    const std::optional<double> a = util::parseNumber(
+        range.substr(0, colon).c_str(), util::NumberRule::Whole);
+    const std::optional<double> b =
+        single ? a
+               : util::parseNumber(range.c_str() + colon + 1,
+                                   util::NumberRule::Whole);
+    if (!a || !b || (!single && *b <= *a)) {
+        std::fprintf(stderr, "%s needs a frame N or a range A:B of whole "
+                     "numbers with A < B\n", name);
+        return false;
+    }
+    begin = static_cast<std::size_t>(*a);
+    end = single ? begin + 1 : static_cast<std::size_t>(*b);
+    return true;
 }
 
 bool
@@ -257,8 +257,8 @@ parse(int argc, char **argv, Options &opt)
                 return false;
             opt.bench = v;
         } else if (arg == "--frame" || arg == "--frames") {
-            const char *v = next();
-            if (!v || !parseRange(v, opt.frameBegin, opt.frameEnd))
+            if (!parseRange(arg.c_str(), next(), opt.frameBegin,
+                            opt.frameEnd))
                 return false;
         } else if (arg == "--filter") {
             const char *v = next();
@@ -282,11 +282,6 @@ parse(int argc, char **argv, Options &opt)
             if (!v)
                 return false;
             opt.check = v;
-        } else if (arg == "--compare") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opt.compare = v;
         } else if (arg == "--diff") {
             const char *a = next();
             const char *b = next();
@@ -304,11 +299,6 @@ parse(int argc, char **argv, Options &opt)
             if (!v)
                 return false;
             opt.timeline = v;
-        } else if (arg == "--history") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opt.history = v;
         } else if (arg == "--validate") {
             const char *v = next();
             if (!v)
@@ -316,36 +306,23 @@ parse(int argc, char **argv, Options &opt)
             opt.validate = v;
         } else if (arg == "--attrib") {
             opt.attrib = true;
-        } else if (arg == "--band") {
-            const char *v = next();
-            if (!v || std::atof(v) <= 0.0)
-                return false;
-            opt.band = std::atof(v);
         } else if (arg == "--csv") {
             const char *v = next();
             if (!v)
                 return false;
             opt.csv = v;
         } else if (arg == "--scale") {
-            const char *v = next();
-            const auto scale =
-                util::parseNumber(v, util::NumberRule::Positive);
-            if (!scale) {
-                std::fprintf(stderr,
-                             "--scale needs a finite number above 0\n");
+            if (!numberOption("--scale", next(),
+                              util::NumberRule::Positive, opt.scale))
                 return false;
-            }
-            opt.scale = *scale;
         } else if (arg == "--threads") {
-            const char *v = next();
-            if (!v || std::atoll(v) < 1)
+            if (!numberOption("--threads", next(),
+                              util::NumberRule::Count, opt.threads))
                 return false;
-            opt.threads = static_cast<std::size_t>(std::atoll(v));
         } else if (arg == "--workers") {
-            const char *v = next();
-            if (!v || std::atoll(v) < 0)
+            if (!numberOption("--workers", next(),
+                              util::NumberRule::Whole, opt.workers))
                 return false;
-            opt.workers = static_cast<std::size_t>(std::atoll(v));
             opt.workersSet = true;
         } else if (arg == "--socket") {
             const char *v = next();
@@ -353,32 +330,27 @@ parse(int argc, char **argv, Options &opt)
                 return false;
             opt.socket = v;
         } else if (arg == "--max-requests") {
-            const char *v = next();
-            if (!v || std::atoll(v) < 0)
+            if (!numberOption("--max-requests", next(),
+                              util::NumberRule::Whole, opt.maxRequests))
                 return false;
-            opt.maxRequests =
-                static_cast<std::size_t>(std::atoll(v));
         } else if (arg == "--policy") {
             const char *v = next();
             if (!v)
                 return false;
             opt.policy = v;
         } else if (arg == "--max-inflight") {
-            const char *v = next();
-            if (!v || std::atoll(v) < 1)
+            if (!numberOption("--max-inflight", next(),
+                              util::NumberRule::Count, opt.maxInflight))
                 return false;
-            opt.maxInflight =
-                static_cast<std::size_t>(std::atoll(v));
         } else if (arg == "--tenant") {
             const char *v = next();
             if (!v)
                 return false;
             opt.tenant = v;
         } else if (arg == "--weight") {
-            const char *v = next();
-            if (!v || std::atof(v) <= 0.0)
+            if (!numberOption("--weight", next(),
+                              util::NumberRule::Positive, opt.weight))
                 return false;
-            opt.weight = std::atof(v);
             opt.weightSet = true;
         } else if (arg == "--cache-dir") {
             const char *v = next();
@@ -387,8 +359,6 @@ parse(int argc, char **argv, Options &opt)
             opt.cacheDir = v;
         } else if (arg == "--baseline") {
             opt.baseline = true;
-        } else if (arg == "--strict") {
-            opt.strict = true;
         } else if (arg == "--purge") {
             opt.purge = true;
         } else {
@@ -397,11 +367,15 @@ parse(int argc, char **argv, Options &opt)
             return false;
         }
     }
-    return opt.command == "stats" || opt.command == "trace" ||
-           opt.command == "resume" || opt.command == "verify-cache" ||
-           opt.command == "campaign" || opt.command == "perf" ||
-           opt.command == "ledger" || opt.command == "serve" ||
-           opt.command == "submit";
+    const bool known =
+        opt.command == "stats" || opt.command == "trace" ||
+        opt.command == "resume" || opt.command == "verify-cache" ||
+        opt.command == "campaign" || opt.command == "ledger" ||
+        opt.command == "serve" || opt.command == "submit";
+    if (!known)
+        std::fprintf(stderr, "unknown command '%s'\n",
+                     opt.command.c_str());
+    return known;
 }
 
 std::string
@@ -547,31 +521,29 @@ envManifest()
 }
 
 /**
- * The shared run_start manifest for campaign and perf ledgers.
- * @p workers is the supervised worker-process count (0 = in-process).
+ * The campaign ledger's run_start manifest. @p workers is the
+ * supervised worker-process count (0 = in-process).
  */
 void
-ledgerRunStart(obs::RunLedger &ledger, const char *tool,
-               std::size_t threads, std::size_t frameLimit,
-               double scale, bool baseline,
+ledgerRunStart(obs::RunLedger &ledger, std::size_t threads,
+               std::size_t frameLimit, double scale,
                const std::vector<std::string> &benches,
-               std::size_t workers = 0)
+               std::size_t workers)
 {
     const gpusim::GpuConfig config =
-        baseline ? gpusim::GpuConfig::baseline()
-                 : gpusim::GpuConfig::evaluationScaled();
+        gpusim::GpuConfig::evaluationScaled();
     char fingerprint[20];
     std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
                   static_cast<unsigned long long>(
                       config.fingerprint()));
 
     util::Json fields = util::Json::object();
-    fields.set("tool", tool);
+    fields.set("tool", "campaign");
     fields.set("threads", threads);
     fields.set("workers", workers);
     fields.set("frame_limit", frameLimit);
     fields.set("scale", scale);
-    fields.set("gpu_profile", baseline ? "baseline" : "evaluation");
+    fields.set("gpu_profile", "evaluation");
     util::Json aliases = util::Json::array();
     for (const std::string &alias : benches)
         aliases.push(alias);
@@ -579,9 +551,6 @@ ledgerRunStart(obs::RunLedger &ledger, const char *tool,
     fields.set("fingerprint", fingerprint);
     fields.set("env", envManifest());
     fields.set("mem_mode", gpusim::kMemMode);
-    // The trajectory mode `perf --history` groups rows by; only
-    // ledgers of removed modes carry another value.
-    fields.set("mode", "exact");
     ledger.event("run_start", std::move(fields));
 }
 
@@ -753,9 +722,8 @@ runCampaign(const Options &opt)
     const std::vector<std::string> aliases =
         config.benches.empty() ? workloads::benchmarkNames()
                                : config.benches;
-    ledgerRunStart(ledger, "campaign", exec::Pool::global().workers(),
-                   config.frameLimit, config.scale, false, aliases,
-                   opt.workers);
+    ledgerRunStart(ledger, exec::Pool::global().workers(),
+                   config.frameLimit, config.scale, aliases, opt.workers);
 
     auto result = [&]() {
         if (opt.workers > 0) {
@@ -1002,58 +970,6 @@ runSubmit(const Options &opt)
 }
 
 int
-runHistory(const Options &opt)
-{
-    std::vector<std::string> paths;
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(opt.history, ec))
-        if (entry.path().extension() == ".jsonl")
-            paths.push_back(entry.path().string());
-    if (ec) {
-        std::fprintf(stderr, "cannot read directory '%s': %s\n",
-                     opt.history.c_str(), ec.message().c_str());
-        return kExitLoadFailure;
-    }
-    std::sort(paths.begin(), paths.end());
-
-    std::size_t loaded = 0;
-    // The mode column keeps rows of older ledgers written in other
-    // modes visually separate — they are never comparable.
-    std::printf("%-28s %-9s %-18s %4s %-16s %8s  %s\n", "ledger",
-                "tool", "mode", "thr", "status", "wall_s", "metrics");
-    for (const std::string &path : paths) {
-        auto events = obs::RunLedger::load(path);
-        if (!events.ok()) {
-            std::fprintf(stderr, "skipping '%s': %s\n", path.c_str(),
-                         events.error().message.c_str());
-            continue;
-        }
-        const obs::LedgerSummary row =
-            obs::summarizeLedger(path, *events);
-        std::printf("%-28s %-9s %-18s %4zu %-16s %8.3f ",
-                    std::filesystem::path(row.path)
-                        .filename()
-                        .string()
-                        .c_str(),
-                    row.tool.c_str(), row.mode.c_str(), row.threads,
-                    row.status.empty() ? "(no run_end)"
-                                       : row.status.c_str(),
-                    row.wallSeconds);
-        for (const auto &[name, value] : row.metrics)
-            std::printf(" %s=%.4g", name.c_str(), value);
-        std::printf("\n");
-        ++loaded;
-    }
-    if (loaded == 0) {
-        std::fprintf(stderr, "no valid run ledgers under '%s'\n",
-                     opt.history.c_str());
-        return kExitLoadFailure;
-    }
-    return kExitOk;
-}
-
-int
 runLedgerValidate(const Options &opt)
 {
     if (opt.validate.empty()) {
@@ -1075,157 +991,6 @@ runLedgerValidate(const Options &opt)
     }
     std::printf("ledger ok: %s (%zu events)\n", opt.validate.c_str(),
                 events->size());
-    return kExitOk;
-}
-
-int
-runPerf(const Options &opt)
-{
-    if (!opt.history.empty())
-        return runHistory(opt);
-
-    perf::PerfOptions options;
-    options.benches = splitCsvList(opt.benches);
-    options.frames = opt.frameBegin; // --frames N = frames per bench
-    options.scale = opt.scale;
-    options.baseline = opt.baseline;
-
-    // Load the baseline up front so a typoed path fails fast.
-    perf::PerfReport baselineReport;
-    bool haveBaseline = false;
-    if (!opt.compare.empty()) {
-        auto loaded = perf::PerfReport::load(opt.compare);
-        if (!loaded.ok()) {
-            std::fprintf(stderr, "cannot load baseline '%s': %s\n",
-                         opt.compare.c_str(),
-                         loaded.error().message.c_str());
-            return kExitLoadFailure;
-        }
-        baselineReport = *loaded;
-        haveBaseline = true;
-    }
-
-    auto report = perf::runHotpath(options);
-    if (!report.ok()) {
-        const bool load =
-            report.error().code == resilience::Errc::UnknownAlias;
-        std::fprintf(stderr, "perf failed: %s\n",
-                     report.error().message.c_str());
-        return load ? kExitLoadFailure : kExitRuntime;
-    }
-
-    std::printf("# perf: %zu benchmarks, frame limit %zu, "
-                "%.1f frames/sec, %.1f Mcycles/sec\n",
-                report->benches.size(), report->frameLimit,
-                report->framesPerSec, report->mcyclesPerSec);
-    std::printf("%-10s %8s %10s %12s %14s\n", "benchmark", "frames",
-                "wall_s", "frames/s", "Mcycles/s");
-    for (const perf::BenchPerf &b : report->benches)
-        std::printf("%-10s %8zu %10.3f %12.1f %14.1f\n",
-                    b.alias.c_str(), b.frames, b.wallSeconds,
-                    b.framesPerSec, b.mcyclesPerSec);
-    for (const perf::PhaseSplit &p : report->phases)
-        std::printf("  phase %-10s %10.3f s\n", p.name.c_str(),
-                    p.seconds);
-
-    const std::string out =
-        opt.outSet ? opt.out : std::string("BENCH_gpusim.json");
-    if (auto saved = report->save(out); !saved.ok()) {
-        std::fprintf(stderr, "cannot write report '%s': %s\n",
-                     out.c_str(), saved.error().message.c_str());
-        return kExitRuntime;
-    }
-    std::printf("report: %s\n", out.c_str());
-
-    // The perf run ledger, next to BENCH_gpusim.json. The harness is
-    // deliberately poolless, so the manifest records one thread.
-    obs::RunLedger ledger;
-    std::vector<std::string> aliases;
-    for (const perf::BenchPerf &b : report->benches)
-        aliases.push_back(b.alias);
-    ledgerRunStart(ledger, "perf", 1, report->frameLimit,
-                   report->scale, report->baseline, aliases);
-    for (const perf::PhaseSplit &p : report->phases) {
-        util::Json fields = util::Json::object();
-        fields.set("name", p.name);
-        fields.set("seconds", p.seconds);
-        ledger.event("phase", std::move(fields));
-    }
-    for (const perf::BenchPerf &b : report->benches) {
-        util::Json fields = util::Json::object();
-        fields.set("alias", b.alias);
-        fields.set("frames", b.frames);
-        fields.set("wall_seconds", b.wallSeconds);
-        ledger.event("bench", std::move(fields));
-    }
-    if (obs::hostAttribEnabled())
-        ledgerAttrib(ledger, report->totalWallSeconds);
-    {
-        util::Json values = util::Json::object();
-        values.set("frames_per_sec", report->framesPerSec);
-        values.set("mcycles_per_sec", report->mcyclesPerSec);
-        values.set("total_frames", report->totalFrames);
-        values.set("total_cycles",
-                   static_cast<double>(report->totalCycles));
-        util::Json fields = util::Json::object();
-        fields.set("values", std::move(values));
-        ledger.event("metrics", std::move(fields));
-    }
-    {
-        util::Json fields = util::Json::object();
-        fields.set("wall_seconds", report->totalWallSeconds);
-        fields.set("status", "ok");
-        ledger.event("run_end", std::move(fields));
-    }
-    const std::string ledgerPath =
-        !opt.ledger.empty() ? opt.ledger : defaultLedgerPath(out);
-    if (auto saved = ledger.save(ledgerPath); !saved.ok())
-        std::fprintf(stderr, "cannot write ledger '%s': %s\n",
-                     ledgerPath.c_str(),
-                     saved.error().message.c_str());
-    else
-        std::printf("ledger: %s (%zu events)\n", ledgerPath.c_str(),
-                    ledger.size());
-
-    writeTimelineIfEnabled(opt);
-    if (obs::hostAttribEnabled())
-        printAttrib();
-
-    if (haveBaseline) {
-        const std::vector<perf::PerfDelta> deltas =
-            perf::comparePerfDeltas(*report, baselineReport,
-                                    opt.band);
-        bool regression = false;
-        bool improvement = false;
-        for (const perf::PerfDelta &d : deltas) {
-            std::fprintf(stderr,
-                         "perf %s: %s: %.1f frames/sec vs baseline "
-                         "%.1f (%+.1f%%, band +-%.0f%%)\n",
-                         opt.strict ? "delta" : "warning",
-                         d.what.c_str(), d.current, d.baseline,
-                         d.deltaPercent, opt.band);
-            (d.deltaPercent < 0.0 ? regression : improvement) = true;
-        }
-        if (deltas.empty())
-            std::printf("within +-%.0f%% of baseline %s\n", opt.band,
-                        opt.compare.c_str());
-        if (opt.strict && regression) {
-            std::fprintf(stderr,
-                         "perf --strict: regression beyond the "
-                         "+-%.0f%% band vs %s\n",
-                         opt.band, opt.compare.c_str());
-            return kExitPerfRegression;
-        }
-        if (opt.strict && improvement)
-            // Faster than the committed trajectory: not a failure,
-            // but the baseline is stale — tell CI readers how to
-            // record the new operating point.
-            std::printf("perf improved beyond the band; refresh the "
-                        "committed baseline:\n  cp %s %s\n",
-                        out.c_str(), opt.compare.c_str());
-        // Without --strict this stays warn-only by design: wall
-        // clocks differ across machines.
-    }
     return kExitOk;
 }
 
@@ -1338,8 +1103,6 @@ main(int argc, char **argv)
         return runServe(opt);
     if (opt.command == "submit")
         return runSubmit(opt);
-    if (opt.command == "perf")
-        return runPerf(opt);
     if (opt.command == "ledger")
         return runLedgerValidate(opt);
     return runVerifyCache(opt);
