@@ -27,11 +27,9 @@ counterValue(const char *name)
 /** One benchmark moving through the campaign. */
 struct Campaign::Item
 {
-    std::string alias;
-    gfx::SceneTrace scene;
-    std::unique_ptr<megsim::BenchmarkData> data;
-    std::string cacheStatus = "built";
-    std::size_t resumedFrames = 0;
+    explicit Item(std::unique_ptr<SuiteBench> b) : bench(std::move(b)) {}
+
+    std::unique_ptr<SuiteBench> bench;
     /** Non-null while the benchmark's ground truth is in flight. */
     std::unique_ptr<megsim::GroundTruthPass> pass;
     /** First global frame index of this benchmark in the shared job. */
@@ -85,23 +83,92 @@ analyzeBenchmark(const std::string &alias,
     return report;
 }
 
-BenchmarkReport
-Campaign::analyze(Item &item)
+bool
+SuiteBench::needsGroundTruth()
 {
-    BenchmarkReport report =
-        analyzeBenchmark(item.alias, *item.data, config_.megsim);
-    report.resumedFrames = item.resumedFrames;
-    report.cacheStatus = item.cacheStatus;
+    switch (data->probeCaches()) {
+      case megsim::CacheProbe::Loaded:
+        cacheStatus = "fresh";
+        return false;
+      case megsim::CacheProbe::Invalid:
+        cacheStatus = "rebuilt";
+        return true;
+      case megsim::CacheProbe::Missing:
+        break;
+    }
+    cacheStatus = "built";
+    return true;
+}
+
+BenchmarkReport
+SuiteBench::analyze(const megsim::MegsimConfig &config)
+{
+    BenchmarkReport report = analyzeBenchmark(alias, *data, config);
+    report.resumedFrames = resumedFrames;
+    report.cacheStatus = cacheStatus;
     return report;
+}
+
+resilience::Expected<std::vector<std::unique_ptr<SuiteBench>>>
+loadSuite(const CampaignConfig &config,
+          const std::vector<std::string> &aliases)
+{
+    obs::AttribScope loadScope(obs::HostDomain::Load);
+    std::vector<std::unique_ptr<SuiteBench>> suite;
+    for (const std::string &alias :
+         aliases.empty() ? workloads::benchmarkNames() : aliases) {
+        auto built = workloads::tryBuildBenchmark(
+            alias, config.scale, config.frameLimit);
+        if (!built.ok())
+            return built.error();
+        auto bench = std::make_unique<SuiteBench>();
+        bench->alias = alias;
+        bench->scene = std::move(*built);
+        bench->data = std::make_unique<megsim::BenchmarkData>(
+            bench->scene, gpusim::GpuConfig::evaluationScaled(),
+            config.cacheDir);
+        suite.push_back(std::move(bench));
+    }
+    return suite;
+}
+
+RunStart
+RunStart::now()
+{
+    RunStart start;
+    start.wallSeconds = obs::wallSeconds();
+    start.poolBusySeconds = counterValue("exec.pool.busy_seconds");
+    start.poolJobSeconds = counterValue("exec.pool.job_seconds");
+    return start;
+}
+
+void
+finishReport(CampaignReport &report, const RunStart &start)
+{
+    exec::Pool &pool = exec::Pool::global();
+    report.threads = pool.workers();
+    report.computeAggregates();
+    report.wallSeconds = obs::wallSeconds() - start.wallSeconds;
+
+    const double busy =
+        counterValue("exec.pool.busy_seconds") - start.poolBusySeconds;
+    const double jobSeconds =
+        counterValue("exec.pool.job_seconds") - start.poolJobSeconds;
+    const double capacity =
+        static_cast<double>(pool.workers()) * jobSeconds;
+    report.poolUtilization =
+        capacity > 0.0
+            ? (busy < capacity ? busy / capacity : 1.0)
+            : 1.0;
+
+    publishCampaignStats(report);
 }
 
 resilience::Expected<CampaignReport>
 Campaign::run()
 {
-    const double t0 = obs::wallSeconds();
+    const RunStart start = RunStart::now();
     exec::Pool &pool = exec::Pool::global();
-    const double busy0 = counterValue("exec.pool.busy_seconds");
-    const double job0 = counterValue("exec.pool.job_seconds");
     // Window the caller thread's host-cost attribution over the whole
     // campaign: uncovered time lands in obs.host.other, so the report
     // can state what share of wall time the named domains explain.
@@ -113,20 +180,11 @@ Campaign::run()
     {
         obs::TimelineRecorder::Span loadSpan("campaign.load_scenes",
                                              config_.benches.size());
-        obs::AttribScope loadScope(obs::HostDomain::Load);
-        for (const std::string &alias : config_.benches) {
-            auto built = workloads::tryBuildBenchmark(
-                alias, config_.scale, config_.frameLimit);
-            if (!built.ok())
-                return built.error();
-            auto item = std::make_unique<Item>();
-            item->alias = alias;
-            item->scene = std::move(*built);
-            item->data = std::make_unique<megsim::BenchmarkData>(
-                item->scene, gpusim::GpuConfig::evaluationScaled(),
-                config_.cacheDir);
-            items_.push_back(std::move(item));
-        }
+        auto suite = loadSuite(config_, config_.benches);
+        if (!suite.ok())
+            return suite.error();
+        for (std::unique_ptr<SuiteBench> &bench : *suite)
+            items_.push_back(std::make_unique<Item>(std::move(bench)));
     }
 
     // 2. Probe the caches: fresh benchmarks go straight to analysis,
@@ -136,22 +194,9 @@ Campaign::run()
     {
         obs::TimelineRecorder::Span probeSpan("campaign.probe",
                                               items_.size());
-        for (auto &item : items_) {
-            switch (item->data->probeCaches()) {
-              case megsim::CacheProbe::Loaded:
-                item->cacheStatus = "fresh";
-                fresh.push_back(item.get());
-                break;
-              case megsim::CacheProbe::Invalid:
-                item->cacheStatus = "rebuilt";
-                regen.push_back(item.get());
-                break;
-              case megsim::CacheProbe::Missing:
-                item->cacheStatus = "built";
-                regen.push_back(item.get());
-                break;
-            }
-        }
+        for (auto &item : items_)
+            (item->bench->needsGroundTruth() ? regen : fresh)
+                .push_back(item.get());
     }
 
     // 3. The shared job. Item space: one analysis unit per fresh
@@ -166,8 +211,8 @@ Campaign::run()
     std::vector<Item *> pending;
     for (Item *item : regen) {
         item->pass = std::make_unique<megsim::GroundTruthPass>(
-            *item->data, pool.workers());
-        item->resumedFrames = item->pass->resumedFrames();
+            *item->bench->data, pool.workers());
+        item->bench->resumedFrames = item->pass->resumedFrames();
         if (item->pass->remaining() == 0) {
             // A previous run died between the cache store and the
             // journal discard: the journal already holds every frame.
@@ -213,7 +258,8 @@ Campaign::run()
                 // Nested pipeline calls degrade to inline serial on
                 // this worker — clustering is thread-count-invariant,
                 // so the numbers still match a pool-parallel run.
-                out.report = analyze(*fresh[unit]);
+                out.report =
+                    fresh[unit]->bench->analyze(config_.megsim);
                 return out;
             }
             Item *item = ownerOf(unit);
@@ -242,34 +288,18 @@ Campaign::run()
     if (!job.ok())
         return job.error();
 
-    CampaignReport report;
-    report.threads = pool.workers();
     // 4. Regenerated benchmarks analyze at top level, where
     // clustering fans out over the (now idle) pool exactly like the
     // single-benchmark drivers.
+    CampaignReport report;
     for (auto &item : items_) {
         if (!item->analyzed) {
-            item->report = analyze(*item);
+            item->report = item->bench->analyze(config_.megsim);
             item->analyzed = true;
         }
-    }
-
-    for (auto &item : items_)
         report.benchmarks.push_back(item->report);
-    report.computeAggregates();
-    report.wallSeconds = obs::wallSeconds() - t0;
-
-    const double busy = counterValue("exec.pool.busy_seconds") - busy0;
-    const double jobSeconds =
-        counterValue("exec.pool.job_seconds") - job0;
-    const double capacity =
-        static_cast<double>(pool.workers()) * jobSeconds;
-    report.poolUtilization =
-        capacity > 0.0
-            ? (busy < capacity ? busy / capacity : 1.0)
-            : 1.0;
-
-    publishCampaignStats(report);
+    }
+    finishReport(report, start);
     return report;
 }
 

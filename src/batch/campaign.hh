@@ -62,12 +62,68 @@ struct CampaignConfig
 /**
  * Analyze one benchmark whose ground truth is available (cached,
  * regenerated or installed) and fold it into a report row. Shared by
- * the in-process Campaign and the supervised serve::Supervisor so
- * both runners produce bit-identical rows from identical frames.
+ * the in-process Campaign and the supervised sched::Scheduler so both
+ * runners produce bit-identical rows from identical frames.
  */
 BenchmarkReport analyzeBenchmark(const std::string &alias,
                                  megsim::BenchmarkData &data,
                                  const megsim::MegsimConfig &config);
+
+/**
+ * One benchmark of a suite run, loaded the same way by the in-process
+ * Campaign and by each request of the supervised sched::Scheduler.
+ * Held by pointer: data refers to scene.
+ */
+struct SuiteBench
+{
+    std::string alias;
+    gfx::SceneTrace scene;
+    std::unique_ptr<megsim::BenchmarkData> data;
+    /** The report row's ground-truth provenance (BenchmarkReport). */
+    std::string cacheStatus = "built";
+    std::size_t resumedFrames = 0;
+
+    /**
+     * Probe the ground-truth caches and record the outcome: "fresh"
+     * when both loaded, else "rebuilt" (stale or corrupt) or "built"
+     * (absent). True when the ground truth must be regenerated.
+     */
+    bool needsGroundTruth();
+
+    /** analyzeBenchmark() of this benchmark, with its provenance. */
+    BenchmarkReport analyze(const megsim::MegsimConfig &config);
+};
+
+/**
+ * Compose the scene of every alias in @p aliases (empty = the full
+ * Table II suite) at @p config's scale and frame limit, keyed for
+ * @p config's cache under the evaluation GPU profile. An unknown alias
+ * fails the whole suite before any simulation work starts.
+ */
+resilience::Expected<std::vector<std::unique_ptr<SuiteBench>>>
+loadSuite(const CampaignConfig &config,
+          const std::vector<std::string> &aliases);
+
+/**
+ * Where a suite run started: the wall clock and the pool's busy and
+ * job counters, read from the current (possibly per-request) stats
+ * registry.
+ */
+struct RunStart
+{
+    double wallSeconds = 0.0;
+    double poolBusySeconds = 0.0;
+    double poolJobSeconds = 0.0;
+
+    static RunStart now();
+};
+
+/**
+ * Complete @p report once its rows are in: thread count, aggregates,
+ * wall time and pool utilization since @p start, then
+ * publishCampaignStats().
+ */
+void finishReport(CampaignReport &report, const RunStart &start);
 
 /** Publish campaign.<alias>.* / campaign.suite.* stats. */
 void publishCampaignStats(const CampaignReport &report);
@@ -89,8 +145,6 @@ class Campaign
 
   private:
     struct Item;
-
-    BenchmarkReport analyze(Item &item);
 
     CampaignConfig config_;
     std::vector<std::unique_ptr<Item>> items_;

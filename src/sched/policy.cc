@@ -3,58 +3,9 @@
 namespace msim::sched
 {
 
-using resilience::Errc;
-using resilience::errorf;
-using resilience::Expected;
-
-const char *
-policyName(Policy policy)
-{
-    switch (policy) {
-      case Policy::Fifo: return "fifo";
-      case Policy::FairShare: return "fair";
-      case Policy::ShortestRemaining: return "srs";
-    }
-    return "?";
-}
-
-Expected<Policy>
-parsePolicy(const std::string &name)
-{
-    if (name == "fifo")
-        return Policy::Fifo;
-    if (name == "fair" || name == "fair-share")
-        return Policy::FairShare;
-    if (name == "srs" || name == "shortest" ||
-        name == "shortest-remaining")
-        return Policy::ShortestRemaining;
-    return errorf(Errc::BadFormat,
-                  "unknown scheduling policy '%s' (expected fifo, "
-                  "fair or srs)",
-                  name.c_str());
-}
-
 std::size_t
-pickNext(Policy policy, const std::vector<Candidate> &candidates)
+pickNext(const std::vector<Candidate> &candidates)
 {
-    if (policy == Policy::Fifo) {
-        // Strict arrival order is EXCLUSIVE: the oldest unfinished
-        // request owns the fleet; if none of its shards is eligible
-        // right now, nobody dispatches.
-        std::size_t oldest = kNoPick;
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            const Candidate &c = candidates[i];
-            if (c.remaining == 0)
-                continue;
-            if (oldest == kNoPick ||
-                c.arrival < candidates[oldest].arrival)
-                oldest = i;
-        }
-        if (oldest == kNoPick || !candidates[oldest].eligible)
-            return kNoPick;
-        return oldest;
-    }
-
     std::size_t best = kNoPick;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         const Candidate &c = candidates[i];
@@ -65,17 +16,10 @@ pickNext(Policy policy, const std::vector<Candidate> &candidates)
             continue;
         }
         const Candidate &b = candidates[best];
-        if (policy == Policy::FairShare) {
-            if (c.tenantVirtual < b.tenantVirtual ||
-                (c.tenantVirtual == b.tenantVirtual &&
-                 c.arrival < b.arrival))
-                best = i;
-        } else { // ShortestRemaining
-            if (c.remaining < b.remaining ||
-                (c.remaining == b.remaining &&
-                 c.arrival < b.arrival))
-                best = i;
-        }
+        if (c.tenantVirtual < b.tenantVirtual ||
+            (c.tenantVirtual == b.tenantVirtual &&
+             c.arrival < b.arrival))
+            best = i;
     }
     return best;
 }

@@ -3,20 +3,18 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <optional>
 
 #include "core/megsim.hh"
-#include "exec/pool.hh"
-#include "obs/attrib.hh"
 #include "obs/profile.hh"
 #include "obs/timeline.hh"
 #include "resilience/watchdog.hh"
+#include "sched/policy.hh"
 #include "serve/protocol.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "workloads/workloads.hh"
+#include "util/env.hh"
 
 namespace msim::sched
 {
@@ -28,13 +26,6 @@ using util::Json;
 
 namespace
 {
-
-double
-counterValue(const char *name)
-{
-    const obs::Stat *stat = obs::processRegistry().find(name);
-    return stat ? stat->value() : 0.0;
-}
 
 /** Parse one [[...], ...] rows array back into vectors of doubles. */
 Expected<std::vector<std::vector<double>>>
@@ -81,33 +72,43 @@ recordRequestSpan(std::size_t requestId, const char *name,
 
 } // namespace
 
+ShardConfig
+ShardConfig::fromEnv()
+{
+    ShardConfig config;
+    config.shardFrames = static_cast<std::size_t>(util::numberFromEnv(
+        "MEGSIM_SHARD_FRAMES", util::NumberRule::Count,
+        static_cast<double>(config.shardFrames), "using the default"));
+    config.retryCap = static_cast<std::size_t>(util::numberFromEnv(
+        "MEGSIM_SHARD_RETRIES", util::NumberRule::Whole,
+        static_cast<double>(config.retryCap), "using the default"));
+    config.shardDeadlineMs =
+        static_cast<std::size_t>(util::numberFromEnv(
+            "MEGSIM_SHARD_DEADLINE_MS", util::NumberRule::Whole,
+            static_cast<double>(config.shardDeadlineMs),
+            "deriving the deadline"));
+    return config;
+}
+
 SchedulerConfig
 SchedulerConfig::fromEnv()
 {
     SchedulerConfig config;
-    config.shard = serve::SupervisorConfig::fromEnv();
-    if (const char *env = std::getenv("MEGSIM_SCHED_POLICY")) {
-        Expected<Policy> parsed = parsePolicy(env);
-        if (parsed.ok())
-            config.policy = *parsed;
-        else
-            sim::warn("sched: %s", parsed.error().message.c_str());
-    }
-    if (const char *env = std::getenv("MEGSIM_SCHED_MAX_INFLIGHT"))
-        if (std::atoll(env) > 0)
-            config.maxInflight =
-                static_cast<std::size_t>(std::atoll(env));
+    config.shard = ShardConfig::fromEnv();
+    config.maxInflight = static_cast<std::size_t>(util::numberFromEnv(
+        "MEGSIM_SCHED_MAX_INFLIGHT", util::NumberRule::Count,
+        static_cast<double>(config.maxInflight), "using the default"));
     return config;
 }
 
-/** One benchmark moving through a request (mirrors the supervisor). */
+/** One benchmark moving through a request. */
 struct Scheduler::Item
 {
-    std::string alias;
-    gfx::SceneTrace scene;
-    std::unique_ptr<megsim::BenchmarkData> data;
-    std::string cacheStatus = "built";
-    std::size_t resumedFrames = 0;
+    explicit Item(std::unique_ptr<batch::SuiteBench> b)
+        : bench(std::move(b))
+    {}
+
+    std::unique_ptr<batch::SuiteBench> bench;
     bool needsRegen = false;
     bool quarantined = false;
     /** True while another request's regeneration is leased. */
@@ -141,12 +142,11 @@ struct Scheduler::Request
     double weight = 1.0;
     obs::RunLedger *ledger = nullptr;
     obs::StatsRegistry *registry = nullptr;
-    std::vector<std::unique_ptr<Item>> items;
+    std::vector<Item> items;
     std::vector<Shard> shards;
-    double admitAt = 0.0;
+    /** Admission, read under the request's registry override. */
+    batch::RunStart admitted;
     double firstDispatchAt = -1.0; // < 0 until the first dispatch
-    double busy0 = 0.0;            // pool counters at admission,
-    double job0 = 0.0;             // read under the request override
 
     std::size_t
     remainingShards() const
@@ -214,66 +214,41 @@ Scheduler::admit(const RequestSpec &spec)
     request->weight = spec.weight > 0.0 ? spec.weight : 1.0;
     request->ledger = spec.ledger;
     request->registry = spec.registry;
-    request->admitAt = obs::wallSeconds();
-
-    std::vector<std::string> benches = spec.benches;
-    if (benches.empty())
-        benches = workloads::benchmarkNames();
 
     {
         std::optional<obs::ProcessRegistryOverride> isolate;
         if (request->registry)
             isolate.emplace(*request->registry);
-        request->busy0 = counterValue("exec.pool.busy_seconds");
-        request->job0 = counterValue("exec.pool.job_seconds");
+        request->admitted = batch::RunStart::now();
 
-        // Load every scene up front, exactly like batch::Campaign.
-        obs::AttribScope loadScope(obs::HostDomain::Load);
-        for (const std::string &alias : benches) {
-            auto built = workloads::tryBuildBenchmark(
-                alias, base_.scale, base_.frameLimit);
-            if (!built.ok())
-                return built.error();
-            auto item = std::make_unique<Item>();
-            item->alias = alias;
-            item->scene = std::move(*built);
-            item->data = std::make_unique<megsim::BenchmarkData>(
-                item->scene, gpusim::GpuConfig::evaluationScaled(),
-                base_.cacheDir);
-            request->items.push_back(std::move(item));
-        }
+        auto suite = batch::loadSuite(base_, spec.benches);
+        if (!suite.ok())
+            return suite.error();
+        for (std::unique_ptr<batch::SuiteBench> &bench : *suite)
+            request->items.emplace_back(std::move(bench));
 
         // Probe caches; shard the benchmarks needing regeneration
         // into frame ranges, bench-major in suite order. Shard ids
         // are globally monotone across requests, so concurrent
         // requests never collide in the fleet's lease table.
         for (std::size_t i = 0; i < request->items.size(); ++i) {
-            Item &item = *request->items[i];
-            switch (item.data->probeCaches()) {
-              case megsim::CacheProbe::Loaded:
-                item.cacheStatus = "fresh";
+            Item &item = request->items[i];
+            if (!item.bench->needsGroundTruth())
                 continue;
-              case megsim::CacheProbe::Invalid:
-                item.cacheStatus = "rebuilt";
-                break;
-              case megsim::CacheProbe::Missing:
-                item.cacheStatus = "built";
-                break;
-            }
             item.needsRegen = true;
-            const std::size_t frames = item.scene.numFrames();
-            const std::size_t shardCount =
-                (frames + config_.shard.shardFrames - 1) /
-                config_.shard.shardFrames;
 
             // Coalesce duplicate regenerations: if another in-flight
             // request is already rebuilding this exact (scene, GPU
             // config) ground truth, lease its run instead of racing
             // it — this request creates no shards for the bench and
             // loads the producer's verified cache once it lands.
-            const std::uint64_t key = item.data->cacheKey();
+            const std::uint64_t key = item.bench->data->cacheKey();
             auto inFlight = regenOwner_.find(key);
             if (inFlight != regenOwner_.end()) {
+                const std::size_t frames = item.bench->scene.numFrames();
+                const std::size_t shardCount =
+                    (frames + config_.shard.shardFrames - 1) /
+                    config_.shard.shardFrames;
                 item.leased = true;
                 item.leaseKey = key;
                 item.leaseProducer = inFlight->second;
@@ -282,7 +257,7 @@ Scheduler::admit(const RequestSpec &spec)
                                 "leasing an in-flight rebuild") +=
                     static_cast<double>(shardCount);
                 Json fields = Json::object();
-                fields.set("bench", item.alias);
+                fields.set("bench", item.bench->alias);
                 fields.set("request", request->id);
                 fields.set("producer", inFlight->second);
                 fields.set("shards_avoided", shardCount);
@@ -291,16 +266,7 @@ Scheduler::admit(const RequestSpec &spec)
                 continue;
             }
             regenOwner_[key] = request->id;
-            for (std::size_t begin = 0; begin < frames;
-                 begin += config_.shard.shardFrames) {
-                Shard shard;
-                shard.id = nextShardId_++;
-                shard.item = i;
-                shard.beginFrame = begin;
-                shard.endFrame = std::min(
-                    frames, begin + config_.shard.shardFrames);
-                request->shards.push_back(std::move(shard));
-            }
+            addShards(*request, i);
         }
     }
 
@@ -310,10 +276,10 @@ Scheduler::admit(const RequestSpec &spec)
     Json fields = Json::object();
     fields.set("request", request->id);
     fields.set("tenant", request->tenant);
-    fields.set("policy", policyName(config_.policy));
+    fields.set("policy", "fair");
     Json names = Json::array();
-    for (const auto &item : request->items)
-        names.push(item->alias);
+    for (const Item &item : request->items)
+        names.push(item.bench->alias);
     fields.set("benches", std::move(names));
     fields.set("queue_depth", active_.size() + 1);
     request->recordEvent("request_admit", std::move(fields));
@@ -321,6 +287,23 @@ Scheduler::admit(const RequestSpec &spec)
     const std::size_t id = request->id;
     active_.push_back(std::move(request));
     return id;
+}
+
+void
+Scheduler::addShards(Request &request, std::size_t item)
+{
+    const std::size_t frames =
+        request.items[item].bench->scene.numFrames();
+    for (std::size_t begin = 0; begin < frames;
+         begin += config_.shard.shardFrames) {
+        Shard shard;
+        shard.id = nextShardId_++;
+        shard.item = item;
+        shard.beginFrame = begin;
+        shard.endFrame =
+            std::min(frames, begin + config_.shard.shardFrames);
+        request.shards.push_back(std::move(shard));
+    }
 }
 
 void
@@ -342,8 +325,7 @@ Scheduler::dispatchEligible(double now)
                 }
             candidates.push_back(c);
         }
-        const std::size_t pick =
-            pickNext(config_.policy, candidates);
+        const std::size_t pick = pickNext(candidates);
         if (pick == kNoPick)
             return;
 
@@ -362,7 +344,7 @@ Scheduler::dispatchEligible(double now)
 
         serve::ShardSpec spec;
         spec.id = next->id;
-        spec.bench = request.items[next->item]->alias;
+        spec.bench = request.items[next->item].bench->alias;
         spec.beginFrame = next->beginFrame;
         spec.endFrame = next->endFrame;
         spec.attempt = next->attempts;
@@ -376,8 +358,8 @@ Scheduler::dispatchEligible(double now)
         if (request.firstDispatchAt < 0.0) {
             request.firstDispatchAt = now;
             recordRequestSpan(request.id, "request.wait",
-                              request.admitAt, now, request.id,
-                              request.tenant);
+                              request.admitted.wallSeconds, now,
+                              request.id, request.tenant);
         }
         // Weighted fair queueing: each dispatch charges the tenant
         // 1/weight of virtual time, so a weight-2 tenant accumulates
@@ -391,7 +373,7 @@ Scheduler::dispatchEligible(double now)
         fields.set("request", request.id);
         fields.set("worker", slot);
         fields.set("bench", spec.bench);
-        fields.set("policy", policyName(config_.policy));
+        fields.set("policy", "fair");
         fields.set("remaining", request.remainingShards());
         request.recordEvent("sched_dispatch", std::move(fields));
     }
@@ -402,7 +384,7 @@ Scheduler::resolveLeases()
 {
     for (auto &request : active_) {
         for (std::size_t i = 0; i < request->items.size(); ++i) {
-            Item &item = *request->items[i];
+            Item &item = request->items[i];
             if (!item.leased)
                 continue;
             const bool producerActive = std::any_of(
@@ -421,34 +403,19 @@ Scheduler::resolveLeases()
             if (request->registry)
                 isolate.emplace(*request->registry);
             item.leased = false;
-            if (item.data->probeCaches() ==
-                megsim::CacheProbe::Loaded) {
-                item.cacheStatus = "coalesced";
-                item.needsRegen = false; // nothing to reassemble
-                Json fields = Json::object();
-                fields.set("bench", item.alias);
-                fields.set("request", request->id);
-                fields.set("source", "cache");
-                request->recordEvent("lease_resolved",
-                                     std::move(fields));
-                continue;
-            }
-            regenOwner_[item.leaseKey] = request->id;
-            const std::size_t frames = item.scene.numFrames();
-            for (std::size_t begin = 0; begin < frames;
-                 begin += config_.shard.shardFrames) {
-                Shard shard;
-                shard.id = nextShardId_++;
-                shard.item = i;
-                shard.beginFrame = begin;
-                shard.endFrame = std::min(
-                    frames, begin + config_.shard.shardFrames);
-                request->shards.push_back(std::move(shard));
-            }
             Json fields = Json::object();
-            fields.set("bench", item.alias);
+            fields.set("bench", item.bench->alias);
             fields.set("request", request->id);
-            fields.set("source", "rebuild");
+            if (item.bench->data->probeCaches() ==
+                megsim::CacheProbe::Loaded) {
+                item.bench->cacheStatus = "coalesced";
+                item.needsRegen = false; // nothing to reassemble
+                fields.set("source", "cache");
+            } else {
+                regenOwner_[item.leaseKey] = request->id;
+                addShards(*request, i);
+                fields.set("source", "rebuild");
+            }
             request->recordEvent("lease_resolved", std::move(fields));
         }
     }
@@ -485,10 +452,10 @@ Scheduler::failShard(Request &request, Shard &shard,
     shard.state = Shard::State::Pending;
     shard.lastReason = reason;
     ++shard.attempts;
-    const std::string &alias = request.items[shard.item]->alias;
+    const std::string &alias = request.items[shard.item].bench->alias;
     if (shard.attempts > config_.shard.retryCap) {
         shard.state = Shard::State::Quarantined;
-        request.items[shard.item]->quarantined = true;
+        request.items[shard.item].quarantined = true;
         // Abandon the bench's remaining work — without this shard it
         // can never produce a result row. Only THIS request degrades;
         // its neighbours in the run queue are untouched.
@@ -576,7 +543,7 @@ Scheduler::handleEvent(const serve::Fleet::Event &event)
     // The shard journal served its purpose; the rows now live with
     // the scheduler.
     const std::string stem = serve::shardStem(
-        request.items[shard.item]->data->checkpointStem(),
+        request.items[shard.item].bench->data->checkpointStem(),
         shard.beginFrame, shard.endFrame);
     std::error_code ec;
     std::filesystem::remove(stem + ".ckpt.manifest", ec);
@@ -608,19 +575,20 @@ Scheduler::finalize(std::unique_ptr<Request> request)
         // bench) and install it — same cache artifacts as the
         // in-process pass.
         for (std::size_t i = 0; i < request->items.size(); ++i) {
-            Item &item = *request->items[i];
+            Item &item = request->items[i];
             if (!item.needsRegen || item.quarantined)
                 continue;
-            const std::size_t vs = item.scene.numVertexShaders();
-            const std::size_t fs = item.scene.numFragmentShaders();
+            batch::SuiteBench &bench = *item.bench;
+            const std::size_t vs = bench.scene.numVertexShaders();
+            const std::size_t fs = bench.scene.numFragmentShaders();
             std::vector<gpusim::FrameStats> stats;
             std::vector<gpusim::FrameActivity> acts;
-            stats.reserve(item.scene.numFrames());
-            acts.reserve(item.scene.numFrames());
+            stats.reserve(bench.scene.numFrames());
+            acts.reserve(bench.scene.numFrames());
             for (const Shard &shard : request->shards) {
                 if (shard.item != i)
                     continue;
-                item.resumedFrames += shard.resumed;
+                bench.resumedFrames += shard.resumed;
                 for (const std::vector<double> &row :
                      shard.statsRows)
                     stats.push_back(
@@ -630,11 +598,11 @@ Scheduler::finalize(std::unique_ptr<Request> request)
                     acts.push_back(
                         megsim::activityFromRow(row, vs, fs));
             }
-            auto installed = item.data->installGroundTruth(
+            auto installed = bench.data->installGroundTruth(
                 std::move(stats), std::move(acts));
             if (!installed.ok())
                 sim::warn("sched: cache store of '%s' failed: %s",
-                          item.alias.c_str(),
+                          bench.alias.c_str(),
                           installed.error().message.c_str());
         }
 
@@ -642,21 +610,16 @@ Scheduler::finalize(std::unique_ptr<Request> request)
         // identical inputs, identical rows to the in-process
         // campaign.
         batch::CampaignReport &report = result.report;
-        for (auto &item : request->items) {
-            if (item->quarantined)
-                continue;
-            batch::BenchmarkReport row = batch::analyzeBenchmark(
-                item->alias, *item->data, base_.megsim);
-            row.resumedFrames = item->resumedFrames;
-            row.cacheStatus = item->cacheStatus;
-            report.benchmarks.push_back(std::move(row));
-        }
+        for (Item &item : request->items)
+            if (!item.quarantined)
+                report.benchmarks.push_back(
+                    item.bench->analyze(base_.megsim));
         for (const Shard &shard : request->shards) {
             if (shard.state != Shard::State::Quarantined)
                 continue;
             batch::QuarantinedShard q;
             q.shard = shard.id;
-            q.bench = request->items[shard.item]->alias;
+            q.bench = request->items[shard.item].bench->alias;
             q.beginFrame = shard.beginFrame;
             q.endFrame = shard.endFrame;
             q.attempts = shard.attempts;
@@ -664,23 +627,7 @@ Scheduler::finalize(std::unique_ptr<Request> request)
             report.quarantined.push_back(std::move(q));
         }
         report.degraded = !report.quarantined.empty();
-        exec::Pool &pool = exec::Pool::global();
-        report.threads = pool.workers();
-        report.computeAggregates();
-        report.wallSeconds = obs::wallSeconds() - request->admitAt;
-
-        const double busy =
-            counterValue("exec.pool.busy_seconds") - request->busy0;
-        const double jobSeconds =
-            counterValue("exec.pool.job_seconds") - request->job0;
-        const double capacity =
-            static_cast<double>(pool.workers()) * jobSeconds;
-        report.poolUtilization =
-            capacity > 0.0
-                ? (busy < capacity ? busy / capacity : 1.0)
-                : 1.0;
-
-        batch::publishCampaignStats(report);
+        batch::finishReport(report, request->admitted);
     }
 
     const double now = obs::wallSeconds();
@@ -688,7 +635,8 @@ Scheduler::finalize(std::unique_ptr<Request> request)
                                     ? request->firstDispatchAt
                                     : analyzeStart;
     result.status = result.report.degraded ? "degraded" : "ok";
-    result.queueWaitSeconds = serviceStart - request->admitAt;
+    result.queueWaitSeconds =
+        serviceStart - request->admitted.wallSeconds;
     result.serviceSeconds = now - serviceStart;
     recordRequestSpan(request->id, "request.service", serviceStart,
                       now, request->id, request->tenant);
@@ -762,8 +710,8 @@ Scheduler::step(int timeoutMs)
                 }) &&
             std::none_of(active_[i]->items.begin(),
                          active_[i]->items.end(),
-                         [](const std::unique_ptr<Item> &item) {
-                             return item->leased;
+                         [](const Item &item) {
+                             return item.leased;
                          });
         if (!done) {
             ++i;

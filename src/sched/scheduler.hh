@@ -3,13 +3,22 @@
  * Multi-tenant campaign scheduler: a shard-granular run queue over one
  * shared serve::Fleet.
  *
- * The Scheduler sits between the request service and the worker fleet.
- * It admits up to maxInflight requests at once, decomposes each into
- * benchmark×frame-range shards exactly as the supervised runner does,
- * and leases fleet workers one shard at a time under a pluggable
- * policy (sched/policy.hh) — so shards from *different* requests
+ * The Scheduler is the supervision loop of every supervised campaign:
+ * `megsim-cli campaign --workers N` admits one request, and the
+ * request service (`megsim-cli serve`) admits up to maxInflight at
+ * once. It loads each request's suite through batch::loadSuite(),
+ * decomposes whatever needs regeneration into benchmark×frame-range
+ * shards, and leases fleet workers one shard at a time under weighted
+ * fair share (sched/policy.hh) — so shards from *different* requests
  * interleave on the same worker processes instead of one campaign
  * monopolizing the fleet while the queue idles.
+ *
+ * Supervision: a worker that crashes, hangs past its shard deadline or
+ * sends a corrupt reply costs its shard one attempt; the shard resumes
+ * from its journal on a fresh worker after an exponential backoff with
+ * deterministic jitter. A shard that exhausts its retry cap is
+ * quarantined: its benchmark is dropped from the request's rows and
+ * the report lists it under `quarantined_shards`.
  *
  * Isolation is per request, end to end: every request carries its own
  * optional StatsRegistry (applied as a ProcessRegistryOverride around
@@ -36,6 +45,7 @@
 #define MSIM_SCHED_SCHEDULER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -45,24 +55,49 @@
 #include "batch/campaign.hh"
 #include "obs/ledger.hh"
 #include "obs/stats.hh"
-#include "sched/policy.hh"
 #include "serve/fleet.hh"
-#include "serve/supervisor.hh"
 
 namespace msim::sched
 {
 
-struct SchedulerConfig
+/** How requests are cut into shards and how failed shards retry. */
+struct ShardConfig
 {
-    Policy policy = Policy::FairShare;
-    /** Bounded run queue: admit() past this returns Errc::Busy. */
-    std::size_t maxInflight = 8;
-    /** Sharding/retry/backoff knobs, shared with the supervisor. */
-    serve::SupervisorConfig shard;
+    /** Frames per shard (smaller = finer-grained recovery). */
+    std::size_t shardFrames = 32;
+    /** Retries per shard before quarantine. */
+    std::size_t retryCap = 3;
+    /** Exponential backoff: base, doubling per failure, capped. */
+    std::size_t backoffBaseMs = 25;
+    std::size_t backoffCapMs = 1000;
+    /**
+     * Per-shard wall deadline in ms; 0 derives one from the frame
+     * watchdog budget (MEGSIM_FRAME_BUDGET_MS) or falls back to a
+     * generous default.
+     */
+    std::size_t shardDeadlineMs = 0;
+    /** Seeds the deterministic backoff jitter. */
+    std::uint64_t seed = 1;
 
     /**
-     * Defaults plus MEGSIM_SCHED_POLICY / MEGSIM_SCHED_MAX_INFLIGHT
-     * (and the shard knobs via SupervisorConfig::fromEnv()).
+     * Defaults plus MEGSIM_SHARD_FRAMES (a whole number >= 1),
+     * MEGSIM_SHARD_RETRIES and MEGSIM_SHARD_DEADLINE_MS (whole
+     * numbers >= 0). Any other value warns, naming the variable and
+     * the value, and the default applies.
+     */
+    static ShardConfig fromEnv();
+};
+
+struct SchedulerConfig
+{
+    /** Bounded run queue: admit() past this returns Errc::Busy. */
+    std::size_t maxInflight = 8;
+    ShardConfig shard;
+
+    /**
+     * Defaults plus MEGSIM_SCHED_MAX_INFLIGHT (a whole number >= 1;
+     * any other value warns and the default applies) and the shard
+     * settings of ShardConfig::fromEnv().
      */
     static SchedulerConfig fromEnv();
 };
@@ -125,7 +160,7 @@ class Scheduler
 
     /**
      * One scheduling round: top up the fleet, dispatch eligible
-     * shards under the policy, wait up to @p timeoutMs for replies,
+     * shards by fair share, wait up to @p timeoutMs for replies,
      * recover failures, and finalize every request whose shards are
      * all terminal. Returns the requests that completed this round.
      */
@@ -145,6 +180,7 @@ class Scheduler
     struct Shard;
     struct Request;
 
+    void addShards(Request &request, std::size_t item);
     void dispatchEligible(double now);
     void resolveLeases();
     void routeFleetEvents();

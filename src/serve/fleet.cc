@@ -8,11 +8,9 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/profile.hh"
-#include "serve/supervisor.hh"
 #include "serve/worker.hh"
 #include "sim/logging.hh"
 
@@ -43,32 +41,15 @@ waitStatusString(int status)
 
 } // namespace
 
-// Defined here (not supervisor.cc) so consumers linking the transport
-// layer alone still resolve it.
-SupervisorConfig
-SupervisorConfig::fromEnv()
-{
-    SupervisorConfig config;
-    if (const char *env = std::getenv("MEGSIM_SHARD_FRAMES"))
-        if (std::atoll(env) > 0)
-            config.shardFrames =
-                static_cast<std::size_t>(std::atoll(env));
-    if (const char *env = std::getenv("MEGSIM_SHARD_RETRIES"))
-        if (std::atoll(env) >= 0)
-            config.retryCap =
-                static_cast<std::size_t>(std::atoll(env));
-    if (const char *env = std::getenv("MEGSIM_SHARD_DEADLINE_MS"))
-        if (std::atoll(env) > 0)
-            config.shardDeadlineMs =
-                static_cast<std::size_t>(std::atoll(env));
-    return config;
-}
-
 Fleet::Fleet(batch::CampaignConfig workerConfig, std::size_t size)
     : config_(std::move(workerConfig)),
       slots_(std::max<std::size_t>(size, 1)),
       ambient_(obs::processRegistry())
-{}
+{
+    // A worker that dies leaves a closed pipe; writing to it must fail
+    // with Errc::Io, not kill this process. Forked workers inherit it.
+    std::signal(SIGPIPE, SIG_IGN);
+}
 
 Fleet::~Fleet()
 {
@@ -149,9 +130,13 @@ Fleet::reapSlot(std::size_t slot, const char *reason)
     ::waitpid(worker.pid, &status, 0);
     ::close(worker.repFd);
     const std::string statusText = waitStatusString(status);
-    sim::warn("serve: worker %zu (pid %d) left: %s (%s)", slot,
-              static_cast<int>(worker.pid), statusText.c_str(),
-              reason);
+    // Exit 0 is a worker leaving on its shutdown signal; anything else
+    // (a crash, a hang, a corrupt reply) is a fault.
+    const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    sim::logMessage(clean ? sim::LogLevel::Info : sim::LogLevel::Warn,
+                    "serve: worker %zu (pid %d) left: %s (%s)", slot,
+                    static_cast<int>(worker.pid), statusText.c_str(),
+                    reason);
     ++ambient_.scalar("serve.worker_exits",
                       "worker processes reaped");
     Json fields = Json::object();

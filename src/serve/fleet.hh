@@ -3,17 +3,17 @@
  * The shared worker fleet: forked shard-worker processes as a leasable
  * pool.
  *
- * A Fleet owns the process mechanics the Supervisor used to carry
- * inline — fork/pipe plumbing, crash/hang/corruption detection, reaping
- * — and nothing else. It has no idea what a campaign or a request is:
- * callers (the sched::Scheduler, or the Supervisor facade through it)
- * lease idle slots one shard at a time via dispatch() and collect
- * typed Events from poll(). That split is what lets shards from
- * *different* requests interleave on one pool of processes: the fleet
- * tracks only (slot, in-flight shard id, deadline), and the scheduler
- * maps shard ids back to their owning requests.
+ * A Fleet owns the process mechanics — fork/pipe plumbing,
+ * crash/hang/corruption detection, reaping — and nothing else. It has
+ * no idea what a campaign or a request is: its caller, the
+ * sched::Scheduler, leases idle slots one shard at a time via
+ * dispatch() and collects typed Events from poll(). That split is
+ * what lets shards from *different* requests interleave on one pool
+ * of processes: the fleet tracks only (slot, in-flight shard id,
+ * deadline), and the scheduler maps shard ids back to their owning
+ * requests.
  *
- * Failure taxonomy (identical to the pre-split supervisor):
+ * Failure taxonomy:
  *
  *   detection                        event
  *   EOF on the reply pipe            Crash        (worker died)
@@ -67,7 +67,8 @@ class Fleet
     /**
      * @p workerConfig is the config every forked worker runs shards
      * under (cache dir, scale, frame limit — shared across requests);
-     * @p size caps the live worker processes.
+     * @p size caps the live worker processes. Ignores SIGPIPE for the
+     * whole process: the fleet writes to pipes whose reader may die.
      */
     Fleet(batch::CampaignConfig workerConfig, std::size_t size);
     ~Fleet();

@@ -3,16 +3,11 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 
 #include "obs/profile.hh"
-#include "resilience/artifact.hh"
 #include "resilience/checksum.hh"
 
 namespace msim::serve
@@ -159,99 +154,6 @@ writeMessage(int fd, const util::Json &message)
     return writeFrame(fd, message.dump(0));
 }
 
-SpillConfig
-SpillConfig::fromEnv()
-{
-    SpillConfig config;
-    if (const char *env = std::getenv("MEGSIM_SHARD_REPLY_SPILL"))
-        if (std::atoll(env) > 0)
-            config.thresholdBytes =
-                static_cast<std::uint64_t>(std::atoll(env));
-    if (const char *env = std::getenv("MEGSIM_SHARD_SPILL_DIR")) {
-        config.dir = env;
-    } else {
-        std::error_code ec;
-        const std::filesystem::path tmp =
-            std::filesystem::temp_directory_path(ec);
-        config.dir = ec ? "." : tmp.string();
-    }
-    return config;
-}
-
-Expected<void>
-writeMessage(int fd, const util::Json &message,
-             const SpillConfig &spill)
-{
-    const std::string payload = message.dump(0);
-    if (spill.thresholdBytes == 0 ||
-        payload.size() <= spill.thresholdBytes)
-        return writeFrame(fd, payload);
-
-    static std::atomic<std::uint64_t> spillSeq{0};
-    const std::string path =
-        (std::filesystem::path(spill.dir) /
-         ("megsim-spill-" + std::to_string(::getpid()) + "-" +
-          std::to_string(spillSeq++) + ".json"))
-            .string();
-    if (auto saved = resilience::atomicWriteFile(path, payload);
-        !saved.ok())
-        // Spill unavailable (directory gone, disk full): the pipe
-        // still works, so fall back rather than fail the reply.
-        return writeFrame(fd, payload);
-
-    char checksum[17];
-    std::snprintf(checksum, sizeof(checksum), "%016llx",
-                  static_cast<unsigned long long>(
-                      resilience::fnv1a(payload)));
-    util::Json ref = util::Json::object();
-    ref.set("type", "spill_ref");
-    ref.set("path", path);
-    ref.set("bytes", payload.size());
-    ref.set("checksum", checksum);
-    return writeFrame(fd, ref.dump(0));
-}
-
-namespace
-{
-
-/** Resolve a spill_ref frame: read, verify, parse, delete. */
-Expected<util::Json>
-readSpilledMessage(const util::Json &ref)
-{
-    const util::Json *path = ref.find("path");
-    const util::Json *checksum = ref.find("checksum");
-    if (!path || !path->isString() || !checksum ||
-        !checksum->isString())
-        return errorf(Errc::BadFormat,
-                      "spill ref: missing path/checksum");
-    Expected<std::string> payload =
-        resilience::readFileToString(path->asString());
-    // The file is single-use: remove it whether or not it verifies,
-    // so a corrupt spill never leaks onto disk across retries.
-    std::error_code ec;
-    std::filesystem::remove(path->asString(), ec);
-    if (!payload.ok())
-        // A vanished spill file means the writer died between the
-        // spill and the frame — same recovery path as a crash.
-        return errorf(Errc::Truncated, "spill file '%s': %s",
-                      path->asString().c_str(),
-                      payload.error().message.c_str());
-    const std::uint64_t want = std::strtoull(
-        checksum->asString().c_str(), nullptr, 16);
-    if (resilience::fnv1a(*payload) != want)
-        return errorf(Errc::BadChecksum,
-                      "spill file '%s' checksum mismatch "
-                      "(%zu-byte payload)",
-                      path->asString().c_str(), payload->size());
-    Expected<util::Json> parsed = util::Json::parse(*payload);
-    if (!parsed.ok())
-        return errorf(Errc::BadFormat, "spill payload: %s",
-                      parsed.error().message.c_str());
-    return parsed;
-}
-
-} // namespace
-
 Expected<util::Json>
 readMessage(int fd, double timeoutMs)
 {
@@ -262,10 +164,6 @@ readMessage(int fd, double timeoutMs)
     if (!parsed.ok())
         return errorf(Errc::BadFormat, "frame payload: %s",
                       parsed.error().message.c_str());
-    if (const util::Json *type = parsed->find("type");
-        type && type->isString() &&
-        type->asString() == "spill_ref")
-        return readSpilledMessage(*parsed);
     return parsed;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Wire protocol between the campaign supervisor and its forked
- * workers (and between `megsim-cli submit` and the serve socket).
+ * Wire protocol between the worker fleet and its forked workers
+ * (and between `megsim-cli submit` and the serve socket).
  *
  * Every message is one length-prefixed frame:
  *
@@ -10,24 +10,19 @@
  *   8 bytes  FNV-1a 64 checksum of the payload, little-endian u64
  *   N bytes  payload (one compact util::Json object)
  *
- * The checksum lets the supervisor tell a crashed worker (EOF →
- * Truncated) from a corrupted reply (BadChecksum) — the two take
- * different recovery paths. readFrame() polls the descriptor against
- * a wall-clock deadline so a hung worker surfaces as FrameTimeout
- * instead of blocking the supervisor forever; writes retry on EINTR
+ * The checksum lets the fleet tell a crashed worker (EOF → Truncated)
+ * from a corrupted reply (BadChecksum) — the two take different
+ * recovery paths. readFrame() polls the descriptor against a
+ * wall-clock deadline so a hung worker surfaces as FrameTimeout
+ * instead of blocking the scheduler forever; writes retry on EINTR
  * and partial transfers, and a closed peer surfaces as Errc::Io
- * (SIGPIPE must be ignored by the caller, which the supervisor and
- * service do once at startup).
+ * (SIGPIPE must be ignored by the writer; serve::Fleet does so when
+ * it is constructed).
  *
- * Oversized replies spill to disk instead of the pipe: when a
- * SpillConfig threshold is set (MEGSIM_SHARD_REPLY_SPILL bytes), a
- * payload above it is written to a single-use spill file and the
- * frame on the wire is a small `spill_ref` carrying the file's path,
- * size and FNV-1a checksum. readMessage() follows the reference
- * transparently, verifies the checksum and deletes the file; a
- * missing file surfaces as Truncated (crash recovery) and a checksum
- * mismatch as BadChecksum (corrupt-reply recovery), so spilled and
- * piped replies take exactly the same failure paths.
+ * A message is only ever data: readMessage() parses the payload and
+ * acts on nothing in it. Shard replies always cross the pipe: a
+ * 32-frame shard's reply is under 7 KB of JSON, and even one shard per
+ * full-length game stays near 1 MB, far under kMaxFramePayload.
  */
 
 #ifndef MSIM_SERVE_PROTOCOL_HH
@@ -70,34 +65,6 @@ resilience::Expected<std::string> readFrame(int fd, double timeoutMs);
 resilience::Expected<void> writeMessage(int fd,
                                         const util::Json &message);
 
-/**
- * Reply-spill policy: payloads larger than thresholdBytes bypass the
- * pipe through a checksummed single-use file under `dir`. The zero
- * default never spills, so request frames and small replies are
- * byte-identical with or without a policy in force.
- */
-struct SpillConfig
-{
-    std::uint64_t thresholdBytes = 0; // 0 = never spill
-    std::string dir;                  // where spill files land
-
-    /**
-     * MEGSIM_SHARD_REPLY_SPILL (bytes; unset/0 = off) and
-     * MEGSIM_SHARD_SPILL_DIR (default: the system temp directory).
-     */
-    static SpillConfig fromEnv();
-};
-
-/**
- * writeMessage() under a spill policy: a payload above the threshold
- * is written to a spill file and only a `spill_ref` frame crosses the
- * pipe. If the spill write itself fails the payload falls back to the
- * pipe — spilling is an optimization, never a new failure mode.
- */
-resilience::Expected<void> writeMessage(int fd,
-                                        const util::Json &message,
-                                        const SpillConfig &spill);
-
 /** readFrame() + JSON parse (a parse failure is BadFormat). */
 resilience::Expected<util::Json> readMessage(int fd,
                                              double timeoutMs);
@@ -118,7 +85,7 @@ struct ShardSpec
     std::size_t attempt = 0;
 };
 
-/** The supervisor→worker request for one shard. */
+/** The fleet→worker request for one shard. */
 util::Json shardRequest(const ShardSpec &spec);
 
 /** Parse a shard request; BadFormat on a missing/mistyped field. */

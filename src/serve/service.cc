@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <csignal>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -95,28 +94,19 @@ struct PendingRequest
 int
 runService(const ServiceConfig &config)
 {
-    std::signal(SIGPIPE, SIG_IGN);
     Expected<int> listenFd = bindListen(config.socketPath);
     if (!listenFd.ok()) {
         sim::warn("%s", listenFd.error().message.c_str());
         return 1;
     }
 
-    const std::size_t workers =
-        std::max<std::size_t>(config.sup.workers, 1);
+    const std::size_t workers = std::max<std::size_t>(config.workers, 1);
     Fleet fleet(config.base, workers);
-    sched::SchedulerConfig schedConfig;
-    schedConfig.policy = config.policy;
-    schedConfig.maxInflight =
-        std::max<std::size_t>(config.maxInflight, 1);
-    schedConfig.shard = config.sup;
-    sched::Scheduler scheduler(config.base, schedConfig, fleet);
+    sched::Scheduler scheduler(config.base, config.scheduler, fleet);
 
-    sim::inform("serve: listening on %s (workers %zu, policy %s, "
-                "max inflight %zu)",
+    sim::inform("serve: listening on %s (workers %zu, max inflight %zu)",
                 config.socketPath.c_str(), workers,
-                sched::policyName(config.policy),
-                schedConfig.maxInflight);
+                scheduler.config().maxInflight);
 
     std::map<std::size_t, PendingRequest> pending;
     std::size_t admitted = 0;
@@ -135,6 +125,18 @@ runService(const ServiceConfig &config)
                       request.error().message.c_str());
             replyAndClose(client, "error",
                           request.error().message);
+            return;
+        }
+        // Only campaign requests are served; a frame of any other
+        // type is data the service does not act on.
+        const Json *type = request->find("type");
+        if (const std::string name = type ? type->asString() : "";
+            name != "campaign") {
+            sim::warn("serve: refusing a request of type '%s'",
+                      name.c_str());
+            replyAndClose(client, "error",
+                          "not a campaign request (type '" + name +
+                              "')");
             return;
         }
         if (draining()) {

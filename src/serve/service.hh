@@ -9,8 +9,10 @@
  *
  * — and are admitted into a sched::Scheduler over ONE shared worker
  * fleet and ONE shared cache store, up to maxInflight at a time, so
- * shards from different requests interleave on the same workers under
- * the configured policy instead of serving strictly in arrival order.
+ * shards from different requests interleave on the same workers by
+ * weighted fair share instead of serving strictly in arrival order.
+ * A frame of any other type is refused with an error reply and admits
+ * nothing.
  * Each request runs with its own stats registry
  * (obs::ProcessRegistryOverride) and its own megsim-run-v1 ledger, so
  * concurrent campaigns cannot bleed counters or events into each
@@ -32,8 +34,7 @@
 #include <string>
 
 #include "batch/campaign.hh"
-#include "sched/policy.hh"
-#include "serve/supervisor.hh"
+#include "sched/scheduler.hh"
 #include "util/json.hh"
 
 namespace msim::serve
@@ -46,13 +47,12 @@ struct ServiceConfig
     std::size_t maxRequests = 0;
     /** Base campaign settings; a request's fields override these. */
     batch::CampaignConfig base;
-    /** Supervision settings; sup.workers sizes the shared fleet
-     *  (0 is clamped to 1 — the fleet is always supervised). */
-    SupervisorConfig sup;
-    /** How the scheduler picks among in-flight requests. */
-    sched::Policy policy = sched::Policy::FairShare;
-    /** Admission cap: further requests are rejected (queue full). */
-    std::size_t maxInflight = 8;
+    /** Size of the shared fleet (0 is clamped to 1 — the fleet is
+     *  always supervised). */
+    std::size_t workers = 1;
+    /** Admission cap (maxInflight: further requests are rejected as
+     *  queue full) and the shard settings. */
+    sched::SchedulerConfig scheduler;
 };
 
 /**

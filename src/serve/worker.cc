@@ -2,12 +2,13 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "core/megsim.hh"
@@ -19,6 +20,7 @@
 #include "serve/protocol.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "util/env.hh"
 #include "workloads/workloads.hh"
 
 namespace msim::serve
@@ -138,19 +140,19 @@ runShard(BenchState &bench, const ShardSpec &spec,
         sim::warn("fault worker.hang: shard %zu attempt %zu stalls",
                   spec.id, spec.attempt);
         for (;;)
-            ::sleep(3600); // until the supervisor's deadline SIGKILL
+            ::sleep(3600); // until the fleet's deadline SIGKILL
     }
 
     // Optional per-shard think time before simulating: the CLI tests
     // set it to keep a request in flight while another arrives; it is
     // 0 (free) everywhere else.
     {
-        static const long thinkMs = [] {
-            const char *env = std::getenv("MEGSIM_SHARD_THINK_MS");
-            return env ? std::atol(env) : 0L;
-        }();
-        if (thinkMs > 0 && resumed < frames)
-            ::usleep(static_cast<useconds_t>(thinkMs) * 1000);
+        static const double thinkMs = util::numberFromEnv(
+            "MEGSIM_SHARD_THINK_MS", util::NumberRule::Whole, 0.0,
+            "no think time");
+        if (thinkMs > 0.0 && resumed < frames)
+            std::this_thread::sleep_for(
+                std::chrono::duration<double, std::milli>(thinkMs));
     }
 
     for (std::size_t i = resumed; i < frames; ++i) {
@@ -182,9 +184,6 @@ workerMain(int reqFd, int repFd, const batch::CampaignConfig &config)
     std::signal(SIGPIPE, SIG_IGN);
     const resilience::WatchdogConfig watchdog =
         resilience::WatchdogConfig::fromEnv();
-    // Replies carry whole shards of rows; above the spill threshold
-    // they go to disk and only a spill_ref crosses the pipe.
-    const SpillConfig spill = SpillConfig::fromEnv();
     std::map<std::string, std::unique_ptr<BenchState>> benches;
 
     for (;;) {
@@ -208,7 +207,7 @@ workerMain(int reqFd, int repFd, const batch::CampaignConfig &config)
             reply.set("shard", static_cast<std::size_t>(0));
             reply.set("status", "error");
             reply.set("message", spec.error().message);
-            if (!writeMessage(repFd, reply, spill).ok())
+            if (!writeMessage(repFd, reply).ok())
                 return 1;
             continue;
         }
@@ -219,7 +218,7 @@ workerMain(int reqFd, int repFd, const batch::CampaignConfig &config)
         if (!bench.ok()) {
             reply.set("status", "error");
             reply.set("message", bench.error().message);
-            if (!writeMessage(repFd, reply, spill).ok())
+            if (!writeMessage(repFd, reply).ok())
                 return 1;
             continue;
         }
@@ -237,7 +236,7 @@ workerMain(int reqFd, int repFd, const batch::CampaignConfig &config)
             reply.set("stats", rowsToJson(statsRows));
             reply.set("activity", rowsToJson(activityRows));
         }
-        if (!writeMessage(repFd, reply, spill).ok())
+        if (!writeMessage(repFd, reply).ok())
             return 1;
     }
 }

@@ -1,13 +1,13 @@
 /**
  * @file
  * The supervised campaign worker: the code that runs inside each
- * process the serve::Supervisor forks. A worker owns nothing but its
+ * process a serve::Fleet forks. A worker owns nothing but its
  * two pipe ends — it receives ShardSpec requests, simulates the
  * shard's frame range serially against its own per-shard checkpoint
  * journal (so a killed worker's successor resumes instead of
  * restarting), and ships the completed rows back as one checksummed
  * reply frame. All crash-recovery policy (retry, backoff, quarantine)
- * lives in the supervisor; the worker's only resilience duty is to
+ * lives in sched::Scheduler; the worker's only resilience duty is to
  * journal every completed frame before acknowledging anything.
  */
 

@@ -1,14 +1,15 @@
 /**
  * @file
- * Scheduler subsystem tests: policy semantics (FIFO exclusivity,
- * fair-share no-starvation, shortest-remaining), per-request
- * bit-identity under interleaved multi-request dispatch with injected
- * worker kills, admission-control backpressure, and per-request
- * quarantine isolation.
+ * Scheduler subsystem tests: fair-share dispatch (backfill past a
+ * backing-off request, no starvation), strict served settings,
+ * per-request bit-identity under interleaved multi-request dispatch
+ * with injected worker kills, admission-control backpressure, and
+ * per-request quarantine isolation.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -73,24 +74,15 @@ campaignConfig(const std::string &cacheDir, std::size_t frames)
 }
 
 /** Fast supervision settings: near-zero backoff, fine shards. */
-serve::SupervisorConfig
-supConfig()
-{
-    serve::SupervisorConfig sup;
-    sup.shardFrames = 4;
-    sup.retryCap = 3;
-    sup.backoffBaseMs = 1;
-    sup.backoffCapMs = 4;
-    return sup;
-}
-
 sched::SchedulerConfig
-schedConfig(sched::Policy policy, std::size_t maxInflight)
+schedConfig(std::size_t maxInflight)
 {
     sched::SchedulerConfig config;
-    config.policy = policy;
     config.maxInflight = maxInflight;
-    config.shard = supConfig();
+    config.shard.shardFrames = 4;
+    config.shard.retryCap = 3;
+    config.shard.backoffBaseMs = 1;
+    config.shard.backoffCapMs = 4;
     return config;
 }
 
@@ -110,52 +102,6 @@ soloReference(const std::string &cacheDir,
 
 } // namespace
 
-TEST_F(SchedTest, PolicyNamesParseAndRoundTrip)
-{
-    using sched::Policy;
-    EXPECT_STREQ(sched::policyName(Policy::Fifo), "fifo");
-    EXPECT_STREQ(sched::policyName(Policy::FairShare), "fair");
-    EXPECT_STREQ(sched::policyName(Policy::ShortestRemaining),
-                 "srs");
-
-    const std::pair<const char *, Policy> aliases[] = {
-        {"fifo", Policy::Fifo},
-        {"fair", Policy::FairShare},
-        {"fair-share", Policy::FairShare},
-        {"srs", Policy::ShortestRemaining},
-        {"shortest", Policy::ShortestRemaining},
-        {"shortest-remaining", Policy::ShortestRemaining},
-    };
-    for (const auto &[name, policy] : aliases) {
-        auto parsed = sched::parsePolicy(name);
-        ASSERT_TRUE(parsed.ok()) << name;
-        EXPECT_EQ(*parsed, policy) << name;
-    }
-    auto bad = sched::parsePolicy("round-robin");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.error().code, Errc::BadFormat);
-}
-
-TEST_F(SchedTest, FifoIsExclusiveToTheOldestUnfinishedRequest)
-{
-    using sched::Candidate;
-    // Oldest request (arrival 0) has work but nothing eligible —
-    // FIFO refuses to dispatch the younger eligible one.
-    std::vector<Candidate> candidates = {
-        {0, 2, false, 0.0},
-        {1, 2, true, 0.0},
-    };
-    EXPECT_EQ(sched::pickNext(sched::Policy::Fifo, candidates),
-              sched::kNoPick);
-    // Once the oldest drains (remaining 0), the next takes over.
-    candidates[0].remaining = 0;
-    EXPECT_EQ(sched::pickNext(sched::Policy::Fifo, candidates), 1u);
-    // Fair-share happily backfills in the same situation.
-    candidates[0].remaining = 2;
-    EXPECT_EQ(sched::pickNext(sched::Policy::FairShare, candidates),
-              1u);
-}
-
 TEST_F(SchedTest, FairSharePicksLeastVirtualTimeAndNeverStarves)
 {
     using sched::Candidate;
@@ -170,8 +116,7 @@ TEST_F(SchedTest, FairSharePicksLeastVirtualTimeAndNeverStarves)
             {0, 1, true, virtualA},
             {1, 1, true, virtualB},
         };
-        const std::size_t pick =
-            sched::pickNext(sched::Policy::FairShare, candidates);
+        const std::size_t pick = sched::pickNext(candidates);
         ASSERT_NE(pick, sched::kNoPick);
         if (pick == 0) {
             virtualA += 1.0 / 2.0; // weight 2
@@ -195,25 +140,69 @@ TEST_F(SchedTest, FairSharePicksLeastVirtualTimeAndNeverStarves)
     std::vector<Candidate> tie = {{3, 1, true, 1.0},
                                   {1, 1, true, 1.0},
                                   {2, 1, true, 4.0}};
-    EXPECT_EQ(sched::pickNext(sched::Policy::FairShare, tie), 1u);
+    EXPECT_EQ(sched::pickNext(tie), 1u);
+
+    // An older request whose shards are all backing off does not hold
+    // the fleet: a younger eligible one backfills.
+    std::vector<Candidate> backoff = {{0, 2, false, 0.0},
+                                      {1, 2, true, 0.0}};
+    EXPECT_EQ(sched::pickNext(backoff), 1u);
+    backoff[1].eligible = false;
+    EXPECT_EQ(sched::pickNext(backoff), sched::kNoPick);
 }
 
-TEST_F(SchedTest, ShortestRemainingDrainsSmallRequestsFirst)
+TEST_F(SchedTest, MalformedServedSettingsWarnAndKeepTheirDefaults)
 {
-    using sched::Candidate;
-    std::vector<Candidate> candidates = {{0, 5, true, 0.0},
-                                         {1, 2, true, 0.0},
-                                         {2, 2, false, 0.0},
-                                         {3, 9, true, 0.0}};
-    // Smallest eligible remaining wins; the ineligible twin is
-    // skipped.
-    EXPECT_EQ(
-        sched::pickNext(sched::Policy::ShortestRemaining, candidates),
-        1u);
-    candidates[1].eligible = false;
-    EXPECT_EQ(
-        sched::pickNext(sched::Policy::ShortestRemaining, candidates),
-        0u);
+    const sched::SchedulerConfig defaults;
+    struct Setting
+    {
+        const char *name;
+        std::size_t (*read)();
+        std::size_t fallback;
+        const char *good;
+        std::size_t parsed;
+    };
+    const Setting settings[] = {
+        {"MEGSIM_SHARD_FRAMES",
+         [] { return sched::ShardConfig::fromEnv().shardFrames; },
+         defaults.shard.shardFrames, "8", 8},
+        {"MEGSIM_SHARD_RETRIES",
+         [] { return sched::ShardConfig::fromEnv().retryCap; },
+         defaults.shard.retryCap, "0", 0},
+        {"MEGSIM_SHARD_DEADLINE_MS",
+         [] { return sched::ShardConfig::fromEnv().shardDeadlineMs; },
+         defaults.shard.shardDeadlineMs, "1500", 1500},
+        {"MEGSIM_SCHED_MAX_INFLIGHT",
+         [] { return sched::SchedulerConfig::fromEnv().maxInflight; },
+         defaults.maxInflight, "2", 2},
+    };
+    for (const Setting &setting : settings) {
+        for (const char *bad : {"abc", "3x", "-1", "2.5", "inf"}) {
+            ::setenv(setting.name, bad, 1);
+            ::testing::internal::CaptureStderr();
+            const std::size_t value = setting.read();
+            const std::string warned =
+                ::testing::internal::GetCapturedStderr();
+            ::unsetenv(setting.name);
+            EXPECT_EQ(value, setting.fallback) << setting.name << bad;
+            EXPECT_NE(warned.find(std::string(setting.name) + "='" +
+                                  bad + "'"),
+                      std::string::npos)
+                << setting.name << ": " << warned;
+        }
+        ::setenv(setting.name, setting.good, 1);
+        EXPECT_EQ(setting.read(), setting.parsed) << setting.name;
+        ::unsetenv(setting.name);
+    }
+    // A frame count and an admission cap of 0 are malformed too.
+    ::setenv("MEGSIM_SHARD_FRAMES", "0", 1);
+    EXPECT_EQ(sched::ShardConfig::fromEnv().shardFrames,
+              defaults.shard.shardFrames);
+    ::unsetenv("MEGSIM_SHARD_FRAMES");
+    ::setenv("MEGSIM_SCHED_MAX_INFLIGHT", "0", 1);
+    EXPECT_EQ(sched::SchedulerConfig::fromEnv().maxInflight,
+              defaults.maxInflight);
+    ::unsetenv("MEGSIM_SCHED_MAX_INFLIGHT");
 }
 
 TEST_F(SchedTest, ConcurrentRequestsStayBitIdenticalToSoloRuns)
@@ -244,7 +233,7 @@ TEST_F(SchedTest, ConcurrentRequestsStayBitIdenticalToSoloRuns)
             campaignConfig(cache, kFrames);
         serve::Fleet fleet(base, workers);
         sched::Scheduler scheduler(
-            base, schedConfig(sched::Policy::FairShare, 8), fleet);
+            base, schedConfig(8), fleet);
 
         std::vector<obs::RunLedger> ledgers(requestBenches.size());
         std::map<std::size_t, std::size_t> requestOf;
@@ -301,7 +290,7 @@ TEST_F(SchedTest, AdmissionPastMaxInflightIsBusyNotQueued)
         campaignConfig(path("cache"), 8);
     serve::Fleet fleet(base, 1);
     sched::Scheduler scheduler(
-        base, schedConfig(sched::Policy::FairShare, 1), fleet);
+        base, schedConfig(1), fleet);
 
     sched::RequestSpec spec;
     spec.benches = {"hcr"};
@@ -334,7 +323,7 @@ TEST_F(SchedTest, PoisonShardDegradesOnlyItsOwnRequest)
     const batch::CampaignConfig base =
         campaignConfig(path("cache"), kFrames);
     sched::SchedulerConfig config =
-        schedConfig(sched::Policy::FairShare, 8);
+        schedConfig(8);
     config.shard.shardFrames = kFrames;
     config.shard.retryCap = 1;
     serve::Fleet fleet(base, 2);
@@ -403,7 +392,7 @@ TEST_F(SchedTest, DuplicateRegenerationCoalescesAcrossRequests)
         campaignConfig(path("cache"), kFrames);
     serve::Fleet fleet(base, 2);
     sched::Scheduler scheduler(
-        base, schedConfig(sched::Policy::FairShare, 8), fleet);
+        base, schedConfig(8), fleet);
 
     const double coalescedBefore =
         obs::processRegistry()
@@ -491,7 +480,7 @@ TEST_F(SchedTest, LeaseFallsBackToRebuildWhenProducerQuarantines)
     const batch::CampaignConfig base =
         campaignConfig(path("cache"), kFrames);
     sched::SchedulerConfig config =
-        schedConfig(sched::Policy::FairShare, 8);
+        schedConfig(8);
     config.shard.retryCap = 1;
     serve::Fleet fleet(base, 2);
     sched::Scheduler scheduler(base, config, fleet);

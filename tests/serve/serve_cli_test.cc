@@ -2,8 +2,9 @@
  * @file
  * End-to-end tests for the supervised campaign CLI surface:
  * `campaign --workers N`, the degraded exit code 8, and the
- * `serve --socket` / `submit` request queue. The harness passes the
- * built megsim-cli path as argv[1] (see tests/CMakeLists.txt).
+ * `serve --socket` / `submit` request queue, including its refusal of
+ * frames that are not campaign requests. The harness passes the built
+ * megsim-cli path as argv[1] (see tests/CMakeLists.txt).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <thread>
 
 #include "scratch_dir.hh"
+#include "serve/service.hh"
 
 namespace
 {
@@ -198,6 +200,68 @@ TEST(ServeCli, ServeAnswersQueuedSubmitsOverOneSharedCache)
     EXPECT_FALSE(std::filesystem::exists(socket)) << slurp(serveLog);
     const std::string served = slurp(serveLog);
     EXPECT_NE(served.find("request 2 done"), std::string::npos);
+    // Workers leaving on the shutdown signal is no fault to warn of.
+    EXPECT_EQ(served.find("warn: serve: worker"), std::string::npos)
+        << served;
+}
+
+TEST(ServeCli, ServeRefusesFramesThatAreNotCampaignRequests)
+{
+    ASSERT_FALSE(cliPath.empty());
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path socket = dir / "refuse.sock";
+    const std::filesystem::path serveLog = dir / "refuse_serve.log";
+    const std::filesystem::path log = dir / "refuse_submit.log";
+    const std::filesystem::path victim = dir / "victim.txt";
+    std::filesystem::remove(socket);
+    {
+        std::ofstream out(victim);
+        out << "keep me\n";
+    }
+
+    const std::string serveCmd =
+        "MEGSIM_FRAME_LIMIT=6 " + cacheEnv("refuse_cache") + " " +
+        cliPath + " serve --socket " + socket.string() +
+        " --max-requests 1 --workers 1 > " + serveLog.string() +
+        " 2>&1 &";
+    ASSERT_EQ(std::system(serveCmd.c_str()), 0);
+    for (int i = 0; i < 100 && !std::filesystem::exists(socket); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_TRUE(std::filesystem::exists(socket)) << slurp(serveLog);
+
+    // Any client can send any frame. One naming a file (the shape of
+    // the retired reply-spill reference) must not touch that file and
+    // must not run as a campaign.
+    msim::util::Json frame = msim::util::Json::object();
+    frame.set("type", "spill_ref");
+    frame.set("path", victim.string());
+    frame.set("bytes", static_cast<std::size_t>(8));
+    frame.set("checksum", "0");
+    auto reply = msim::serve::submit(socket.string(), frame);
+    ASSERT_TRUE(reply.ok()) << reply.error().message;
+    const msim::util::Json *status = reply->find("status");
+    ASSERT_NE(status, nullptr) << reply->dump();
+    EXPECT_EQ(status->asString(), "error") << reply->dump();
+    const msim::util::Json *message = reply->find("message");
+    ASSERT_NE(message, nullptr) << reply->dump();
+    EXPECT_NE(message->asString().find("spill_ref"), std::string::npos)
+        << reply->dump();
+    EXPECT_EQ(slurp(victim), "keep me\n");
+
+    // The refusal admitted nothing: the one request the service takes
+    // is still a real campaign, after which it exits.
+    EXPECT_EQ(runCli("", "submit --socket " + socket.string() +
+                             " --benches hcr",
+                     log),
+              0)
+        << slurp(log) << slurp(serveLog);
+    for (int i = 0; i < 100 && std::filesystem::exists(socket); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(std::filesystem::exists(socket)) << slurp(serveLog);
+    EXPECT_NE(slurp(serveLog).find("request 1 done (ok)"),
+              std::string::npos)
+        << slurp(serveLog);
+    EXPECT_EQ(slurp(victim), "keep me\n");
 }
 
 int

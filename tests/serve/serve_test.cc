@@ -14,8 +14,9 @@
 #include "obs/ledger.hh"
 #include "resilience/fault.hh"
 #include "scratch_dir.hh"
+#include "sched/scheduler.hh"
+#include "serve/fleet.hh"
 #include "serve/protocol.hh"
-#include "serve/supervisor.hh"
 
 using namespace msim;
 using resilience::Errc;
@@ -95,16 +96,46 @@ campaignConfig(const std::string &cacheDir,
 }
 
 /** Fast supervision settings: near-zero backoff, fine shards. */
-serve::SupervisorConfig
-supConfig(std::size_t workers)
+sched::ShardConfig
+shardConfig()
 {
-    serve::SupervisorConfig sup;
-    sup.workers = workers;
-    sup.shardFrames = 4;
-    sup.retryCap = 3;
-    sup.backoffBaseMs = 1;
-    sup.backoffCapMs = 4;
-    return sup;
+    sched::ShardConfig shard;
+    shard.shardFrames = 4;
+    shard.retryCap = 3;
+    shard.backoffBaseMs = 1;
+    shard.backoffCapMs = 4;
+    return shard;
+}
+
+/**
+ * A supervised campaign as `campaign --workers N` runs it: the suite
+ * as one request to a Scheduler over a fleet of @p workers.
+ */
+resilience::Expected<batch::CampaignReport>
+runSupervised(const batch::CampaignConfig &config,
+              const sched::ShardConfig &shard, std::size_t workers,
+              obs::RunLedger *ledger = nullptr)
+{
+    serve::Fleet fleet(config, workers);
+    sched::SchedulerConfig schedConfig;
+    schedConfig.shard = shard;
+    sched::Scheduler scheduler(config, schedConfig, fleet);
+    sched::RequestSpec spec;
+    spec.benches = config.benches;
+    spec.ledger = ledger;
+    if (auto admitted = scheduler.admit(spec); !admitted.ok())
+        return admitted.error();
+    std::vector<sched::RequestResult> results =
+        scheduler.runToCompletion();
+    fleet.shutdown();
+    for (auto &[type, fields] : fleet.drainLedgerEvents())
+        if (ledger)
+            ledger->event(type, std::move(fields));
+    if (results.size() != 1)
+        return resilience::errorf(Errc::Exhausted,
+                                  "%zu results for one request",
+                                  results.size());
+    return std::move(results.front().report);
 }
 
 } // namespace
@@ -228,127 +259,32 @@ TEST_F(ServeTest, WorkerFaultDiceAreDeterministicPerShardAttempt)
     EXPECT_FALSE(FaultInjector::global().hangWorker(0, 0));
 }
 
-TEST_F(ServeTest, OversizedRepliesSpillToDiskAndRoundTrip)
+TEST_F(ServeTest, ReadMessageNeverActsOnAFileNamedInAFrame)
 {
-    serve::SpillConfig spill;
-    spill.thresholdBytes = 16;
-    spill.dir = path("spill");
-    std::filesystem::create_directories(spill.dir);
-    auto spillCount = [&] {
-        std::size_t n = 0;
-        for ([[maybe_unused]] const auto &entry :
-             std::filesystem::directory_iterator(spill.dir))
-            ++n;
-        return n;
-    };
-
-    // An artificially large reply crosses the pipe as a spill_ref but
-    // reads back byte-identical; the single-use file is gone after.
-    util::Json big = util::Json::object();
-    big.set("type", "shard_done");
-    big.set("blob", std::string(4096, 'x'));
+    // A frame is data: one that names a file (the shape of the retired
+    // reply-spill reference) reads back unchanged and leaves the file
+    // alone, whoever sent it.
+    const std::string victim = path("victim.txt");
     {
-        Pipe pipe;
-        ASSERT_TRUE(
-            serve::writeMessage(pipe.fds[1], big, spill).ok());
-        EXPECT_EQ(spillCount(), 1u);
-        auto read = serve::readMessage(pipe.fds[0], 1000.0);
-        ASSERT_TRUE(read.ok()) << read.error().message;
-        EXPECT_EQ(read->dump(), big.dump());
-        EXPECT_EQ(spillCount(), 0u);
+        std::ofstream out(victim);
+        out << "keep me\n";
     }
+    util::Json msg = util::Json::object();
+    msg.set("type", "spill_ref");
+    msg.set("path", victim);
+    msg.set("bytes", static_cast<std::size_t>(8));
+    msg.set("checksum", "0");
+    Pipe pipe;
+    ASSERT_TRUE(serve::writeMessage(pipe.fds[1], msg).ok());
 
-    // Payloads at or under the threshold never touch the disk.
-    {
-        Pipe pipe;
-        util::Json small = util::Json::object();
-        small.set("a", 1);
-        ASSERT_TRUE(
-            serve::writeMessage(pipe.fds[1], small, spill).ok());
-        EXPECT_EQ(spillCount(), 0u);
-        EXPECT_TRUE(serve::readMessage(pipe.fds[0], 1000.0).ok());
-    }
-
-    // A corrupted spill file is BadChecksum — and still removed, so a
-    // bad reply never leaks onto disk across retries.
-    {
-        Pipe pipe;
-        ASSERT_TRUE(
-            serve::writeMessage(pipe.fds[1], big, spill).ok());
-        ASSERT_EQ(spillCount(), 1u);
-        for (const auto &entry :
-             std::filesystem::directory_iterator(spill.dir)) {
-            std::ofstream out(entry.path(), std::ios::app);
-            out << "tail";
-        }
-        auto read = serve::readMessage(pipe.fds[0], 1000.0);
-        ASSERT_FALSE(read.ok());
-        EXPECT_EQ(read.error().code, Errc::BadChecksum);
-        EXPECT_EQ(spillCount(), 0u);
-    }
-
-    // A vanished spill file is Truncated: the writer died between the
-    // spill and the frame, same recovery path as a worker crash.
-    {
-        Pipe pipe;
-        ASSERT_TRUE(
-            serve::writeMessage(pipe.fds[1], big, spill).ok());
-        for (const auto &entry :
-             std::filesystem::directory_iterator(spill.dir))
-            std::filesystem::remove(entry.path());
-        auto read = serve::readMessage(pipe.fds[0], 1000.0);
-        ASSERT_FALSE(read.ok());
-        EXPECT_EQ(read.error().code, Errc::Truncated);
-    }
-
-    // An unreachable spill directory falls back to the pipe: spilling
-    // is an optimization, never a new failure mode.
-    {
-        Pipe pipe;
-        serve::SpillConfig gone;
-        gone.thresholdBytes = 16;
-        gone.dir = path("no-such-dir/nested");
-        ASSERT_TRUE(
-            serve::writeMessage(pipe.fds[1], big, gone).ok());
-        auto read = serve::readMessage(pipe.fds[0], 1000.0);
-        ASSERT_TRUE(read.ok()) << read.error().message;
-        EXPECT_EQ(read->dump(), big.dump());
-    }
-}
-
-TEST_F(ServeTest, SupervisedRunsMatchInProcessWithSpillInForce)
-{
-    // Every shard reply is far larger than 64 bytes, so the whole
-    // supervised run round-trips through spill files; results must
-    // still be bit-identical to the in-process pass.
-    const std::vector<std::string> benches = {"hcr"};
-    constexpr std::size_t kFrames = 8;
-
-    std::filesystem::create_directories(path("ref"));
-    batch::Campaign ref(
-        campaignConfig(path("ref"), benches, kFrames));
-    auto expected = ref.run();
-    ASSERT_TRUE(expected.ok()) << expected.error().message;
-
-    std::filesystem::create_directories(path("spill"));
-    ::setenv("MEGSIM_SHARD_REPLY_SPILL", "64", 1);
-    ::setenv("MEGSIM_SHARD_SPILL_DIR", path("spill").c_str(), 1);
-    std::filesystem::create_directories(path("cache"));
-    serve::Supervisor supervisor(
-        campaignConfig(path("cache"), benches, kFrames),
-        supConfig(2));
-    auto report = supervisor.run();
-    ::unsetenv("MEGSIM_SHARD_REPLY_SPILL");
-    ::unsetenv("MEGSIM_SHARD_SPILL_DIR");
-    ASSERT_TRUE(report.ok()) << report.error().message;
-    EXPECT_FALSE(report->degraded);
-
-    const std::vector<std::string> diffs =
-        batch::diffReports(*expected, *report);
-    EXPECT_TRUE(diffs.empty()) << diffs.front();
-
-    // Single-use spill files never accumulate.
-    EXPECT_TRUE(std::filesystem::is_empty(path("spill")));
+    auto read = serve::readMessage(pipe.fds[0], 1000.0);
+    ASSERT_TRUE(read.ok()) << read.error().message;
+    EXPECT_EQ(read->dump(), msg.dump());
+    ASSERT_TRUE(std::filesystem::exists(victim));
+    std::ifstream in(victim);
+    std::string line;
+    std::getline(in, line);
+    EXPECT_EQ(line, "keep me");
 }
 
 TEST_F(ServeTest, SupervisedRunsMatchInProcessAtEveryWorkerCount)
@@ -371,10 +307,9 @@ TEST_F(ServeTest, SupervisedRunsMatchInProcessAtEveryWorkerCount)
         const std::string cache =
             path("w" + std::to_string(workers));
         std::filesystem::create_directories(cache);
-        serve::Supervisor supervisor(
-            campaignConfig(cache, benches, kFrames),
-            supConfig(workers));
-        auto report = supervisor.run();
+        auto report = runSupervised(
+            campaignConfig(cache, benches, kFrames), shardConfig(),
+            workers);
         FaultInjector::setGlobalSpec("");
         ASSERT_TRUE(report.ok()) << report.error().message;
         EXPECT_FALSE(report->degraded);
@@ -410,13 +345,13 @@ TEST_F(ServeTest, PoisonShardIsQuarantinedAndTheRestCompletes)
         SCOPED_TRACE(poison.spec);
         const std::string cache = path("cache" + std::to_string(p));
         FaultInjector::setGlobalSpec(poison.spec);
-        serve::SupervisorConfig sup = supConfig(2);
-        sup.shardFrames = kFrames;
-        sup.retryCap = 1;
+        sched::ShardConfig settings = shardConfig();
+        settings.shardFrames = kFrames;
+        settings.retryCap = 1;
         obs::RunLedger ledger;
-        serve::Supervisor supervisor(
-            campaignConfig(cache, benches, kFrames), sup, &ledger);
-        auto report = supervisor.run();
+        auto report = runSupervised(
+            campaignConfig(cache, benches, kFrames), settings, 2,
+            &ledger);
         FaultInjector::setGlobalSpec("");
         ASSERT_TRUE(report.ok()) << report.error().message;
 
@@ -427,7 +362,7 @@ TEST_F(ServeTest, PoisonShardIsQuarantinedAndTheRestCompletes)
             EXPECT_EQ(shard.bench, poison.quarantined[q]);
             EXPECT_EQ(shard.beginFrame, 0u);
             EXPECT_EQ(shard.endFrame, kFrames);
-            EXPECT_EQ(shard.attempts, sup.retryCap + 1);
+            EXPECT_EQ(shard.attempts, settings.retryCap + 1);
             EXPECT_FALSE(shard.reason.empty());
             EXPECT_NE(shard.reason.find(poison.reason), std::string::npos)
                 << shard.reason;
@@ -448,7 +383,7 @@ TEST_F(ServeTest, PoisonShardIsQuarantinedAndTheRestCompletes)
             spawns += type == "worker_spawn";
             ASSERT_TRUE(obs::RunLedger::validateEvent(ev).ok());
         }
-        EXPECT_EQ(retries, sup.retryCap * poison.quarantined.size());
+        EXPECT_EQ(retries, settings.retryCap * poison.quarantined.size());
         EXPECT_EQ(quarantines, poison.quarantined.size());
         EXPECT_GE(spawns, 2u);
 

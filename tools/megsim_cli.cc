@@ -35,19 +35,22 @@
  *       successful campaign also writes a megsim-run-v1 JSONL run
  *       ledger next to the report (<report>.run.jsonl, or --ledger).
  *       --workers N (default 0 = in-process) regenerates ground truth
- *       under the crash-isolated supervisor: N forked worker
- *       processes, per-shard retry/backoff, poison-shard quarantine.
- *       A degraded (quarantined) campaign exits 8; the worker count
- *       is recorded in the ledger's run_start manifest.
+ *       as one request to the crash-isolated scheduler: N forked
+ *       worker processes, per-shard retry/backoff, poison-shard
+ *       quarantine. A degraded (quarantined) campaign exits 8; the
+ *       worker count is recorded in the ledger's run_start manifest.
  *
  *   megsim-cli serve --socket PATH [--max-requests N] [--workers N]
- *                    [--benches A,B,C] [--cache-dir DIR]
- *       Listen on a unix-domain socket and serve queued campaign
- *       requests in arrival order against one shared cache store,
- *       each with its own stats registry and run ledger.
+ *                    [--max-inflight N] [--benches A,B,C]
+ *                    [--cache-dir DIR]
+ *       Listen on a unix-domain socket and serve campaign requests
+ *       concurrently, by weighted fair share over tenants, against
+ *       one shared worker fleet and cache store, each with its own
+ *       stats registry and run ledger. Frames of any other type are
+ *       refused.
  *
- *   megsim-cli submit --socket PATH [--benches A,B,C] [--workers N]
- *                     [--out REPORT.json] [--ledger PATH]
+ *   megsim-cli submit --socket PATH [--benches A,B,C] [--tenant NAME]
+ *                     [--weight W] [--out REPORT.json] [--ledger PATH]
  *       Send one campaign request to a running `serve` and print the
  *       returned report; exits 8 if the served campaign degraded.
  *
@@ -105,10 +108,9 @@
 #include "obs/timeline.hh"
 #include "obs/trace_export.hh"
 #include "resilience/artifact.hh"
-#include "sched/policy.hh"
 #include "sched/scheduler.hh"
+#include "serve/fleet.hh"
 #include "serve/service.hh"
-#include "serve/supervisor.hh"
 #include "util/env.hh"
 #include "util/json.hh"
 #include "workloads/workloads.hh"
@@ -146,7 +148,6 @@ struct Options
     std::string timeline; // Chrome timeline path ("" = MEGSIM_TIMELINE)
     std::string validate; // ledger: file to schema-check
     std::string socket;   // serve/submit: unix socket path
-    std::string policy;   // serve: scheduling policy name
     std::string tenant;   // submit: fair-share tenant label
     double weight = 1.0;  // submit: fair-share weight
     std::size_t maxInflight = 0; // serve: 0 = env / built-in default
@@ -180,8 +181,8 @@ usage(const char *argv0)
         " [--ledger PATH] [--workers N]\n"
         "       %s campaign --diff A.json B.json\n"
         "       %s serve --socket PATH [--max-requests N]"
-        " [--workers N] [--policy fifo|fair|srs]"
-        " [--max-inflight N] [--benches A,B,C] [--cache-dir DIR]\n"
+        " [--workers N] [--max-inflight N] [--benches A,B,C]"
+        " [--cache-dir DIR]\n"
         "       %s submit --socket PATH [--benches A,B,C]"
         " [--tenant NAME] [--weight W]"
         " [--out REPORT.json] [--ledger PATH]\n"
@@ -333,11 +334,6 @@ parse(int argc, char **argv, Options &opt)
             if (!numberOption("--max-requests", next(),
                               util::NumberRule::Whole, opt.maxRequests))
                 return false;
-        } else if (arg == "--policy") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opt.policy = v;
         } else if (arg == "--max-inflight") {
             if (!numberOption("--max-inflight", next(),
                               util::NumberRule::Count, opt.maxInflight))
@@ -509,9 +505,7 @@ envManifest()
     static const char *const kVars[] = {
         "MEGSIM_THREADS",   "MEGSIM_FRAME_LIMIT", "MEGSIM_SCALE",
         "MEGSIM_CACHE_DIR", "MEGSIM_TRACE",       "MEGSIM_TIMELINE",
-        "MEGSIM_ATTRIB",
-        "MEGSIM_SCHED_POLICY",     "MEGSIM_SCHED_MAX_INFLIGHT",
-        "MEGSIM_SHARD_REPLY_SPILL", "MEGSIM_SHARD_SPILL_DIR",
+        "MEGSIM_ATTRIB",    "MEGSIM_SCHED_MAX_INFLIGHT",
     };
     util::Json env = util::Json::object();
     for (const char *var : kVars)
@@ -688,6 +682,36 @@ printCampaignReport(const batch::CampaignReport &report)
                      report.quarantined.size());
 }
 
+/**
+ * `campaign --workers N`: the suite as one request to a Scheduler over
+ * @p workers forked workers. Every supervision event, the workers'
+ * shutdown worker_exit events included, lands in @p ledger.
+ */
+resilience::Expected<batch::CampaignReport>
+runSupervised(const batch::CampaignConfig &config, std::size_t workers,
+              obs::RunLedger &ledger)
+{
+    obs::AttribRoot attribRoot;
+    obs::PhaseProfiler::Scoped scope(obs::PhaseProfiler::global(),
+                                     "campaign-serve");
+    serve::Fleet fleet(config, workers);
+    sched::Scheduler scheduler(config, sched::SchedulerConfig::fromEnv(),
+                               fleet);
+    sched::RequestSpec spec;
+    spec.benches = config.benches;
+    spec.ledger = &ledger;
+    if (auto admitted = scheduler.admit(spec); !admitted.ok())
+        return admitted.error();
+    std::vector<sched::RequestResult> results =
+        scheduler.runToCompletion();
+    // Closing the request pipes is the workers' EOF shutdown signal;
+    // their exit events still belong in this run's ledger.
+    fleet.shutdown();
+    for (auto &[type, fields] : fleet.drainLedgerEvents())
+        ledger.event(type, std::move(fields));
+    return std::move(results.front().report);
+}
+
 int
 runCampaign(const Options &opt)
 {
@@ -725,15 +749,9 @@ runCampaign(const Options &opt)
     ledgerRunStart(ledger, exec::Pool::global().workers(),
                    config.frameLimit, config.scale, aliases, opt.workers);
 
-    auto result = [&]() {
-        if (opt.workers > 0) {
-            serve::SupervisorConfig sup =
-                serve::SupervisorConfig::fromEnv();
-            sup.workers = opt.workers;
-            return serve::Supervisor(config, sup, &ledger).run();
-        }
-        return batch::Campaign(config).run();
-    }();
+    auto result = opt.workers > 0
+                      ? runSupervised(config, opt.workers, ledger)
+                      : batch::Campaign(config).run();
     if (!result.ok()) {
         const bool load =
             result.error().code == resilience::Errc::UnknownAlias;
@@ -855,23 +873,12 @@ runServe(const Options &opt)
         config.base.cacheDir = opt.cacheDir;
     if (opt.scale != 1.0)
         config.base.scale = opt.scale;
-    config.sup = serve::SupervisorConfig::fromEnv();
-    config.sup.workers = opt.workers;
-    // Env first (MEGSIM_SCHED_*), explicit flags override.
-    const sched::SchedulerConfig sched = sched::SchedulerConfig::fromEnv();
-    config.policy = sched.policy;
-    config.maxInflight = sched.maxInflight;
-    if (!opt.policy.empty()) {
-        auto parsed = sched::parsePolicy(opt.policy);
-        if (!parsed.ok()) {
-            std::fprintf(stderr, "serve: %s\n",
-                         parsed.error().message.c_str());
-            return kExitUsage;
-        }
-        config.policy = *parsed;
-    }
+    config.workers = opt.workers;
+    // Env first (MEGSIM_SCHED_*, MEGSIM_SHARD_*), explicit flags
+    // override.
+    config.scheduler = sched::SchedulerConfig::fromEnv();
     if (opt.maxInflight > 0)
-        config.maxInflight = opt.maxInflight;
+        config.scheduler.maxInflight = opt.maxInflight;
     const int rc =
         serve::runService(config) == 0 ? kExitOk : kExitRuntime;
     // MEGSIM_TIMELINE: the request.wait/request.service lanes are the
