@@ -204,8 +204,9 @@ Campaign::run()
     // regenerating benchmark, bench-major. Dynamic chunks let workers
     // drain a short benchmark and flow into the next with no barrier;
     // ordered commits serialize each benchmark's journal appends and
-    // finish (cache store + checkpoint discard) the moment its last
-    // frame lands, so a killed campaign keeps its completed prefix.
+    // finish it (its rows published, its journals left as the cache)
+    // the moment its last frame lands, so a killed campaign keeps its
+    // completed prefix.
     const std::size_t analysisUnits = fresh.size();
     std::size_t totalUnits = analysisUnits;
     std::vector<Item *> pending;
@@ -214,11 +215,10 @@ Campaign::run()
             *item->bench->data, pool.workers());
         item->bench->resumedFrames = item->pass->resumedFrames();
         if (item->pass->remaining() == 0) {
-            // A previous run died between the cache store and the
-            // journal discard: the journal already holds every frame.
-            // Publish and discard up front — the in-job finish trigger
-            // below never fires for a zero-unit pass, and without this
-            // the finished shard would re-simulate from scratch.
+            // The probe missed a cache the resume then read whole (an
+            // io.read or cache.corrupt fault with p < 1 fires on one
+            // read and not the other). The in-job finish trigger below
+            // never fires for a pass with no frames, so publish here.
             item->pass->finish();
             item->pass.reset();
             continue;

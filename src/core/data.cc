@@ -10,12 +10,10 @@
 #include "obs/profile.hh"
 #include "obs/stats.hh"
 #include "obs/timeline.hh"
-#include "resilience/artifact.hh"
 #include "resilience/checkpoint.hh"
 #include "resilience/fault.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "util/csv.hh"
 
 namespace msim::megsim
 {
@@ -23,8 +21,8 @@ namespace msim::megsim
 namespace
 {
 
-/** Cache/checkpoint artifact format generation. */
-constexpr const char *kCacheVersion = "v4";
+/** Cache/checkpoint format generation (v5: the journals are the cache). */
+constexpr const char *kCacheVersion = "v5";
 
 void
 createCacheDir(const std::string &dir)
@@ -37,25 +35,38 @@ createCacheDir(const std::string &dir)
 }
 
 obs::Scalar &
-regeneratedCounter()
+cacheCounter(const char *name, const char *desc)
 {
     return obs::processRegistry().scalar(
-        "resilience.cache.regenerated",
-        "cache artifacts regenerated after corruption");
+        std::string("resilience.cache.") + name, desc);
+}
+
+resilience::Rows
+statsRows(const std::vector<gpusim::FrameStats> &stats)
+{
+    resilience::Rows rows;
+    rows.reserve(stats.size());
+    for (const gpusim::FrameStats &s : stats)
+        rows.push_back(s.toCsvRow());
+    return rows;
+}
+
+resilience::Rows
+activityRows(const std::vector<gpusim::FrameActivity> &activities)
+{
+    resilience::Rows rows;
+    rows.reserve(activities.size());
+    for (const gpusim::FrameActivity &act : activities)
+        rows.push_back(activityToRow(act));
+    return rows;
 }
 
 } // namespace
 
-std::vector<std::string>
-activityHeader(const gfx::SceneTrace &scene)
+std::size_t
+activityColumns(const gfx::SceneTrace &scene)
 {
-    std::vector<std::string> header = {"frame", "primitives",
-                                       "vertices", "fragments"};
-    for (std::size_t c = 0; c < scene.numVertexShaders(); ++c)
-        header.push_back("vs" + std::to_string(c));
-    for (std::size_t c = 0; c < scene.numFragmentShaders(); ++c)
-        header.push_back("fs" + std::to_string(c));
-    return header;
+    return 4 + scene.numVertexShaders() + scene.numFragmentShaders();
 }
 
 std::vector<double>
@@ -112,7 +123,7 @@ BenchmarkData::cacheKey() const
 std::string
 BenchmarkData::cachePath(const std::string &kind) const
 {
-    return checkpointStem() + "_" + kind + ".csv";
+    return checkpoint().journalPath(kind);
 }
 
 std::string
@@ -128,72 +139,25 @@ BenchmarkData::checkpointStem() const
            "_" + keyHex;
 }
 
-CacheProbe
-BenchmarkData::loadActivityCache()
+resilience::Checkpoint
+BenchmarkData::checkpoint() const
 {
-    obs::AttribScope loadScope(obs::HostDomain::Load);
-    obs::TimelineRecorder::Span span("cache.load", 0,
-                                     scene_->name + ":activity");
-    auto loaded = resilience::readCsvArtifact(cachePath("activity"),
-                                              cacheKey(), "activity");
-    if (!loaded.ok()) {
-        if (loaded.error().code == resilience::Errc::NotFound)
-            return CacheProbe::Missing;
-        ++regeneratedCounter();
-        return CacheProbe::Invalid;
-    }
-    const util::CsvTable &table = *loaded;
+    return resilience::Checkpoint(
+        checkpointStem(), cacheKey(), scene_->numFrames(),
+        gpusim::FrameStats::csvHeader().size(),
+        activityColumns(*scene_), 0);
+}
+
+void
+BenchmarkData::loadActivities(const resilience::Rows &rows)
+{
     const std::size_t vs = scene_->numVertexShaders();
     const std::size_t fs = scene_->numFragmentShaders();
-    if (table.header.size() != 4 + vs + fs ||
-        table.rows.size() != scene_->numFrames())
-        return CacheProbe::Invalid;
-
     activities_.clear();
-    activities_.reserve(table.rows.size());
-    for (const std::vector<double> &row : table.rows)
+    activities_.reserve(rows.size());
+    for (const std::vector<double> &row : rows)
         activities_.push_back(activityFromRow(row, vs, fs));
-    return CacheProbe::Loaded;
-}
-
-resilience::Expected<void>
-BenchmarkData::storeActivityCache() const
-{
-    obs::AttribScope loadScope(obs::HostDomain::Load);
-    obs::TimelineRecorder::Span span("cache.store", 0,
-                                     scene_->name + ":activity");
-    util::CsvTable table;
-    table.header = activityHeader(*scene_);
-    for (const gpusim::FrameActivity &act : activities_)
-        table.rows.push_back(activityToRow(act));
-    return resilience::writeCsvArtifact(cachePath("activity"), table,
-                                        cacheKey(), "activity");
-}
-
-CacheProbe
-BenchmarkData::loadStatsCache()
-{
-    obs::AttribScope loadScope(obs::HostDomain::Load);
-    obs::TimelineRecorder::Span span("cache.load", 0,
-                                     scene_->name + ":stats");
-    auto loaded =
-        resilience::readCsvArtifact(cachePath("stats"), cacheKey(),
-                                    "stats");
-    if (!loaded.ok()) {
-        if (loaded.error().code == resilience::Errc::NotFound)
-            return CacheProbe::Missing;
-        ++regeneratedCounter();
-        return CacheProbe::Invalid;
-    }
-    const util::CsvTable &table = *loaded;
-    if (table.header != gpusim::FrameStats::csvHeader() ||
-        table.rows.size() != scene_->numFrames())
-        return CacheProbe::Invalid;
-    stats_.clear();
-    stats_.reserve(table.rows.size());
-    for (const std::vector<double> &row : table.rows)
-        stats_.push_back(gpusim::FrameStats::fromCsvRow(row));
-    return CacheProbe::Loaded;
+    haveActivities_ = true;
 }
 
 CacheProbe
@@ -203,32 +167,48 @@ BenchmarkData::probeCaches()
         return CacheProbe::Loaded;
     if (cacheDir_.empty())
         return CacheProbe::Missing;
-    const CacheProbe stats = loadStatsCache();
-    const CacheProbe activity = loadActivityCache();
-    if (stats == CacheProbe::Loaded &&
-        activity == CacheProbe::Loaded) {
-        haveStats_ = true;
-        haveActivities_ = true;
-        return CacheProbe::Loaded;
-    }
-    if (stats == CacheProbe::Invalid ||
-        activity == CacheProbe::Invalid)
-        return CacheProbe::Invalid;
-    return CacheProbe::Missing;
-}
-
-resilience::Expected<void>
-BenchmarkData::storeStatsCache() const
-{
     obs::AttribScope loadScope(obs::HostDomain::Load);
-    obs::TimelineRecorder::Span span("cache.store", 0,
-                                     scene_->name + ":stats");
-    util::CsvTable table;
-    table.header = gpusim::FrameStats::csvHeader();
-    for (const gpusim::FrameStats &s : stats_)
-        table.rows.push_back(s.toCsvRow());
-    return resilience::writeCsvArtifact(cachePath("stats"), table,
-                                        cacheKey(), "stats");
+    obs::TimelineRecorder::Span span("cache.load", 0, scene_->name);
+    auto found = checkpoint().read();
+    if (!found.ok() &&
+        found.error().code == resilience::Errc::NotFound)
+        return CacheProbe::Missing;
+    if (!found.ok() || found->corrupt()) {
+        // The pass rebuilds the cache, resuming from the valid lines
+        // before the first bad one.
+        if (!found.ok()) {
+            sim::warn("ground-truth cache of '%s' refused: %s",
+                      scene_->name.c_str(),
+                      found.error().message.c_str());
+        } else {
+            const bool stats = found->stats.badLine != 0;
+            const resilience::JournalRows &bad =
+                stats ? found->stats : found->activity;
+            sim::warn("ground-truth cache '%s': line %zu %s",
+                      cachePath(stats ? "stats" : "activity").c_str(),
+                      bad.badLine, bad.problem);
+        }
+        if (found.ok() ||
+            found.error().code == resilience::Errc::BadFingerprint)
+            ++cacheCounter("corrupt_detected",
+                           "ground-truth caches refused as corrupt");
+        ++cacheCounter("regenerated",
+                       "ground-truth caches rebuilt after corruption");
+        return CacheProbe::Invalid;
+    }
+    const std::size_t total = scene_->numFrames();
+    if (found->stats.rows.size() != total ||
+        found->activity.rows.size() != total)
+        return CacheProbe::Missing;
+
+    stats_.clear();
+    stats_.reserve(total);
+    for (const std::vector<double> &row : found->stats.rows)
+        stats_.push_back(gpusim::FrameStats::fromCsvRow(row));
+    haveStats_ = true;
+    if (!haveActivities_)
+        loadActivities(found->activity.rows);
+    return CacheProbe::Loaded;
 }
 
 resilience::Expected<void>
@@ -250,12 +230,11 @@ BenchmarkData::installGroundTruth(
     haveActivities_ = true;
     if (cacheDir_.empty())
         return {};
+    obs::AttribScope loadScope(obs::HostDomain::Load);
+    obs::TimelineRecorder::Span span("cache.store", 0, scene_->name);
     createCacheDir(cacheDir_);
-    auto storedStats = storeStatsCache();
-    auto storedActs = storeActivityCache();
-    if (!storedStats.ok())
-        return storedStats;
-    return storedActs;
+    return checkpoint().write(statsRows(stats_),
+                              activityRows(activities_));
 }
 
 const std::vector<gpusim::FrameActivity> &
@@ -263,10 +242,20 @@ BenchmarkData::activities()
 {
     if (haveActivities_)
         return activities_;
-    if (!cacheDir_.empty() &&
-        loadActivityCache() == CacheProbe::Loaded) {
-        haveActivities_ = true;
-        return activities_;
+    // A ground-truth pass that has journaled frames keeps its
+    // checkpoint: storing this pass must not cost it that progress.
+    bool groundTruthJournaled = false;
+    if (!cacheDir_.empty()) {
+        obs::AttribScope loadScope(obs::HostDomain::Load);
+        obs::TimelineRecorder::Span span("cache.load", 0,
+                                         scene_->name + ":activity");
+        auto found = checkpoint().read();
+        if (found.ok() &&
+            found->activity.rows.size() == scene_->numFrames()) {
+            loadActivities(found->activity.rows);
+            return activities_;
+        }
+        groundTruthJournaled = found.ok() && !found->stats.rows.empty();
     }
 
     obs::PhaseProfiler::Scoped scope(obs::PhaseProfiler::global(),
@@ -302,9 +291,15 @@ BenchmarkData::activities()
                    pass.error().message.c_str());
     heartbeat.finish();
     haveActivities_ = true;
-    if (!cacheDir_.empty()) {
+    if (!cacheDir_.empty() && !groundTruthJournaled) {
+        // The activity journal under an empty stats journal: a later
+        // ground-truth pass resumes from the shorter prefix, 0.
+        obs::AttribScope loadScope(obs::HostDomain::Load);
+        obs::TimelineRecorder::Span span("cache.store", 0,
+                                         scene_->name + ":activity");
         createCacheDir(cacheDir_);
-        if (auto stored = storeActivityCache(); !stored.ok())
+        auto stored = checkpoint().write({}, activityRows(activities_));
+        if (!stored.ok())
             sim::warn("activity cache store failed: %s",
                       stored.error().message.c_str());
     }
@@ -324,10 +319,8 @@ BenchmarkData::ensureFrameStats()
 {
     if (haveStats_)
         return {};
-    if (!cacheDir_.empty() && loadStatsCache() == CacheProbe::Loaded) {
-        haveStats_ = true;
+    if (probeCaches() == CacheProbe::Loaded)
         return {};
-    }
 
     // The expensive pass: cycle-level simulation of every frame,
     // factored into GroundTruthPass so batch campaigns can splice many
@@ -373,8 +366,7 @@ GroundTruthPass::GroundTruthPass(BenchmarkData &data,
     if (!data.cacheDir_.empty()) {
         createCacheDir(data.cacheDir_);
         ckpt_ = std::make_unique<resilience::Checkpoint>(
-            data.checkpointStem(), data.cacheKey(), total_,
-            gpusim::FrameStats::csvHeader().size(), 4 + vs + fs);
+            data.checkpoint());
         start_ = ckpt_->resume();
         for (std::size_t f = 0; f < start_; ++f) {
             stats_.push_back(gpusim::FrameStats::fromCsvRow(
@@ -463,33 +455,7 @@ GroundTruthPass::finish()
         data_->activities_ = std::move(acts_);
         data_->haveActivities_ = true;
     }
-    // Store the caches FIRST and only discard the journal once both
-    // stores verifiably landed: a run killed between the stores (the
-    // `cache.store` kill site) or a failed store must leave the
-    // journal behind, so the next run resumes every committed frame
-    // instead of re-simulating the finished pass.
-    bool stored = true;
-    if (!data_->cacheDir_.empty()) {
-        createCacheDir(data_->cacheDir_);
-        auto stats = data_->storeStatsCache();
-        resilience::FaultInjector::global().maybeKillAtSite(
-            "cache.store");
-        auto acts = data_->storeActivityCache();
-        stored = stats.ok() && acts.ok();
-        if (!stored)
-            sim::warn("ground-truth cache store of '%s' failed (%s); "
-                      "keeping the checkpoint journal",
-                      data_->scene_->name.c_str(),
-                      (!stats.ok() ? stats : acts)
-                          .error()
-                          .message.c_str());
-    }
-    if (ckpt_) {
-        resilience::FaultInjector::global().maybeKillAtSite(
-            "ckpt.discard");
-        if (stored)
-            ckpt_->discard();
-    }
+    // The journals stay: complete, they are the ground-truth cache.
 }
 
 std::vector<double>

@@ -277,32 +277,32 @@ struct MegsimConfig
 };
 
 /**
- * Column layout of the activity cache/journal rows (frame, primitives,
+ * Column layout of the activity journal rows (frame, primitives,
  * vertices, fragments, then one column per vertex and fragment
- * shader). Shared by the checkpoint journals, the cache artifacts and
- * the serve worker protocol, which all transport the same rows.
+ * shader). Shared by the checkpoint journals, which are also the
+ * cache, and the serve worker protocol, which transport the same rows.
  */
-std::vector<std::string> activityHeader(const gfx::SceneTrace &scene);
+std::size_t activityColumns(const gfx::SceneTrace &scene);
 std::vector<double> activityToRow(const gpusim::FrameActivity &act);
 gpusim::FrameActivity activityFromRow(const std::vector<double> &row,
                                       std::size_t vsShaders,
                                       std::size_t fsShaders);
 
-/** Outcome of probing a benchmark's on-disk ground-truth caches. */
+/** Outcome of probing a benchmark's on-disk ground-truth cache. */
 enum class CacheProbe {
-    Loaded,  // both artifacts verified and loaded into memory
-    Missing, // at least one artifact absent, none corrupt
-    Invalid, // at least one artifact stale/corrupt (regeneration due)
+    Loaded,  // both journals complete, loaded into memory
+    Missing, // no checkpoint, or a valid prefix short of the total
+    Invalid, // corrupt or unreadable (the pass rebuilds it)
 };
 
 /**
  * A benchmark's per-frame ground truth, computed lazily and cached on
- * disk (keyed by scene content hash and GPU-config fingerprint, so
- * stale caches can never be reused). An empty @p cacheDirectory
- * disables the disk cache. Constructing BenchmarkData does no work at
- * all: the cache key is computed, thread-safely, on its first read,
- * the functional pass on first use of activities(), the cycle-level
- * pass on first use of frameStats(). The scene must outlive it and
+ * disk as its finished checkpoint (keyed by scene content hash and
+ * GPU-config fingerprint, so stale caches can never be reused). An
+ * empty @p cacheDirectory disables the disk cache. Constructing
+ * BenchmarkData does no work at all: the cache key is computed,
+ * thread-safely, on its first read, the functional pass on first use
+ * of activities(), the cycle-level pass on first use of frameStats(). The scene must outlive it and
  * stay unchanged; the class is neither copyable nor movable.
  */
 class BenchmarkData
@@ -327,8 +327,8 @@ class BenchmarkData
     const std::vector<gpusim::FrameStats> &frameStats();
 
     /**
-     * Make frameStats() free: load the stats cache, or run the
-     * checkpointed ground-truth pass. A failed pass (a frame past a
+     * Make frameStats() free: load the cache, or run the checkpointed
+     * ground-truth pass. A failed pass (a frame past a
      * watchdog budget) comes back as an error; the frames committed
      * before it stay journaled for the next run to resume.
      */
@@ -338,8 +338,8 @@ class BenchmarkData
     std::vector<double> metric(gpusim::Metric metric);
 
     /**
-     * On-disk path of the @p kind ("activity" / "stats") cache
-     * artifact; also what `megsim-cli verify-cache` inspects.
+     * On-disk path of the @p kind ("activity" / "stats") journal,
+     * which a finished pass leaves behind as the cache.
      */
     std::string cachePath(const std::string &kind) const;
 
@@ -350,11 +350,15 @@ class BenchmarkData
     std::uint64_t cacheKey() const;
 
     /**
-     * Attempt to satisfy both passes from the disk caches without
-     * simulating anything: Loaded means activities() and frameStats()
-     * are now in memory and free; Missing/Invalid mean a ground-truth
-     * pass is due (Invalid additionally flags that a stale or corrupt
-     * artifact was found and counted under resilience.cache.*).
+     * Attempt to satisfy both passes from the disk cache without
+     * simulating anything: Loaded means both journals were complete
+     * and activities() and frameStats() are now in memory and free;
+     * Missing/Invalid mean a ground-truth pass is due, resuming any
+     * valid prefix. Invalid additionally flags a corrupt checkpoint (a
+     * newline-terminated line failing its checksum, width or frame
+     * order, a manifest that does not match, or an injected
+     * `cache.corrupt`), counted under resilience.cache.*, or an
+     * unreadable one. A torn unterminated tail is no corruption.
      */
     CacheProbe probeCaches();
 
@@ -362,18 +366,25 @@ class BenchmarkData
     bool complete() const { return haveStats_ && haveActivities_; }
 
     /**
-     * Directory + artifact stem the cache and checkpoint files hang
-     * off; serve shard journals derive their stems from it too.
+     * Directory + stem the checkpoint files hang off; serve shard
+     * journals derive their stems from it too.
      */
     std::string checkpointStem() const;
 
     /**
+     * The checkpoint that journals the ground-truth pass and, once
+     * complete, is the cache; the one loader of its rows.
+     */
+    resilience::Checkpoint checkpoint() const;
+
+    /**
      * Install externally produced ground truth (frames assembled from
-     * supervised worker shards) and store the cache artifacts. Both
+     * supervised worker shards) and write it as a finished checkpoint,
+     * byte-identical to the one an in-process pass leaves. Both
      * vectors must cover every scene frame in order. The data stays
-     * installed in memory even when a cache store fails; the first
-     * store error is returned so the caller can decide whether the
-     * on-disk state is trustworthy.
+     * installed in memory even when the write fails; its error is
+     * returned so the caller can decide whether the on-disk state is
+     * trustworthy.
      */
     resilience::Expected<void>
     installGroundTruth(std::vector<gpusim::FrameStats> stats,
@@ -382,10 +393,7 @@ class BenchmarkData
   private:
     friend class GroundTruthPass;
 
-    CacheProbe loadActivityCache();
-    resilience::Expected<void> storeActivityCache() const;
-    CacheProbe loadStatsCache();
-    resilience::Expected<void> storeStatsCache() const;
+    void loadActivities(const std::vector<std::vector<double>> &rows);
 
     const gfx::SceneTrace *scene_;
     gpusim::GpuConfig config_;
@@ -425,10 +433,9 @@ simulateGuarded(gpusim::TimingSimulator &sim,
  * frames of many passes into a single shared job. The split preserves
  * the frameStats() contract exactly: checkpoint resume on
  * construction, watchdog + fault hooks per frame, journal appends in
- * strict frame order from commit() (caller thread only), caches
- * stored and the checkpoint discarded by finish(). Frames simulate
- * cold, so any interleaving of produce() calls yields bit-identical
- * results.
+ * strict frame order from commit() (caller thread only), rows
+ * published by finish(). Frames simulate cold, so any interleaving of
+ * produce() calls yields bit-identical results.
  */
 class GroundTruthPass
 {
@@ -456,7 +463,8 @@ class GroundTruthPass
 
     /**
      * All frames committed: publish stats/activities into the
-     * BenchmarkData, store the cache artifacts, drop the checkpoint.
+     * BenchmarkData. The journals stay on disk; complete, they are
+     * the cache.
      */
     void finish();
 

@@ -1,12 +1,13 @@
 #include "obs/timeline.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <utility>
 
+#include "obs/trace_export.hh"
 #include "sim/logging.hh"
+#include "util/json.hh"
 
 namespace msim::obs
 {
@@ -34,37 +35,6 @@ initTimelineFromEnv()
 [[maybe_unused]] const bool gTimelineInit = initTimelineFromEnv();
 
 thread_local TimelineRecorder *tlsTimelineOverride = nullptr;
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-formatUs(double us)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.3f", us);
-    return buf;
-}
 
 } // namespace
 
@@ -164,13 +134,13 @@ writeTimelineChrome(std::ostream &os,
         if (!first)
             os << ',';
         first = false;
-        os << "{\"name\":\"" << jsonEscape(s.name)
-           << "\",\"cat\":\"host\",\"ph\":\"X\",\"ts\":"
+        os << "{\"name\":" << util::jsonString(s.name)
+           << ",\"cat\":\"host\",\"ph\":\"X\",\"ts\":"
            << formatUs(ts) << ",\"dur\":" << formatUs(dur)
            << ",\"pid\":0,\"tid\":" << s.track
            << ",\"args\":{\"arg\":" << s.arg;
         if (!s.detail.empty())
-            os << ",\"detail\":\"" << jsonEscape(s.detail) << "\"";
+            os << ",\"detail\":" << util::jsonString(s.detail);
         os << "}}";
     }
     os << "]}\n";

@@ -5,35 +5,10 @@
 #include <map>
 
 #include "sim/logging.hh"
+#include "util/json.hh"
 
 namespace msim::obs
 {
-
-namespace
-{
-
-std::string
-jsonEscape(const char *s)
-{
-    std::string out;
-    for (; *s; ++s) {
-        switch (*s) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(*s) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", *s);
-                out += buf;
-            } else {
-                out += *s;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 formatUs(double us)
@@ -42,8 +17,6 @@ formatUs(double us)
     std::snprintf(buf, sizeof(buf), "%.3f", us);
     return buf;
 }
-
-} // namespace
 
 void
 writeChromeTrace(std::ostream &os,
@@ -69,8 +42,8 @@ writeChromeTrace(std::ostream &os,
             os << ',';
         first = false;
         os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-           << "\"tid\":" << tid << ",\"args\":{\"name\":\""
-           << jsonEscape(key.c_str()) << "\"}}";
+           << "\"tid\":" << tid << ",\"args\":{\"name\":"
+           << util::jsonString(key) << "}}";
     }
     for (const TraceEvent &e : events) {
         const std::string key =
@@ -83,7 +56,7 @@ writeChromeTrace(std::ostream &os,
         if (!first)
             os << ',';
         first = false;
-        os << "{\"name\":\"" << jsonEscape(e.name) << "\",\"cat\":\""
+        os << "{\"name\":" << util::jsonString(e.name) << ",\"cat\":\""
            << traceCategoryName(e.category) << "\",\"ph\":\""
            << (e.end > e.begin ? 'X' : 'i') << "\",\"ts\":"
            << formatUs(ts);

@@ -23,6 +23,12 @@
 namespace msim::obs
 {
 
+/**
+ * A Chrome trace_event timestamp or duration: microseconds with three
+ * decimals (the host timeline writes the same format).
+ */
+std::string formatUs(double us);
+
 /** Write events as Chrome trace_event JSON. */
 void writeChromeTrace(std::ostream &os,
                       const std::vector<TraceEvent> &events,

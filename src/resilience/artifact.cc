@@ -1,45 +1,12 @@
 #include "resilience/artifact.hh"
 
-#include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
-#include "obs/stats.hh"
-#include "resilience/checksum.hh"
 #include "resilience/fault.hh"
-#include "sim/logging.hh"
 
 namespace msim::resilience
 {
-
-namespace
-{
-
-constexpr std::uint32_t kArtifactVersion = 1;
-
-obs::Scalar &
-counter(const char *name, const char *desc)
-{
-    return obs::processRegistry().scalar(
-        std::string("resilience.cache.") + name, desc);
-}
-
-Error
-countCorrupt(Error error, const std::string &path,
-             const std::string &kind)
-{
-    ++counter("corrupt_detected",
-              "cache artifacts rejected by integrity checks");
-    sim::warn("%s cache '%s' rejected: %s", kind.c_str(),
-              path.c_str(), error.message.c_str());
-    return error;
-}
-
-} // namespace
 
 Expected<std::string>
 readFileToString(const std::string &path)
@@ -55,11 +22,16 @@ readFileToString(const std::string &path)
         return errorf(Errc::Io, "cannot open '%s' for reading",
                       path.c_str());
     }
-    std::ostringstream content;
-    content << in.rdbuf();
+    std::string content;
+    std::error_code ec;
+    if (const auto size = std::filesystem::file_size(path, ec); !ec)
+        content.reserve(size);
+    char buf[1 << 16];
+    while (in.read(buf, sizeof(buf)) || in.gcount() > 0)
+        content.append(buf, static_cast<std::size_t>(in.gcount()));
     if (in.bad())
         return errorf(Errc::Io, "error reading '%s'", path.c_str());
-    return content.str();
+    return content;
 }
 
 Expected<void>
@@ -87,92 +59,6 @@ atomicWriteFile(const std::string &path, const std::string &content)
                       tmp.c_str(), ec.message().c_str());
     }
     return {};
-}
-
-Expected<void>
-writeCsvArtifact(const std::string &path, const util::CsvTable &table,
-                 std::uint64_t fingerprint, const std::string &kind)
-{
-    const std::string payload = util::csvToString(table);
-    char header[128];
-    std::snprintf(header, sizeof(header),
-                  "# megsim-artifact v%" PRIu32
-                  " fingerprint=%016" PRIx64 " checksum=%016" PRIx64
-                  " rows=%zu\n",
-                  kArtifactVersion, fingerprint, fnv1a(payload),
-                  table.rows.size());
-    auto written = atomicWriteFile(path, header + payload);
-    if (!written.ok()) {
-        ++counter("write_failures", "cache artifact writes that failed");
-        sim::warn("cannot store %s cache '%s': %s", kind.c_str(),
-                  path.c_str(), written.error().message.c_str());
-        return written;
-    }
-    return {};
-}
-
-Expected<util::CsvTable>
-readCsvArtifact(const std::string &path, std::uint64_t fingerprint,
-                const std::string &kind)
-{
-    auto content = readFileToString(path);
-    if (!content.ok())
-        return content.error();
-    if (FaultInjector::global().corruptCache(kind))
-        return countCorrupt(errorf(Errc::Injected,
-                                   "injected cache corruption"),
-                            path, kind);
-
-    const std::string &text = *content;
-    const std::size_t eol = text.find('\n');
-    if (eol == std::string::npos)
-        return countCorrupt(
-            errorf(Errc::BadFormat, "missing artifact header"), path,
-            kind);
-
-    const std::string headerLine = text.substr(0, eol);
-    std::uint32_t version = 0;
-    std::uint64_t storedFingerprint = 0, storedChecksum = 0;
-    std::size_t rows = 0;
-    if (std::sscanf(headerLine.c_str(),
-                    "# megsim-artifact v%" SCNu32
-                    " fingerprint=%" SCNx64 " checksum=%" SCNx64
-                    " rows=%zu",
-                    &version, &storedFingerprint, &storedChecksum,
-                    &rows) != 4)
-        return countCorrupt(
-            errorf(Errc::BadFormat, "unparseable artifact header"),
-            path, kind);
-    if (version != kArtifactVersion)
-        return countCorrupt(
-            errorf(Errc::BadVersion,
-                   "artifact version %u, expected %u", version,
-                   kArtifactVersion),
-            path, kind);
-    if (storedFingerprint != fingerprint)
-        return countCorrupt(
-            errorf(Errc::BadFingerprint,
-                   "fingerprint %016llx does not match expected %016llx",
-                   static_cast<unsigned long long>(storedFingerprint),
-                   static_cast<unsigned long long>(fingerprint)),
-            path, kind);
-
-    const std::string payload = text.substr(eol + 1);
-    util::CsvTable table;
-    if (!util::csvFromString(payload, table))
-        return countCorrupt(
-            errorf(Errc::BadFormat, "unparseable CSV payload"), path,
-            kind);
-    if (table.rows.size() < rows)
-        return countCorrupt(
-            errorf(Errc::Truncated, "%zu rows on disk, header says %zu",
-                   table.rows.size(), rows),
-            path, kind);
-    if (fnv1a(payload) != storedChecksum)
-        return countCorrupt(
-            errorf(Errc::BadChecksum, "payload checksum mismatch"),
-            path, kind);
-    return table;
 }
 
 } // namespace msim::resilience

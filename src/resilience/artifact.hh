@@ -1,28 +1,18 @@
 /**
  * @file
- * Integrity-checked on-disk artifacts.
- *
- * Every persistent cache CSV gains a one-line header:
- *
- *   # megsim-artifact v1 fingerprint=<16hex> checksum=<16hex> rows=<n>
- *
- * where the fingerprint keys the artifact to its scene/config and the
- * checksum covers the CSV payload that follows. Writes are atomic
- * (temp file + rename), so readers never observe a half-written
- * artifact; loads verify version, fingerprint, row count and checksum
- * and return a structured error instead of trusting a truncated or
- * bit-flipped file. Detected corruption is counted under
- * `resilience.cache.*` in the process-wide stats registry.
+ * Whole-file reads and atomic whole-file writes, both consulting the
+ * fault-injection hooks. Writes go through a temp file and a rename,
+ * so readers never observe a half-written file. The ground-truth
+ * cache is a finished checkpoint (resilience/checkpoint.hh), written
+ * and read through these.
  */
 
 #ifndef MSIM_RESILIENCE_ARTIFACT_HH
 #define MSIM_RESILIENCE_ARTIFACT_HH
 
-#include <cstdint>
 #include <string>
 
 #include "resilience/expected.hh"
-#include "util/csv.hh"
 
 namespace msim::resilience
 {
@@ -36,26 +26,6 @@ Expected<std::string> readFileToString(const std::string &path);
  */
 Expected<void> atomicWriteFile(const std::string &path,
                                const std::string &content);
-
-/**
- * Write @p table as a checksummed artifact keyed by @p fingerprint.
- * @p kind is a short tag ("stats", "activity") used for logging and
- * fault matching.
- */
-Expected<void> writeCsvArtifact(const std::string &path,
-                                const util::CsvTable &table,
-                                std::uint64_t fingerprint,
-                                const std::string &kind);
-
-/**
- * Load an artifact written by writeCsvArtifact, verifying version,
- * fingerprint, row count and checksum. NotFound is benign (cache
- * miss); every other error means the file exists but cannot be
- * trusted.
- */
-Expected<util::CsvTable> readCsvArtifact(const std::string &path,
-                                         std::uint64_t fingerprint,
-                                         const std::string &kind);
 
 } // namespace msim::resilience
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * FNV-1a 64-bit content checksums for on-disk artifacts (cache CSVs,
- * checkpoint journal lines). Not cryptographic — the threat model is
+ * FNV-1a 64-bit content checksums (checkpoint journal lines, serve
+ * protocol frames). Not cryptographic — the threat model is
  * truncation, bit rot and partial writes, not an adversary.
  */
 

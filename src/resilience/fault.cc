@@ -93,7 +93,7 @@ parseClause(const std::string &text)
         } else if (key == "times") {
             clause.times = static_cast<std::uint64_t>(
                 std::atoll(value.c_str()));
-        } else if (key == "path" || key == "kind" || key == "site") {
+        } else if (key == "path" || key == "kind") {
             clause.match = value;
         } else {
             return errorf(Errc::BadFormat,
@@ -259,21 +259,6 @@ FaultInjector::maybeKillAfterFrame(std::uint64_t frame)
         ++injectedCounter(armed.clause.cls);
         sim::warn("fault run.kill: dying after frame %llu",
                   static_cast<unsigned long long>(frame));
-        std::raise(SIGKILL);
-    }
-}
-
-void
-FaultInjector::maybeKillAtSite(const std::string &site)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (Armed &armed : armed_) {
-        if (armed.clause.cls != FaultClass::RunKill ||
-            armed.clause.match.empty() ||
-            site.find(armed.clause.match) == std::string::npos)
-            continue;
-        ++injectedCounter(armed.clause.cls);
-        sim::warn("fault run.kill: dying at site '%s'", site.c_str());
         std::raise(SIGKILL);
     }
 }

@@ -8,15 +8,13 @@
  *   class          keys                  effect
  *   io.read        p, seed, path         file reads fail
  *   io.write       p, seed, path         file writes fail
- *   cache.corrupt  p, seed, kind         cache artifact loads report
- *                                        a checksum mismatch
+ *   cache.corrupt  p, seed, kind         a checkpoint read refuses
+ *                                        the first line of the stats
+ *                                        or activity journal
  *   frame.hang     frame | p, seed       a frame blows its watchdog
  *                                        budget (simulated timeout)
- *   run.kill       frame | site          raise(SIGKILL) right after
- *                                        frame N is checkpointed, or
- *                                        when execution passes the
- *                                        named kill site (substring
- *                                        match, e.g. `site=ckpt.discard`)
+ *   run.kill       frame                 raise(SIGKILL) right after
+ *                                        frame N is checkpointed
  *   worker.kill    p, seed, shard, times a supervised serve worker
  *                                        dies (SIGKILL) right after
  *                                        its first fresh frame commit
@@ -77,7 +75,7 @@ struct FaultClause
     FaultClass cls = FaultClass::IoRead;
     double probability = 1.0;
     std::uint64_t seed = 1;
-    std::string match;                  // path/kind/site substring
+    std::string match;                  // path/kind substring
     std::uint64_t frame = ~0ULL;        // frame.hang / run.kill target
     std::uint64_t shard = ~0ULL;        // worker.* target (~0 = any)
     std::uint64_t times = ~0ULL;        // worker.* attempt cap (~0 = all)
@@ -111,7 +109,7 @@ class FaultInjector
     /** Should a write of @p path fail right now? */
     bool failWrite(const std::string &path);
 
-    /** Should a cache artifact of @p kind load as corrupted? */
+    /** Should a read of the @p kind journal load as corrupted? */
     bool corruptCache(const std::string &kind);
 
     /** Should @p frame be treated as hung (watchdog timeout)? */
@@ -119,14 +117,6 @@ class FaultInjector
 
     /** Die (SIGKILL) if a run.kill clause targets @p frame. */
     void maybeKillAfterFrame(std::uint64_t frame);
-
-    /**
-     * Die (SIGKILL) if a run.kill clause's `site=` filter matches
-     * @p site — the hook the checkpoint discard-ordering regression
-     * test uses to kill a run between the cache store and the journal
-     * discard.
-     */
-    void maybeKillAtSite(const std::string &site);
 
     /**
      * Should the worker running attempt @p attempt of shard @p shard

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <optional>
 
 #include "core/megsim.hh"
@@ -542,13 +541,9 @@ Scheduler::handleEvent(const serve::Fleet::Event &event)
                       "shards completed and recorded");
     // The shard journal served its purpose; the rows now live with
     // the scheduler.
-    const std::string stem = serve::shardStem(
-        request.items[shard.item].bench->data->checkpointStem(),
-        shard.beginFrame, shard.endFrame);
-    std::error_code ec;
-    std::filesystem::remove(stem + ".ckpt.manifest", ec);
-    std::filesystem::remove(stem + ".ckpt.stats.jnl", ec);
-    std::filesystem::remove(stem + ".ckpt.activity.jnl", ec);
+    serve::shardCheckpoint(*request.items[shard.item].bench->data,
+                           shard.beginFrame, shard.endFrame)
+        .discard();
 }
 
 RequestResult
@@ -572,7 +567,7 @@ Scheduler::finalize(std::unique_ptr<Request> request)
 
         // Reassemble each regenerated benchmark's ground truth from
         // its shard rows (frame order = shard order within the
-        // bench) and install it — same cache artifacts as the
+        // bench) and install it — the same cache files as the
         // in-process pass.
         for (std::size_t i = 0; i < request->items.size(); ++i) {
             Item &item = request->items[i];

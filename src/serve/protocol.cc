@@ -9,6 +9,7 @@
 
 #include "obs/profile.hh"
 #include "resilience/checksum.hh"
+#include "sim/random.hh"
 
 namespace msim::serve
 {
@@ -212,12 +213,16 @@ parseShardRequest(const util::Json &m)
     return spec;
 }
 
-std::string
-shardStem(const std::string &benchStem, std::size_t beginFrame,
-          std::size_t endFrame)
+resilience::Checkpoint
+shardCheckpoint(const megsim::BenchmarkData &data, std::size_t beginFrame,
+                std::size_t endFrame)
 {
-    return benchStem + ".shard" + std::to_string(beginFrame) + "-" +
-           std::to_string(endFrame);
+    return resilience::Checkpoint(
+        data.checkpointStem() + ".shard" + std::to_string(beginFrame) +
+            "-" + std::to_string(endFrame),
+        sim::hashMix(data.cacheKey(), beginFrame, endFrame),
+        endFrame - beginFrame, gpusim::FrameStats::csvHeader().size(),
+        megsim::activityColumns(data.scene()), beginFrame);
 }
 
 } // namespace msim::serve

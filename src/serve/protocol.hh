@@ -32,6 +32,8 @@
 #include <cstdint>
 #include <string>
 
+#include "core/megsim.hh"
+#include "resilience/checkpoint.hh"
 #include "resilience/expected.hh"
 #include "util/json.hh"
 
@@ -92,12 +94,15 @@ util::Json shardRequest(const ShardSpec &spec);
 resilience::Expected<ShardSpec> parseShardRequest(const util::Json &m);
 
 /**
- * Checkpoint stem of one shard's journal: derived from the owning
- * benchmark's cache stem so shard journals live next to the cache
- * artifacts and never collide with the in-process pass's checkpoint.
+ * The checkpoint journaling frames [@p beginFrame, @p endFrame) of
+ * @p data: its stem derives from the benchmark's, so shard journals
+ * live next to the cache and never collide with the in-process pass's
+ * checkpoint. The worker appends to it; the scheduler discards it
+ * once the shard's rows are recorded.
  */
-std::string shardStem(const std::string &benchStem,
-                      std::size_t beginFrame, std::size_t endFrame);
+resilience::Checkpoint shardCheckpoint(const megsim::BenchmarkData &data,
+                                       std::size_t beginFrame,
+                                       std::size_t endFrame);
 
 } // namespace msim::serve
 

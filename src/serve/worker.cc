@@ -19,7 +19,6 @@
 #include "resilience/watchdog.hh"
 #include "serve/protocol.hh"
 #include "sim/logging.hh"
-#include "sim/random.hh"
 #include "util/env.hh"
 #include "workloads/workloads.hh"
 
@@ -107,8 +106,6 @@ runShard(BenchState &bench, const ShardSpec &spec,
                       scene.numFrames());
 
     const std::size_t frames = spec.endFrame - spec.beginFrame;
-    const std::size_t activityCols = 4 + scene.numVertexShaders() +
-                                     scene.numFragmentShaders();
     // The cache directory may not exist yet on a fresh store — the
     // in-process pass creates it lazily, but the shard journal needs
     // it NOW or crash recovery silently degrades to restart-always.
@@ -119,12 +116,8 @@ runShard(BenchState &bench, const ShardSpec &spec,
                 .parent_path(),
             ec);
     }
-    resilience::Checkpoint ckpt(
-        shardStem(bench.data->checkpointStem(), spec.beginFrame,
-                  spec.endFrame),
-        sim::hashMix(bench.data->cacheKey(), spec.beginFrame,
-                     spec.endFrame),
-        frames, gpusim::FrameStats::csvHeader().size(), activityCols);
+    resilience::Checkpoint ckpt =
+        shardCheckpoint(*bench.data, spec.beginFrame, spec.endFrame);
     const std::size_t resumed = ckpt.resume();
     statsRows = ckpt.statsRows();
     activityRows = ckpt.activityRows();

@@ -2,11 +2,13 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "sim/logging.hh"
 
 namespace msim::util
+{
+
+namespace
 {
 
 std::string
@@ -33,35 +35,7 @@ csvToString(const CsvTable &table)
     return out;
 }
 
-bool
-csvFromString(const std::string &text, CsvTable &table)
-{
-    table.header.clear();
-    table.rows.clear();
-
-    std::stringstream in(text);
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    std::stringstream hs(line);
-    std::string cell;
-    while (std::getline(hs, cell, ','))
-        table.header.push_back(cell);
-
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        std::vector<double> row;
-        row.reserve(table.header.size());
-        std::stringstream ls(line);
-        while (std::getline(ls, cell, ','))
-            row.push_back(std::strtod(cell.c_str(), nullptr));
-        if (row.size() != table.header.size())
-            return false;
-        table.rows.push_back(std::move(row));
-    }
-    return true;
-}
+} // namespace
 
 void
 writeCsv(const std::string &path, const CsvTable &table)
@@ -72,19 +46,6 @@ writeCsv(const std::string &path, const CsvTable &table)
     out << csvToString(table);
     if (!out)
         sim::fatal("error writing CSV file '%s'", path.c_str());
-}
-
-bool
-readCsv(const std::string &path, CsvTable &table)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::ostringstream content;
-    content << in.rdbuf();
-    if (in.bad())
-        return false;
-    return csvFromString(content.str(), table);
 }
 
 } // namespace msim::util

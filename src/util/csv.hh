@@ -1,8 +1,8 @@
 /**
  * @file
- * Fixed-schema numeric CSV reader/writer. All persistent artifacts of
- * the library (frame-stats cache, bench outputs) are tables of doubles
- * with a one-line header, which keeps the format trivially diffable.
+ * Fixed-schema numeric CSV writer. The bench outputs are tables of
+ * doubles with a one-line header, which keeps the format trivially
+ * diffable.
  */
 
 #ifndef MSIM_UTIL_CSV_HH
@@ -20,17 +20,11 @@ struct CsvTable
     std::vector<std::vector<double>> rows;
 };
 
-/** Serialize @p table to CSV text (header line + %.17g rows). */
-std::string csvToString(const CsvTable &table);
-
-/** Parse CSV text produced by csvToString. False on ragged rows. */
-bool csvFromString(const std::string &text, CsvTable &table);
-
-/** Write @p table to @p path; fatal on I/O failure. */
+/**
+ * Write @p table to @p path: the header line, then one line per row
+ * of %.17g cells. Fatal on I/O failure.
+ */
 void writeCsv(const std::string &path, const CsvTable &table);
-
-/** Read a table written by writeCsv. Returns false if unreadable. */
-bool readCsv(const std::string &path, CsvTable &table);
 
 } // namespace msim::util
 

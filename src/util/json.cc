@@ -13,30 +13,6 @@ namespace
 {
 
 void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
 appendNumber(std::string &out, double d)
 {
     // Integers print without an exponent or trailing zeros; anything
@@ -237,6 +213,33 @@ struct Parser
 
 } // namespace
 
+std::string
+jsonString(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    out += '"';
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    out += '"';
+    return out;
+}
+
 Json &
 Json::set(const std::string &key, Json value)
 {
@@ -319,7 +322,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
       case Kind::Null: out += "null"; break;
       case Kind::Bool: out += bool_ ? "true" : "false"; break;
       case Kind::Number: appendNumber(out, number_); break;
-      case Kind::String: appendEscaped(out, string_); break;
+      case Kind::String: out += jsonString(string_); break;
       case Kind::Array:
         if (items_.empty()) {
             out += "[]";
@@ -346,7 +349,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
             out += i ? "," : "";
             out += nl;
             out += indent > 0 ? pad : "";
-            appendEscaped(out, members_[i].first);
+            out += jsonString(members_[i].first);
             out += indent > 0 ? ": " : ":";
             members_[i].second.dumpTo(out, indent, depth + 1);
         }

@@ -12,6 +12,7 @@
 #define MSIM_UTIL_JSON_HH
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -128,6 +129,13 @@ class Json
     std::vector<Json> items_;
     std::vector<std::pair<std::string, Json>> members_;
 };
+
+/**
+ * @p s as a quoted JSON string literal, control characters escaped:
+ * the one JSON string escaper (Json::dump and the Chrome trace
+ * writers).
+ */
+std::string jsonString(std::string_view s);
 
 } // namespace msim::util
 

@@ -464,12 +464,12 @@ TEST_F(BatchTest, SigkilledCampaignResumesFromTheJournal)
                           expected->benchmarks[i], "resumed");
 }
 
-TEST_F(BatchTest, CampaignSurvivesKillInTheCacheStoreWindow)
+TEST_F(BatchTest, CampaignSurvivesKillAfterABenchmarksLastFrame)
 {
-    // Regression for the discard-ordering fix at campaign level: a
-    // kill landing between a benchmark's cache store and its journal
-    // discard must not leak work — the rerun completes and reproduces
-    // the clean run's numbers exactly.
+    // A kill right after a benchmark's last frame is journaled: its
+    // journals are already its cache, so the rerun loads it fresh,
+    // completes the rest and reproduces the clean run's numbers
+    // exactly.
     const std::vector<std::string> benches = {"hcr", "jjo"};
     const std::string cache = path("cache");
     std::filesystem::create_directories(cache);
@@ -485,10 +485,10 @@ TEST_F(BatchTest, CampaignSurvivesKillInTheCacheStoreWindow)
     if (child == 0) {
         exec::Pool::setConfiguredThreads(2);
         resilience::FaultInjector::setGlobalSpec(
-            "run.kill:site=cache.store");
+            "run.kill:frame=" + std::to_string(kFrames - 1));
         batch::Campaign doomed(testConfig(cache, benches));
         (void)doomed.run();
-        _exit(42); // unreachable: the first cache store kills us
+        _exit(42); // unreachable: hcr's last frame kills us
     }
     int status = 0;
     ASSERT_EQ(waitpid(child, &status, 0), child);
@@ -500,9 +500,10 @@ TEST_F(BatchTest, CampaignSurvivesKillInTheCacheStoreWindow)
     auto resumed = survivor.run();
     ASSERT_TRUE(resumed.ok()) << resumed.error().message;
     ASSERT_EQ(resumed->benchmarks.size(), benches.size());
+    EXPECT_EQ(resumed->benchmarks[0].cacheStatus, "fresh");
     for (std::size_t i = 0; i < benches.size(); ++i)
         expectSameNumbers(resumed->benchmarks[i],
-                          expected->benchmarks[i], "store-window");
+                          expected->benchmarks[i], "last-frame kill");
 }
 
 #ifndef MEGSIM_BATCH_GOLDEN_DIR

@@ -153,7 +153,7 @@ TEST(CampaignCli, CorruptCacheFailsVerifyWithExitFour)
     const std::filesystem::path cache = dir / "cache";
     const std::filesystem::path log = dir / "verify.log";
 
-    // Populate the cache, then damage every stats artifact in it.
+    // Populate the cache, then damage every stats journal in it.
     ASSERT_EQ(runCli("campaign --benches hcr --out " +
                          (dir / "v.json").string(),
                      log),
@@ -164,15 +164,14 @@ TEST(CampaignCli, CorruptCacheFailsVerifyWithExitFour)
     for (const auto &entry :
          std::filesystem::directory_iterator(cache)) {
         const std::string name = entry.path().filename().string();
-        if (name.find("stats") == std::string::npos ||
-            name.find(".csv") == std::string::npos)
+        if (name.find(".ckpt.stats.jnl") == std::string::npos)
             continue;
         std::fstream f(entry.path(), std::ios::in | std::ios::out);
         f.seekp(0);
         f << "CORRUPTED";
         corrupted = true;
     }
-    ASSERT_TRUE(corrupted) << "no stats cache artifacts found";
+    ASSERT_TRUE(corrupted) << "no stats journals found";
 
     const int rc = runCli("verify-cache --bench hcr --cache-dir " +
                               cache.string(),

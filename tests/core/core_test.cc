@@ -310,19 +310,19 @@ TEST(Data, CachePathSurvivesLongSceneNames)
     const std::string activity = data.cachePath("activity");
     EXPECT_NE(stats, activity);
     EXPECT_NE(stats.find(scene.name), std::string::npos);
-    EXPECT_EQ(stats.substr(stats.size() - 10), "_stats.csv");
+    EXPECT_EQ(stats.substr(stats.size() - 15), ".ckpt.stats.jnl");
 
     // The 16-hex fingerprint key sits intact before the kind suffix.
     char keyHex[24];
     std::snprintf(keyHex, sizeof(keyHex), "%016llx",
                   static_cast<unsigned long long>(data.cacheKey()));
-    EXPECT_NE(stats.find(std::string("_") + keyHex + "_stats.csv"),
+    EXPECT_NE(stats.find(std::string("_") + keyHex + ".ckpt.stats.jnl"),
               std::string::npos);
 }
 
 TEST(Data, CacheKeyIsPinnedAndComputedOnFirstRead)
 {
-    // The key names every cache artifact and checkpoint journal on
+    // The key names every checkpoint file, and so every cache, on
     // disk: these literals were printed before the key became lazy, and
     // must never move.
     const gfx::SceneTrace scene = workloads::buildBenchmark("hcr", 1.0, 3);
@@ -331,7 +331,7 @@ TEST(Data, CacheKeyIsPinnedAndComputedOnFirstRead)
 
     const BenchmarkData named(scene, config, "cache");
     EXPECT_EQ(named.cacheKey(), pinned);
-    EXPECT_EQ(named.checkpointStem(), "cache/hcr_3_v4_7efbf4720391b54b");
+    EXPECT_EQ(named.checkpointStem(), "cache/hcr_3_v5_7efbf4720391b54b");
 
     BenchmarkData keyFirst(scene, config, "");
     EXPECT_EQ(keyFirst.cacheKey(), pinned);

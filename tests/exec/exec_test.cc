@@ -328,8 +328,7 @@ TEST_F(ExecTest, CheckpointJournalsAreThreadCountInvariant)
         ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
         megsim::BenchmarkData probe(scene, config, cache);
-        const std::string statsPath = probe.cachePath("stats");
-        stems.push_back(statsPath.substr(0, statsPath.rfind("_stats")));
+        stems.push_back(probe.checkpointStem());
     }
 
     for (const char *suffix :

@@ -209,7 +209,7 @@ TEST(MegsimCli, BadUsageFailsCleanly)
         {"trace --bench hcr --frames 3:1", "--frames"},
         {"stats --bench hcr --frame 0 --threads 2x", "--threads"},
         {"stats --bench hcr --frame 0 --threads 0", "--threads"},
-        {"submit --workers 1.5", "--workers"},
+        {"serve --workers 1.5", "--workers"},
         {"serve --max-requests 2x", "--max-requests"},
         {"serve --max-inflight 0", "--max-inflight"},
         {"submit --weight abc", "--weight"},

@@ -183,23 +183,18 @@ TEST_F(PerfGoldenTest, FunctionalActivityMatchesGolden)
 
 TEST_F(PerfGoldenTest, CheckpointJournalMatchesGolden)
 {
-    // The journal a completed pass appends is line-checksummed CSV of
-    // the same FrameStats rows; regenerating it must be byte-stable
-    // pre/post optimization and across thread counts. Capture the
-    // journal by checkpointing into a scratch dir and reading the
-    // stats journal before finish() discards it — the resilience
-    // checkpoint API exposes exactly that window via a kill fault in
-    // exec_test, but here the committed *cache artifact* serves the
-    // same purpose: its payload is the journaled rows with the same
-    // checksums, written by the same writer.
+    // The stats journal a completed pass leaves behind is its cache:
+    // line-checksummed, shortest round-trip cells of the FrameStats
+    // rows. It must be byte-stable pre/post optimization and across
+    // thread counts.
     const std::string alias = "hcr";
     const gfx::SceneTrace scene =
         workloads::buildBenchmark(alias, 1.0, kFrames);
     const gpusim::GpuConfig config =
         gpusim::GpuConfig::evaluationScaled();
-    const std::string golden = goldenPath(alias + "_stats_artifact");
+    const std::string golden = goldenPath(alias + "_stats_journal");
 
-    auto artifactBytes = [&](std::size_t threads) {
+    auto journalBytes = [&](std::size_t threads) {
         exec::Pool::setConfiguredThreads(threads);
         const std::string dir =
             (std::string(::testing::TempDir())) + "megsim_perf_t" +
@@ -214,7 +209,7 @@ TEST_F(PerfGoldenTest, CheckpointJournalMatchesGolden)
     };
 
     if (regenerating()) {
-        writeFile(golden, artifactBytes(1));
+        writeFile(golden, journalBytes(1));
         return;
     }
 
@@ -223,6 +218,6 @@ TEST_F(PerfGoldenTest, CheckpointJournalMatchesGolden)
         << golden << " missing — run with MEGSIM_REGEN_GOLDEN=1 first";
     for (std::size_t threads :
          {std::size_t(1), std::size_t(2), std::size_t(8)})
-        EXPECT_EQ(artifactBytes(threads), expected)
-            << alias << " stats artifact at " << threads << " threads";
+        EXPECT_EQ(journalBytes(threads), expected)
+            << alias << " stats journal at " << threads << " threads";
 }

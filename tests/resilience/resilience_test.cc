@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,6 @@
 #include "resilience/expected.hh"
 #include "resilience/fault.hh"
 #include "scratch_dir.hh"
-#include "util/csv.hh"
 #include "workloads/workloads.hh"
 
 using namespace msim;
@@ -68,15 +68,6 @@ class ResilienceTest : public ::testing::Test
     std::filesystem::path dir_;
 };
 
-util::CsvTable
-sampleTable()
-{
-    util::CsvTable table;
-    table.header = {"a", "b", "c"};
-    table.rows = {{1.0, 2.0, 3.0}, {4.5, -6.0, 7.25}, {8.0, 9.0, 10.0}};
-    return table;
-}
-
 std::string
 slurp(const std::string &p)
 {
@@ -91,6 +82,21 @@ spit(const std::string &p, const std::string &text)
 {
     std::ofstream out(p, std::ios::binary | std::ios::trunc);
     out << text;
+}
+
+double
+counterValue(const char *name)
+{
+    return obs::processRegistry().scalar(name, "").value();
+}
+
+void
+expectSameRows(const std::vector<gpusim::FrameStats> &got,
+               const std::vector<gpusim::FrameStats> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t f = 0; f < want.size(); ++f)
+        EXPECT_EQ(got[f].toCsvRow(), want[f].toCsvRow()) << "frame " << f;
 }
 
 } // namespace
@@ -163,75 +169,73 @@ TEST_F(ResilienceTest, FaultMatchingRespectsKindAndProbability)
     EXPECT_TRUE(FaultInjector::global().hangFrame(3));
 }
 
-TEST_F(ResilienceTest, ArtifactRoundTrips)
+TEST_F(ResilienceTest, JournalCacheDetectsMissingForeignTruncatedAndCorrupt)
 {
-    const util::CsvTable table = sampleTable();
-    ASSERT_TRUE(
-        writeCsvArtifact(path("a.csv"), table, 0xfeedULL, "stats").ok());
+    const Rows stats = {{0, 10.5}, {1, 11.5}, {2, 12.5}};
+    const Rows acts = {{0, 1}, {1, 2}, {2, 3}};
+    const Checkpoint ckpt(path("bench"), 0xfeedULL, 3, 2, 2, 0);
 
-    auto loaded = readCsvArtifact(path("a.csv"), 0xfeedULL, "stats");
-    ASSERT_TRUE(loaded.ok());
-    EXPECT_EQ(loaded->header, table.header);
-    EXPECT_EQ(loaded->rows, table.rows);
-
-    // No temp file left behind by the atomic write.
-    EXPECT_FALSE(std::filesystem::exists(path("a.csv") + ".tmp"));
-}
-
-TEST_F(ResilienceTest, ArtifactDetectsMissingStaleAndCorrupt)
-{
-    const util::CsvTable table = sampleTable();
-    ASSERT_TRUE(
-        writeCsvArtifact(path("a.csv"), table, 0xfeedULL, "stats").ok());
-    const std::string pristine = slurp(path("a.csv"));
-
-    auto missing = readCsvArtifact(path("nope.csv"), 0xfeedULL, "stats");
+    auto missing = ckpt.read();
     ASSERT_FALSE(missing.ok());
     EXPECT_EQ(missing.error().code, Errc::NotFound);
 
-    auto stale = readCsvArtifact(path("a.csv"), 0xbeefULL, "stats");
-    ASSERT_FALSE(stale.ok());
-    EXPECT_EQ(stale.error().code, Errc::BadFingerprint);
+    ASSERT_TRUE(ckpt.write(stats, acts).ok());
+    auto fresh = ckpt.read();
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(fresh->stats.rows, stats);
+    EXPECT_EQ(fresh->activity.rows, acts);
+    EXPECT_FALSE(fresh->corrupt());
+    // No temp file left behind by the atomic writes.
+    EXPECT_FALSE(
+        std::filesystem::exists(ckpt.statsJournalPath() + ".tmp"));
+    const std::string pristine = slurp(ckpt.statsJournalPath());
 
-    // Truncation: drop the last full row.
+    // Same stem, another scene/config fingerprint.
+    auto foreign = Checkpoint(path("bench"), 0xbeefULL, 3, 2, 2, 0).read();
+    ASSERT_FALSE(foreign.ok());
+    EXPECT_EQ(foreign.error().code, Errc::BadFingerprint);
+
+    // Truncation: without its last whole line the journal is a shorter
+    // valid prefix, which a pass resumes; it is no corruption.
     std::string cut = pristine;
     cut.erase(cut.find_last_of('\n', cut.size() - 2) + 1);
-    spit(path("a.csv"), cut);
-    auto truncated = readCsvArtifact(path("a.csv"), 0xfeedULL, "stats");
-    ASSERT_FALSE(truncated.ok());
-    EXPECT_EQ(truncated.error().code, Errc::Truncated);
+    spit(ckpt.statsJournalPath(), cut);
+    auto truncated = ckpt.read();
+    ASSERT_TRUE(truncated.ok());
+    EXPECT_EQ(truncated->stats.rows, Rows(stats.begin(), stats.end() - 1));
+    EXPECT_FALSE(truncated->corrupt());
 
-    // Bit rot: flip one payload digit (CSV still parses).
+    // Bit rot: one flipped digit fails the line's checksum.
     std::string flipped = pristine;
-    const std::size_t digit = flipped.find("4.5");
+    const std::size_t digit = flipped.find("11.5");
     ASSERT_NE(digit, std::string::npos);
     flipped[digit] = '9';
-    spit(path("a.csv"), flipped);
-    auto rotten = readCsvArtifact(path("a.csv"), 0xfeedULL, "stats");
-    ASSERT_FALSE(rotten.ok());
-    EXPECT_EQ(rotten.error().code, Errc::BadChecksum);
+    spit(ckpt.statsJournalPath(), flipped);
+    auto rotten = ckpt.read();
+    ASSERT_TRUE(rotten.ok());
+    EXPECT_TRUE(rotten->corrupt());
+    EXPECT_EQ(rotten->stats.badLine, 2u);
+    EXPECT_STREQ(rotten->stats.problem, "fails its checksum");
+    EXPECT_EQ(rotten->stats.rows, Rows(stats.begin(), stats.begin() + 1));
 
-    // Injected corruption via the fault layer.
-    spit(path("a.csv"), pristine);
+    // Injected corruption refuses the first line of the named journal.
+    spit(ckpt.statsJournalPath(), pristine);
     FaultInjector::setGlobalSpec("cache.corrupt:kind=stats");
-    auto injected = readCsvArtifact(path("a.csv"), 0xfeedULL, "stats");
-    ASSERT_FALSE(injected.ok());
-    EXPECT_EQ(injected.error().code, Errc::Injected);
+    auto injected = ckpt.read();
+    ASSERT_TRUE(injected.ok());
+    EXPECT_EQ(injected->stats.badLine, 1u);
+    EXPECT_TRUE(injected->stats.rows.empty());
+    EXPECT_EQ(injected->activity.rows, acts);
 }
 
 TEST_F(ResilienceTest, AtomicWriteSurvivesInjectedWriteFailure)
 {
-    const util::CsvTable table = sampleTable();
-    ASSERT_TRUE(
-        writeCsvArtifact(path("a.csv"), table, 1ULL, "stats").ok());
-    const std::string pristine = slurp(path("a.csv"));
+    ASSERT_TRUE(atomicWriteFile(path("a.txt"), "pristine\n").ok());
 
     FaultInjector::setGlobalSpec("io.write");
-    EXPECT_FALSE(
-        writeCsvArtifact(path("a.csv"), sampleTable(), 2ULL, "stats")
-            .ok());
-    // The failed write must not have clobbered the existing artifact.
-    EXPECT_EQ(slurp(path("a.csv")), pristine);
+    EXPECT_FALSE(atomicWriteFile(path("a.txt"), "clobbered\n").ok());
+    // The failed write must not have clobbered the existing file.
+    EXPECT_EQ(slurp(path("a.txt")), "pristine\n");
 }
 
 TEST_F(ResilienceTest, CheckpointRoundTripsAndIgnoresTornTail)
@@ -342,6 +346,32 @@ TEST_F(ResilienceTest, CheckpointResumesTheShorterJournalPrefix)
     EXPECT_EQ(ckpt.activityRows().back(), (std::vector<double>{3, 4}));
 }
 
+TEST_F(ResilienceTest, ResumeThatRecoversNothingHandsBackNoRows)
+{
+    // A kill between the two journal writes of the first frame: the
+    // stats journal holds a whole line the activity journal lacks. The
+    // served worker starts its reply from the recovered rows, so none
+    // may be left over.
+    {
+        Checkpoint ckpt(path("bench"), 0xabcULL, 5, 2, 2, 0);
+        EXPECT_EQ(ckpt.resume(), 0u);
+    }
+    {
+        const std::string payload = "0,10.5";
+        char tail[24];
+        std::snprintf(tail, sizeof(tail), "#%016" PRIx64,
+                      fnv1a(payload));
+        std::ofstream extra(path("bench") + ".ckpt.stats.jnl",
+                            std::ios::app);
+        extra << payload << tail << '\n';
+    }
+    Checkpoint ckpt(path("bench"), 0xabcULL, 5, 2, 2, 0);
+    EXPECT_EQ(ckpt.resume(), 0u);
+    EXPECT_TRUE(ckpt.statsRows().empty());
+    EXPECT_TRUE(ckpt.activityRows().empty());
+    EXPECT_EQ(slurp(path("bench") + ".ckpt.stats.jnl"), "");
+}
+
 TEST_F(ResilienceTest, CheckpointRefusesAVersion1Manifest)
 {
     {
@@ -445,19 +475,19 @@ TEST_F(ResilienceTest, GroundTruthSurvivesSigkillAndResumesIdentically)
                   .value(),
               resumedBefore + 3.0);
 
-    // The finished pass cleans its checkpoint up and leaves caches.
-    const std::string statsPath = survivor.cachePath("stats");
-    const std::string stem =
-        statsPath.substr(0, statsPath.rfind("_stats"));
-    EXPECT_FALSE(std::filesystem::exists(stem + ".ckpt.manifest"));
-    EXPECT_TRUE(std::filesystem::exists(statsPath));
+    // The finished pass leaves its checkpoint behind as the cache.
+    EXPECT_TRUE(
+        std::filesystem::exists(survivor.checkpoint().manifestPath()));
+    EXPECT_TRUE(std::filesystem::exists(survivor.cachePath("stats")));
+    megsim::BenchmarkData reader(scene, config, dir_.string());
+    EXPECT_EQ(reader.probeCaches(), megsim::CacheProbe::Loaded);
 }
 
-TEST_F(ResilienceTest, KillBetweenCacheStoresKeepsJournalForResume)
+TEST_F(ResilienceTest, KillAfterTheLastFrameLeavesAFreshCache)
 {
-    // The exact window the discard-ordering fix covers: the stats
-    // cache has landed, the activity cache has not, and the journal
-    // must still hold every committed frame.
+    // Killed right after the last frame's journal line: there is no
+    // store or discard left to do, so the journals already are the
+    // cache and nothing simulates again.
     const gfx::SceneTrace scene =
         workloads::buildBenchmark("hcr", 1.0, 5);
     const gpusim::GpuConfig config =
@@ -470,84 +500,96 @@ TEST_F(ResilienceTest, KillBetweenCacheStoresKeepsJournalForResume)
     const pid_t child = fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-        FaultInjector::setGlobalSpec("run.kill:site=cache.store");
+        FaultInjector::setGlobalSpec("run.kill:frame=4");
         megsim::BenchmarkData doomed(scene, config, dir_.string());
         doomed.frameStats();
-        _exit(42);
+        _exit(42); // reaching this means the fault never fired
     }
     int status = 0;
     ASSERT_EQ(waitpid(child, &status, 0), child);
     ASSERT_TRUE(WIFSIGNALED(status));
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
 
+    const double resumedBefore =
+        counterValue("resilience.checkpoint.frames_resumed");
     megsim::BenchmarkData survivor(scene, config, dir_.string());
-    const std::string statsPath = survivor.cachePath("stats");
-    const std::string stem =
-        statsPath.substr(0, statsPath.rfind("_stats"));
-
-    // Stats cache stored, activity cache missing — and the journal
-    // survived the window, still resumable for all 5 frames.
-    EXPECT_TRUE(std::filesystem::exists(statsPath));
-    EXPECT_FALSE(
-        std::filesystem::exists(survivor.cachePath("activity")));
-    ASSERT_TRUE(std::filesystem::exists(stem + ".ckpt.manifest"));
-    {
-        Checkpoint ckpt(stem, survivor.cacheKey(), 5,
-                        gpusim::FrameStats::csvHeader().size(),
-                        4 + scene.numVertexShaders() +
-                            scene.numFragmentShaders());
-        EXPECT_EQ(ckpt.resume(), 5u);
-    }
-
-    // The next run completes with identical rows.
-    const std::vector<gpusim::FrameStats> resumed =
-        survivor.frameStats();
-    ASSERT_EQ(resumed.size(), expected.size());
-    for (std::size_t f = 0; f < expected.size(); ++f)
-        EXPECT_EQ(resumed[f].toCsvRow(), expected[f].toCsvRow())
-            << "frame " << f;
-}
-
-TEST_F(ResilienceTest, KillBeforeJournalDiscardLeavesLoadedCaches)
-{
-    // One tick later: both stores landed, the discard did not. The
-    // caches must verify, and the stale journal must stay harmless.
-    const gfx::SceneTrace scene =
-        workloads::buildBenchmark("hcr", 1.0, 5);
-    const gpusim::GpuConfig config =
-        gpusim::GpuConfig::evaluationScaled();
-
-    megsim::BenchmarkData reference(scene, config, "");
-    const std::vector<gpusim::FrameStats> expected =
-        reference.frameStats();
-
-    const pid_t child = fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-        FaultInjector::setGlobalSpec("run.kill:site=ckpt.discard");
-        megsim::BenchmarkData doomed(scene, config, dir_.string());
-        doomed.frameStats();
-        _exit(42);
-    }
-    int status = 0;
-    ASSERT_EQ(waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    EXPECT_EQ(WTERMSIG(status), SIGKILL);
-
-    megsim::BenchmarkData survivor(scene, config, dir_.string());
-    EXPECT_TRUE(readCsvArtifact(survivor.cachePath("stats"),
-                                survivor.cacheKey(), "stats")
-                    .ok());
-    EXPECT_TRUE(readCsvArtifact(survivor.cachePath("activity"),
-                                survivor.cacheKey(), "activity")
-                    .ok());
     EXPECT_EQ(survivor.probeCaches(), megsim::CacheProbe::Loaded);
-    const std::vector<gpusim::FrameStats> loaded =
-        survivor.frameStats();
-    ASSERT_EQ(loaded.size(), expected.size());
-    for (std::size_t f = 0; f < expected.size(); ++f)
-        EXPECT_EQ(loaded[f].toCsvRow(), expected[f].toCsvRow())
-            << "frame " << f;
+    expectSameRows(survivor.frameStats(), expected);
+    EXPECT_EQ(counterValue("resilience.checkpoint.frames_resumed"),
+              resumedBefore);
+}
+
+TEST_F(ResilienceTest, CorruptLineResumesFromTheLinesBeforeIt)
+{
+    const gfx::SceneTrace scene =
+        workloads::buildBenchmark("hcr", 1.0, 5);
+    const gpusim::GpuConfig config =
+        gpusim::GpuConfig::evaluationScaled();
+
+    megsim::BenchmarkData writer(scene, config, dir_.string());
+    const std::vector<gpusim::FrameStats> expected =
+        writer.frameStats();
+
+    // Damage the frame index of line 3 (frame 2) of the stats journal.
+    const std::string statsPath = writer.cachePath("stats");
+    std::string text = slurp(statsPath);
+    const std::size_t line3 = text.find('\n', text.find('\n') + 1) + 1;
+    ASSERT_EQ(text[line3], '2');
+    text[line3] = '7';
+    spit(statsPath, text);
+
+    const double detectedBefore =
+        counterValue("resilience.cache.corrupt_detected");
+    const double resumedBefore =
+        counterValue("resilience.checkpoint.frames_resumed");
+    megsim::BenchmarkData reader(scene, config, dir_.string());
+    EXPECT_EQ(reader.probeCaches(), megsim::CacheProbe::Invalid);
+    EXPECT_EQ(counterValue("resilience.cache.corrupt_detected"),
+              detectedBefore + 1.0);
+    expectSameRows(reader.frameStats(), expected);
+    EXPECT_EQ(counterValue("resilience.checkpoint.frames_resumed"),
+              resumedBefore + 2.0);
+
+    megsim::BenchmarkData again(scene, config, dir_.string());
+    EXPECT_EQ(again.probeCaches(), megsim::CacheProbe::Loaded);
+}
+
+TEST_F(ResilienceTest, TornTailResumesWithoutAWarningOrACount)
+{
+    const gfx::SceneTrace scene =
+        workloads::buildBenchmark("hcr", 1.0, 5);
+    const gpusim::GpuConfig config =
+        gpusim::GpuConfig::evaluationScaled();
+
+    megsim::BenchmarkData writer(scene, config, dir_.string());
+    const std::vector<gpusim::FrameStats> expected =
+        writer.frameStats();
+
+    // A kill in the middle of the last append: line 5 lost its end.
+    const std::string statsPath = writer.cachePath("stats");
+    std::string text = slurp(statsPath);
+    text.resize(text.size() - 10);
+    spit(statsPath, text);
+
+    const double detectedBefore =
+        counterValue("resilience.cache.corrupt_detected");
+    const double regeneratedBefore =
+        counterValue("resilience.cache.regenerated");
+    const double resumedBefore =
+        counterValue("resilience.checkpoint.frames_resumed");
+    ::testing::internal::CaptureStderr();
+    megsim::BenchmarkData reader(scene, config, dir_.string());
+    EXPECT_EQ(reader.probeCaches(), megsim::CacheProbe::Missing);
+    const std::vector<gpusim::FrameStats> resumed = reader.frameStats();
+    const std::string logged = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(logged.find("warn"), std::string::npos) << logged;
+    expectSameRows(resumed, expected);
+    EXPECT_EQ(counterValue("resilience.cache.corrupt_detected"),
+              detectedBefore);
+    EXPECT_EQ(counterValue("resilience.cache.regenerated"),
+              regeneratedBefore);
+    EXPECT_EQ(counterValue("resilience.checkpoint.frames_resumed"),
+              resumedBefore + 4.0);
 }
 
 TEST_F(ResilienceTest, CorruptedCacheIsDetectedAndRegenerated)
@@ -584,10 +626,9 @@ TEST_F(ResilienceTest, CorruptedCacheIsDetectedAndRegenerated)
                   .value(),
               detectedBefore);
 
-    // The regenerated artifact is valid again.
-    EXPECT_TRUE(readCsvArtifact(reader.cachePath("stats"),
-                                reader.cacheKey(), "stats")
-                    .ok());
+    // The rebuilt cache loads again.
+    megsim::BenchmarkData again(scene, config, dir_.string());
+    EXPECT_EQ(again.probeCaches(), megsim::CacheProbe::Loaded);
 }
 
 TEST_F(ResilienceTest, InjectedIoFaultsDegradeGracefully)
@@ -727,6 +768,135 @@ TEST_F(ResilienceTest, GroundTruthPassEnforcesTheFrameWatchdog)
     EXPECT_NE(blown.error().message.find("cycle budget"),
               std::string::npos)
         << blown.error().message;
+}
+
+#ifndef MEGSIM_PERF_GOLDEN_DIR
+#error "MEGSIM_PERF_GOLDEN_DIR must point at tests/perf/golden"
+#endif
+
+TEST(JournalMutation, ParserLoadsAGoldenPrefixOrStopsAtTheFirstBadLine)
+{
+    // The 12-frame stats journal golden, mutated every way a disk, a
+    // kill or a hand edit can: the one parser of on-disk rows must
+    // load a prefix of the golden's rows, bit for bit, and stop at the
+    // first bad line, never crash, never return a row of the wrong
+    // width and never accept a line whose checksum fails.
+    const std::string golden =
+        slurp(std::string(MEGSIM_PERF_GOLDEN_DIR) + "/hcr_stats_journal");
+    const std::size_t cols = gpusim::FrameStats::csvHeader().size();
+    const std::size_t frames = 12;
+    const JournalRows reference = parseJournal(golden, cols, frames, 0);
+    ASSERT_EQ(reference.rows.size(), frames);
+    ASSERT_EQ(reference.badLine, 0u);
+    ASSERT_FALSE(reference.tail);
+
+    std::vector<std::string> lines; // each with its newline
+    for (std::size_t at = 0; at < golden.size();) {
+        const std::size_t eol = golden.find('\n', at) + 1;
+        lines.push_back(golden.substr(at, eol - at));
+        at = eol;
+    }
+    ASSERT_EQ(lines.size(), frames);
+    const auto join = [](const std::vector<std::string> &parts) {
+        std::string text;
+        for (const std::string &part : parts)
+            text += part;
+        return text;
+    };
+
+    std::size_t inputs = 0;
+    const auto check = [&](const std::string &text) {
+        ++inputs;
+        const JournalRows got = parseJournal(text, cols, frames, 0);
+        ASSERT_LE(got.rows.size(), frames);
+        std::size_t prefix = 0;
+        for (std::size_t r = 0; r < got.rows.size(); ++r) {
+            ASSERT_EQ(got.rows[r].size(), cols) << "row " << r;
+            for (std::size_t c = 0; c < cols; ++c)
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(got.rows[r][c]),
+                          std::bit_cast<std::uint64_t>(
+                              reference.rows[r][c]))
+                    << "row " << r << " cell " << c;
+            // An accepted line is the golden's own line, checksum and
+            // all.
+            ASSERT_EQ(text.compare(prefix, lines[r].size(), lines[r]), 0)
+                << "row " << r;
+            prefix += lines[r].size();
+        }
+        // Short of the total, the parser stopped at a bad line exactly
+        // when a whole line follows the prefix; an unterminated rest
+        // is a torn tail.
+        const bool wholeLineFollows =
+            text.find('\n', prefix) != std::string::npos;
+        if (got.rows.size() < frames)
+            EXPECT_EQ(got.badLine, wholeLineFollows ? got.rows.size() + 1
+                                                    : 0u);
+        else
+            EXPECT_EQ(got.badLine, 0u);
+        EXPECT_EQ(got.problem != nullptr, got.badLine != 0);
+        EXPECT_EQ(got.tail, prefix != text.size());
+    };
+
+    // Truncation at every byte offset: a torn tail, never corruption.
+    for (std::size_t n = 0; n <= golden.size(); ++n) {
+        check(golden.substr(0, n));
+        const JournalRows cut =
+            parseJournal(golden.substr(0, n), cols, frames, 0);
+        EXPECT_EQ(cut.badLine, 0u) << "cut at " << n;
+    }
+
+    std::mt19937_64 rng(0x6d656773696dULL);
+    const auto at = [&](std::size_t size) {
+        return static_cast<std::size_t>(rng() % size);
+    };
+    for (int i = 0; i < 1000; ++i) {
+        std::string flipped = golden;
+        flipped[at(flipped.size())] ^= static_cast<char>(1 << at(8));
+        check(flipped);
+    }
+    const std::string inserts = ",#\n.-e0x \r\x7f";
+    for (std::size_t n = 0; n < golden.size(); ++n) {
+        std::string shorter = golden;
+        shorter.erase(n, 1);
+        check(shorter);
+        std::string longer = golden;
+        longer.insert(n, 1, inserts[at(inserts.size())]);
+        check(longer);
+    }
+    for (std::size_t l = 0; l + 1 < frames; ++l) {
+        std::vector<std::string> duplicated = lines;
+        duplicated.insert(duplicated.begin() + static_cast<long>(l),
+                          lines[l]);
+        check(join(duplicated));
+        std::vector<std::string> swapped = lines;
+        std::swap(swapped[l], swapped[l + 1]);
+        check(join(swapped));
+    }
+    std::string crlf;
+    for (const std::string &line : lines)
+        crlf += line.substr(0, line.size() - 1) + "\r\n";
+    check(crlf);
+    check(golden.substr(0, golden.size() - 1)); // no final newline
+
+    // Cells strtod reads but a journal never holds, each sealed under
+    // a valid checksum so only the cell parser can refuse them.
+    for (const char *cell : {"1e999", "nan", "0x10", " 1", "+1", "inf",
+                             "", "1.5.2"}) {
+        std::string payload = lines[2].substr(0, lines[2].rfind('#'));
+        const std::size_t comma = payload.find(',');
+        payload.replace(comma + 1, payload.find(',', comma + 1) - comma - 1,
+                        cell);
+        char tag[24];
+        std::snprintf(tag, sizeof(tag), "#%016" PRIx64, fnv1a(payload));
+        std::vector<std::string> edited = lines;
+        edited[2] = payload + tag + "\n";
+        const std::string text = join(edited);
+        check(text);
+        const JournalRows got = parseJournal(text, cols, frames, 0);
+        EXPECT_EQ(got.rows.size(), 2u) << cell;
+        EXPECT_EQ(got.badLine, 3u) << cell;
+    }
+    EXPECT_GT(inputs, 5000u);
 }
 
 TEST(WorkloadErrors, UnknownAliasSuggestsClosestMatch)

@@ -108,6 +108,27 @@ TEST(SchedCli, BogusPolicyIsAUsageErrorBeforeBinding)
               2);
 }
 
+TEST(SchedCli, SubmitWorkersIsAUsageErrorNamingTheServerOption)
+{
+    ASSERT_FALSE(cliPath.empty()) << "pass megsim-cli path as argv[1]";
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path socket = dir / "absent.sock";
+    const std::filesystem::path log = dir / "submit_workers.log";
+    std::filesystem::remove(socket);
+
+    // The fleet belongs to the server, so submit refuses --workers
+    // before it ever connects (there is no server on this socket).
+    EXPECT_EQ(runCli("", "submit --socket " + socket.string() +
+                             " --workers 4",
+                     log),
+              2)
+        << slurp(log);
+    EXPECT_NE(slurp(log).find("--workers"), std::string::npos)
+        << slurp(log);
+    EXPECT_NE(slurp(log).find("serve --workers"), std::string::npos)
+        << slurp(log);
+}
+
 TEST(SchedCli, QueueFullSubmitExitsWithNine)
 {
     ASSERT_FALSE(cliPath.empty());

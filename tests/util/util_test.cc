@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "scratch_dir.hh"
 #include "util/csv.hh"
@@ -25,26 +27,18 @@ tempFile(const char *name)
 
 } // namespace
 
-TEST(Csv, RoundTripsTable)
+TEST(Csv, WritesHeaderAndRoundTripRows)
 {
     CsvTable table;
     table.header = {"frame", "cycles", "ipc"};
     table.rows = {{0.0, 1000.0, 1.5}, {1.0, 2000.0, 0.25}};
-    const std::filesystem::path path = tempFile("roundtrip.csv");
+    const std::filesystem::path path = tempFile("table.csv");
     writeCsv(path.string(), table);
 
-    CsvTable back;
-    ASSERT_TRUE(readCsv(path.string(), back));
-    ASSERT_EQ(back.header, table.header);
-    ASSERT_EQ(back.rows.size(), 2u);
-    EXPECT_DOUBLE_EQ(back.rows[1][1], 2000.0);
-    EXPECT_DOUBLE_EQ(back.rows[1][2], 0.25);
-}
-
-TEST(Csv, ReadFailsOnMissingFile)
-{
-    CsvTable table;
-    EXPECT_FALSE(readCsv("/nonexistent/definitely_not_here.csv", table));
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(text, "frame,cycles,ipc\n0,1000,1.5\n1,2000,0.25\n");
 }
 
 TEST(Glob, MatchesStarQuestionAndLiterals)

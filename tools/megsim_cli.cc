@@ -20,10 +20,12 @@
  *       1); the frames before it stay journaled.
  *
  *   megsim-cli verify-cache [--bench ALIAS] [--cache-dir DIR]
- *                           [--purge]
- *       Integrity-check the benchmark's cache artifacts (header,
- *       version, fingerprint, checksum). --purge deletes corrupt
- *       files so the next run regenerates them.
+ *       Integrity-check the benchmark's cache, its checkpoint, through
+ *       the loader every run uses: per journal `OK N rows`, `partial
+ *       k/N` (a later run resumes it) or `missing`; a journal line or
+ *       manifest that fails its check prints `CORRUPT`, naming the
+ *       first bad line, and exits 4. The next run resumes from the
+ *       lines before it.
  *
  *   megsim-cli campaign [--benches A,B,C] [--out campaign.json]
  *                       [--check thresholds.json] [--cache-dir DIR]
@@ -52,7 +54,9 @@
  *   megsim-cli submit --socket PATH [--benches A,B,C] [--tenant NAME]
  *                     [--weight W] [--out REPORT.json] [--ledger PATH]
  *       Send one campaign request to a running `serve` and print the
- *       returned report; exits 8 if the served campaign degraded.
+ *       returned report; exits 8 if the served campaign degraded. The
+ *       fleet belongs to the server (`serve --workers`): submit
+ *       --workers is a usage error.
  *
  *   megsim-cli campaign --diff A.json B.json
  *       Compare two campaign reports modulo the documented host-side
@@ -89,7 +93,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -107,7 +110,7 @@
 #include "obs/stats.hh"
 #include "obs/timeline.hh"
 #include "obs/trace_export.hh"
-#include "resilience/artifact.hh"
+#include "resilience/checkpoint.hh"
 #include "sched/scheduler.hh"
 #include "serve/fleet.hh"
 #include "serve/service.hh"
@@ -158,11 +161,9 @@ struct Options
     double scale = 1.0;
     std::size_t threads = 0; // 0 = keep MEGSIM_THREADS / hw default
     bool baseline = false;
-    bool purge = false;
     bool outSet = false;
     bool attrib = false; // host-cost attribution report
-    bool workersSet = false; // submit: forward --workers only if given
-    bool weightSet = false;  // submit: forward --weight only if given
+    bool weightSet = false; // submit: forward --weight only if given
 };
 
 int
@@ -174,8 +175,7 @@ usage(const char *argv0)
         "       %s trace [--bench ALIAS] [--frames A:B] [--out PATH]"
         " [--csv PATH]\n"
         "       %s resume [--bench ALIAS] [--cache-dir DIR]\n"
-        "       %s verify-cache [--bench ALIAS] [--cache-dir DIR]"
-        " [--purge]\n"
+        "       %s verify-cache [--bench ALIAS] [--cache-dir DIR]\n"
         "       %s campaign [--benches A,B,C] [--out REPORT.json]"
         " [--check THRESHOLDS.json] [--cache-dir DIR]"
         " [--ledger PATH] [--workers N]\n"
@@ -321,10 +321,15 @@ parse(int argc, char **argv, Options &opt)
                               util::NumberRule::Count, opt.threads))
                 return false;
         } else if (arg == "--workers") {
+            if (opt.command == "submit") {
+                std::fprintf(stderr, "submit takes no --workers: the "
+                             "fleet belongs to the server (serve "
+                             "--workers N)\n");
+                return false;
+            }
             if (!numberOption("--workers", next(),
                               util::NumberRule::Whole, opt.workers))
                 return false;
-            opt.workersSet = true;
         } else if (arg == "--socket") {
             const char *v = next();
             if (!v)
@@ -355,8 +360,6 @@ parse(int argc, char **argv, Options &opt)
             opt.cacheDir = v;
         } else if (arg == "--baseline") {
             opt.baseline = true;
-        } else if (arg == "--purge") {
-            opt.purge = true;
         } else {
             std::fprintf(stderr, "unknown option '%s'\n",
                          arg.c_str());
@@ -439,30 +442,37 @@ runVerifyCache(const Options &opt)
     if (!openBenchmarkData(opt, scene, data))
         return kExitLoadFailure;
 
-    bool corrupt = false;
-    for (const char *kind : {"activity", "stats"}) {
-        const std::string path = data->cachePath(kind);
-        auto loaded =
-            resilience::readCsvArtifact(path, data->cacheKey(), kind);
-        if (loaded.ok()) {
-            std::printf("%-8s OK        %zu rows  %s\n", kind,
-                        loaded->rows.size(), path.c_str());
-            continue;
+    const resilience::Checkpoint ckpt = data->checkpoint();
+    auto found = ckpt.read();
+    if (!found.ok()) {
+        if (found.error().code == resilience::Errc::NotFound) {
+            for (const char *kind : {"activity", "stats"})
+                std::printf("%-8s missing   %s\n", kind,
+                            ckpt.journalPath(kind).c_str());
+            return kExitOk;
         }
-        if (loaded.error().code == resilience::Errc::NotFound) {
-            std::printf("%-8s missing   %s\n", kind, path.c_str());
-            continue;
-        }
-        corrupt = true;
-        std::printf("%-8s CORRUPT   %s: %s\n", kind, path.c_str(),
-                    loaded.error().message.c_str());
-        if (opt.purge) {
-            std::error_code ec;
-            std::filesystem::remove(path, ec);
-            std::printf("%-8s purged    %s\n", kind, path.c_str());
-        }
+        std::printf("%-8s CORRUPT   %s: %s\n", "manifest",
+                    ckpt.manifestPath().c_str(),
+                    found.error().message.c_str());
+        return kExitCacheFailure;
     }
-    return corrupt ? kExitCacheFailure : kExitOk;
+    const std::size_t total = scene.numFrames();
+    for (const char *kind : {"activity", "stats"}) {
+        const resilience::JournalRows &journal =
+            std::string(kind) == "stats" ? found->stats
+                                         : found->activity;
+        const std::string path = ckpt.journalPath(kind);
+        if (journal.badLine)
+            std::printf("%-8s CORRUPT   %s: line %zu %s\n", kind,
+                        path.c_str(), journal.badLine, journal.problem);
+        else if (journal.rows.size() == total)
+            std::printf("%-8s OK        %zu rows  %s\n", kind, total,
+                        path.c_str());
+        else
+            std::printf("%-8s partial   %zu/%zu  %s\n", kind,
+                        journal.rows.size(), total, path.c_str());
+    }
+    return found->corrupt() ? kExitCacheFailure : kExitOk;
 }
 
 std::vector<std::string>
@@ -902,10 +912,6 @@ runSubmit(const Options &opt)
             aliases.push(alias);
         request.set("benches", std::move(aliases));
     }
-    // Only forward --workers when given: the server's own default
-    // governs otherwise.
-    if (opt.workersSet)
-        request.set("workers", opt.workers);
     if (!opt.tenant.empty())
         request.set("tenant", opt.tenant);
     if (opt.weightSet)
