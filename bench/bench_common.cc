@@ -3,10 +3,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <iostream>
+#include <vector>
 
 #include "exec/pool.hh"
-#include "obs/profile.hh"
+#include "obs/stats.hh"
+#include "obs/timeline.hh"
 #include "sim/logging.hh"
 
 namespace msim::bench
@@ -36,24 +37,31 @@ resolveDir(const char *env, const char *fallback)
 }
 
 /**
- * Prints the per-phase wall-clock summary when the bench exits. The
- * process-wide profiler this reads already aggregates every worker's
- * shard: exec::Pool redirects in-job phases to per-worker profilers
- * and merges them back on job completion, so phase seconds here are
- * the SUM across workers (total CPU time per phase), not whichever
- * worker happened to write last.
+ * Prints the obs::Span totals when the bench exits. The process
+ * registry this reads already holds every worker's spans: exec::Pool
+ * merges its per-worker shards back on job completion, so the seconds
+ * here are the SUM across workers (total CPU time per span), and
+ * nested spans each count their own time.
  */
-struct PhaseReportAtExit
+struct SpanReportAtExit
 {
-    PhaseReportAtExit()
+    SpanReportAtExit()
     {
-        // Construct the global profiler before registering the exit
+        // Construct the process registry before registering the exit
         // hook so it is destroyed after the hook has run.
-        obs::PhaseProfiler::global();
+        obs::processRegistry();
         std::atexit([] {
-            obs::PhaseProfiler &profiler = obs::PhaseProfiler::global();
-            if (!profiler.empty())
-                profiler.report(std::cerr);
+            const std::vector<obs::SpanTotal> totals =
+                obs::spanTotals(obs::processRegistry());
+            if (totals.empty())
+                return;
+            std::fprintf(stderr, "%-24s %10s %10s\n", "span", "seconds",
+                         "entries");
+            for (const obs::SpanTotal &span : totals)
+                std::fprintf(stderr, "%-24s %10.3f %10llu\n",
+                             span.name.c_str(), span.seconds,
+                             static_cast<unsigned long long>(
+                                 span.entries));
         });
     }
 };
@@ -84,7 +92,7 @@ outDir()
 LoadedBenchmark
 loadBenchmark(const std::string &alias)
 {
-    static PhaseReportAtExit reportAtExit;
+    static SpanReportAtExit reportAtExit;
     sim::informOnce("exec.pool.workers", "worker pool: %zu threads",
                     exec::Pool::global().workers());
 

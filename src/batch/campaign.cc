@@ -66,7 +66,7 @@ analyzeBenchmark(const std::string &alias,
                  const megsim::MegsimConfig &config)
 {
     const double t0 = obs::wallSeconds();
-    obs::TimelineRecorder::Span span("campaign.analyze", 0, alias);
+    obs::Span span("campaign.analyze", 0, alias);
     megsim::MegsimPipeline pipeline(data, config);
     const megsim::MegsimRun run = pipeline.run();
 
@@ -113,10 +113,11 @@ resilience::Expected<std::vector<std::unique_ptr<SuiteBench>>>
 loadSuite(const CampaignConfig &config,
           const std::vector<std::string> &aliases)
 {
-    obs::AttribScope loadScope(obs::HostDomain::Load);
+    const std::vector<std::string> names =
+        aliases.empty() ? workloads::benchmarkNames() : aliases;
+    obs::Span span("suite.load", obs::HostDomain::Load, names.size());
     std::vector<std::unique_ptr<SuiteBench>> suite;
-    for (const std::string &alias :
-         aliases.empty() ? workloads::benchmarkNames() : aliases) {
+    for (const std::string &alias : names) {
         auto built = workloads::tryBuildBenchmark(
             alias, config.scale, config.frameLimit);
         if (!built.ok())
@@ -177,23 +178,18 @@ Campaign::run()
     // 1. Load every scene up front — an unknown alias fails the whole
     // campaign before any simulation work starts.
     items_.clear();
-    {
-        obs::TimelineRecorder::Span loadSpan("campaign.load_scenes",
-                                             config_.benches.size());
-        auto suite = loadSuite(config_, config_.benches);
-        if (!suite.ok())
-            return suite.error();
-        for (std::unique_ptr<SuiteBench> &bench : *suite)
-            items_.push_back(std::make_unique<Item>(std::move(bench)));
-    }
+    auto suite = loadSuite(config_, config_.benches);
+    if (!suite.ok())
+        return suite.error();
+    for (std::unique_ptr<SuiteBench> &bench : *suite)
+        items_.push_back(std::make_unique<Item>(std::move(bench)));
 
     // 2. Probe the caches: fresh benchmarks go straight to analysis,
     // the rest get a checkpoint-resuming ground-truth pass.
     std::vector<Item *> fresh;
     std::vector<Item *> regen;
     {
-        obs::TimelineRecorder::Span probeSpan("campaign.probe",
-                                              items_.size());
+        obs::Span probeSpan("campaign.probe", items_.size());
         for (auto &item : items_)
             (item->bench->needsGroundTruth() ? regen : fresh)
                 .push_back(item.get());
@@ -245,10 +241,7 @@ Campaign::run()
         return owner;
     };
 
-    obs::PhaseProfiler::Scoped scope(obs::PhaseProfiler::global(),
-                                     "campaign-batch");
-    obs::TimelineRecorder::Span jobSpan("campaign.batch",
-                                        totalUnits);
+    obs::Span jobSpan("campaign.batch", totalUnits);
     auto job = pool.parallelMapOrdered<Unit>(
         totalUnits,
         [&](std::size_t unit,

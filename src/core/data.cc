@@ -167,8 +167,7 @@ BenchmarkData::probeCaches()
         return CacheProbe::Loaded;
     if (cacheDir_.empty())
         return CacheProbe::Missing;
-    obs::AttribScope loadScope(obs::HostDomain::Load);
-    obs::TimelineRecorder::Span span("cache.load", 0, scene_->name);
+    obs::Span span("cache.load", obs::HostDomain::Load, 0, scene_->name);
     auto found = checkpoint().read();
     if (!found.ok() &&
         found.error().code == resilience::Errc::NotFound)
@@ -230,8 +229,7 @@ BenchmarkData::installGroundTruth(
     haveActivities_ = true;
     if (cacheDir_.empty())
         return {};
-    obs::AttribScope loadScope(obs::HostDomain::Load);
-    obs::TimelineRecorder::Span span("cache.store", 0, scene_->name);
+    obs::Span span("cache.store", obs::HostDomain::Load, 0, scene_->name);
     createCacheDir(cacheDir_);
     return checkpoint().write(statsRows(stats_),
                               activityRows(activities_));
@@ -246,9 +244,8 @@ BenchmarkData::activities()
     // checkpoint: storing this pass must not cost it that progress.
     bool groundTruthJournaled = false;
     if (!cacheDir_.empty()) {
-        obs::AttribScope loadScope(obs::HostDomain::Load);
-        obs::TimelineRecorder::Span span("cache.load", 0,
-                                         scene_->name + ":activity");
+        obs::Span span("cache.load", obs::HostDomain::Load, 0,
+                       scene_->name + ":activity");
         auto found = checkpoint().read();
         if (found.ok() &&
             found->activity.rows.size() == scene_->numFrames()) {
@@ -258,8 +255,7 @@ BenchmarkData::activities()
         groundTruthJournaled = found.ok() && !found->stats.rows.empty();
     }
 
-    obs::PhaseProfiler::Scoped scope(obs::PhaseProfiler::global(),
-                                     "functional");
+    obs::Span passSpan("func.pass", 0, scene_->name);
     exec::Pool &pool = exec::Pool::global();
     gpusim::SceneBinding binding(*scene_);
     const std::size_t total = scene_->numFrames();
@@ -275,7 +271,7 @@ BenchmarkData::activities()
         total,
         [&](std::size_t f, std::size_t w)
             -> resilience::Expected<gpusim::FrameActivity> {
-            obs::TimelineRecorder::Span span("func.frame", f);
+            obs::Span span("func.frame", f);
             if (!sims[w])
                 sims[w] =
                     std::make_unique<gpusim::FunctionalSimulator>(
@@ -294,9 +290,8 @@ BenchmarkData::activities()
     if (!cacheDir_.empty() && !groundTruthJournaled) {
         // The activity journal under an empty stats journal: a later
         // ground-truth pass resumes from the shorter prefix, 0.
-        obs::AttribScope loadScope(obs::HostDomain::Load);
-        obs::TimelineRecorder::Span span("cache.store", 0,
-                                         scene_->name + ":activity");
+        obs::Span span("cache.store", obs::HostDomain::Load, 0,
+                       scene_->name + ":activity");
         createCacheDir(cacheDir_);
         auto stored = checkpoint().write({}, activityRows(activities_));
         if (!stored.ok())
@@ -329,8 +324,7 @@ BenchmarkData::ensureFrameStats()
     // commit lambda runs on the calling thread in frame order, which
     // keeps checkpoint journal appends serialized and the files
     // bit-identical to a serial run.
-    obs::PhaseProfiler::Scoped scope(obs::PhaseProfiler::global(),
-                                     "ground-truth");
+    obs::Span span("gt.pass", 0, scene_->name);
     exec::Pool &pool = exec::Pool::global();
     GroundTruthPass gt(*this, pool.workers());
     auto pass = pool.parallelMapOrdered<GroundTruthFrame>(
@@ -415,8 +409,7 @@ resilience::Expected<GroundTruthFrame>
 GroundTruthPass::produce(std::size_t i, std::size_t w)
 {
     const std::size_t f = start_ + i;
-    obs::TimelineRecorder::Span span("gt.frame", f,
-                                     data_->scene_->name);
+    obs::Span span("gt.frame", f, data_->scene_->name);
     if (!sims_[w])
         sims_[w] = std::make_unique<gpusim::TimingSimulator>(
             data_->config_, *binding_);
@@ -429,8 +422,7 @@ GroundTruthPass::commit(std::size_t i, GroundTruthFrame &&frame)
     stats_.push_back(std::move(frame.stats));
     acts_.push_back(std::move(frame.activity));
     if (ckpt_) {
-        obs::AttribScope loadScope(obs::HostDomain::Load);
-        obs::TimelineRecorder::Span span("ckpt.commit", start_ + i);
+        obs::Span span("ckpt.commit", obs::HostDomain::Load, start_ + i);
         ckpt_->append(stats_.back().toCsvRow(),
                       activityToRow(acts_.back()));
     }

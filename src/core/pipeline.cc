@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "obs/attrib.hh"
-#include "obs/profile.hh"
+#include "obs/timeline.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "util/summary.hh"
@@ -51,9 +51,7 @@ MegsimPipeline::projectedFeatures()
 MegsimRun
 MegsimPipeline::run(std::uint64_t seed)
 {
-    obs::PhaseProfiler::Scoped scope(obs::PhaseProfiler::global(),
-                                     "clustering");
-    obs::AttribScope analyzeScope(obs::HostDomain::Analyze);
+    obs::Span span("pipeline.run", obs::HostDomain::Analyze);
     projectedFeatures();
 
     SelectorConfig selector = config_.selector;

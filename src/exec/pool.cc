@@ -119,8 +119,6 @@ Pool::runShare(std::size_t worker,
 {
     obs::ProcessRegistryOverride statsShard(
         shards_[worker]->registry);
-    obs::PhaseProfilerOverride phaseShard(
-        shards_[worker]->profiler);
     obs::TimelineOverride timelineShard(shards_[worker]->timeline);
     // Declared after the registry override so its destructor flushes
     // this thread's attribution buckets into the worker shard (merged
@@ -322,11 +320,9 @@ Pool::mergeShards()
     // reset so the next job starts from zero.
     for (std::size_t w = 0; w < workers_; ++w) {
         obs::processRegistry().mergeFrom(shards_[w]->registry);
-        obs::PhaseProfiler::global().mergeFrom(shards_[w]->profiler);
         obs::TimelineRecorder::global().mergeFrom(
             shards_[w]->timeline);
         shards_[w]->registry.resetPerFrame();
-        shards_[w]->profiler.clear();
     }
 }
 

@@ -22,10 +22,11 @@
  *
  * The caller participates as worker 0; a pool of size 1 therefore
  * runs everything inline on the calling thread with no concurrency at
- * all. Per-worker obs shards (StatsRegistry + PhaseProfiler) are
+ * all. Per-worker obs shards (StatsRegistry + TimelineRecorder) are
  * installed around each worker's share and merged into the process
  * globals in worker-index order when the job completes, so
- * integer-valued counters are identical across thread counts.
+ * integer-valued counters, obs::Span totals among them, are identical
+ * across thread counts.
  *
  * Errors and cancellation go through resilience::Expected. When an
  * item fails, items with larger indices are cancelled (skipped), but
@@ -167,7 +168,6 @@ class Pool
     {
         explicit WorkerObs(std::uint32_t track) : timeline(track) {}
         obs::StatsRegistry registry;
-        obs::PhaseProfiler profiler;
         obs::TimelineRecorder timeline; // track = worker index
     };
 

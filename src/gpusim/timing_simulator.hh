@@ -192,7 +192,7 @@ class TimingSimulator
               bool write, std::uint64_t *dramLines)
     {
         // Host-cost attribution of the whole walk (one predictable
-        // branch when MEGSIM_ATTRIB is off).
+        // branch when --attrib is off).
         obs::AttribScope memScope(obs::HostDomain::MemWalk);
         return memWalk(l1, now, addr, write, dramLines);
     }

@@ -1,8 +1,6 @@
 #include "obs/attrib.hh"
 
-#include <cstdlib>
 #include <string>
-#include <string_view>
 
 #include "obs/stats.hh"
 
@@ -13,16 +11,6 @@ namespace
 {
 
 bool gAttribEnabled = false;
-
-bool
-initAttribFromEnv()
-{
-    const char *env = std::getenv("MEGSIM_ATTRIB");
-    gAttribEnabled = env && *env && std::string_view(env) != "0";
-    return gAttribEnabled;
-}
-
-[[maybe_unused]] const bool gAttribInit = initAttribFromEnv();
 
 constexpr const char *kDomainNames[kHostDomainCount] = {
     "other", "load", "geometry", "raster", "shade", "memwalk",

@@ -19,11 +19,15 @@
  * the worker-shard override, so per-worker flushes merge back in
  * worker-index order like every other stat.
  *
- * Attribution is opt-in (MEGSIM_ATTRIB=1 / setHostAttribEnabled):
- * the scope constructor costs one predictable branch when disabled,
- * and two clock reads plus bucket arithmetic when enabled. Host
+ * Attribution is opt-in (`--attrib` / setHostAttribEnabled): the
+ * scope constructor costs one predictable branch when disabled, and
+ * two clock reads plus bucket arithmetic when enabled. Host
  * attribution never touches simulated counters, so simulated stats
  * stay bit-identical whether it is on or off.
+ *
+ * AttribScope is for the hot loops (the memory walk, shading, the
+ * raster and geometry loops). A coarse region names its domain on
+ * its obs::Span (obs/timeline.hh), which does the same switch.
  */
 
 #ifndef MSIM_OBS_ATTRIB_HH
@@ -57,7 +61,7 @@ constexpr std::size_t kHostDomainCount =
 const char *hostDomainName(HostDomain d);
 
 /** Global enable flag; written only during single-threaded setup
- *  (MEGSIM_ATTRIB env, CLI flag, tests). */
+ *  (the CLI's --attrib, tests). */
 bool hostAttribEnabled();
 void setHostAttribEnabled(bool on);
 
@@ -74,6 +78,20 @@ struct AttribBuckets
 };
 
 AttribBuckets &tlsBuckets();
+
+/**
+ * Charge the time since the last switch to the running domain, then
+ * run @p d from @p now. Returns the domain it left.
+ */
+inline HostDomain
+attribSwitch(AttribBuckets &b, HostDomain d, double now)
+{
+    const HostDomain left = b.current;
+    b.seconds[static_cast<std::size_t>(left)] += now - b.stamp;
+    b.current = d;
+    b.stamp = now;
+    return left;
+}
 
 } // namespace detail
 
@@ -111,26 +129,15 @@ class AttribScope
         detail::AttribBuckets &b = detail::tlsBuckets();
         if (!b.open)
             return;
-        const double now = wallSeconds();
-        const std::size_t prev =
-            static_cast<std::size_t>(b.current);
-        b.seconds[prev] += now - b.stamp;
-        previous_ = b.current;
-        b.current = d;
-        b.stamp = now;
+        previous_ = detail::attribSwitch(b, d, wallSeconds());
         ++b.entries[static_cast<std::size_t>(d)];
         armed_ = true;
     }
     ~AttribScope()
     {
-        if (!armed_)
-            return;
-        detail::AttribBuckets &b = detail::tlsBuckets();
-        const double now = wallSeconds();
-        b.seconds[static_cast<std::size_t>(b.current)] +=
-            now - b.stamp;
-        b.current = previous_;
-        b.stamp = now;
+        if (armed_)
+            detail::attribSwitch(detail::tlsBuckets(), previous_,
+                                 wallSeconds());
     }
     AttribScope(const AttribScope &) = delete;
     AttribScope &operator=(const AttribScope &) = delete;

@@ -315,6 +315,13 @@ RunLedger::parse(const std::string &text)
         if (!valid.ok())
             return errorf(Errc::BadFormat, "ledger line %zu: %s",
                           lineNo, valid.error().message.c_str());
+        // event() stamps seq 0, 1, 2, ...: a duplicated, dropped or
+        // reordered event is refused.
+        const double seq = parsed->find("seq")->asNumber();
+        if (seq != static_cast<double>(events.size()))
+            return errorf(Errc::BadFormat,
+                          "ledger line %zu: seq %g, expected %zu",
+                          lineNo, seq, events.size());
         events.push_back(std::move(*parsed));
     }
     if (events.empty())

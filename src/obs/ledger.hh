@@ -95,7 +95,9 @@ class RunLedger
 
     /**
      * Parse and strictly validate a JSONL ledger. Returns the parsed
-     * events, or a structured error naming the first offending line.
+     * events, or a structured error naming the first offending line
+     * (an event that fails validateEvent(), or whose seq is not its
+     * index). A ledger with no event at all is Truncated.
      */
     static resilience::Expected<std::vector<util::Json>>
     parse(const std::string &text);

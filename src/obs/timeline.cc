@@ -1,12 +1,14 @@
 #include "obs/timeline.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
+#include <map>
+#include <sstream>
+#include <string_view>
 #include <utility>
 
+#include "obs/stats.hh"
 #include "obs/trace_export.hh"
-#include "sim/logging.hh"
+#include "resilience/artifact.hh"
 #include "util/json.hh"
 
 namespace msim::obs
@@ -15,26 +17,13 @@ namespace msim::obs
 namespace
 {
 
+// Written only during single-threaded setup (the CLI's --timeline,
+// tests).
 bool gTimelineEnabled = false;
-std::string gTimelinePath;
-
-bool
-initTimelineFromEnv()
-{
-    const char *env = std::getenv("MEGSIM_TIMELINE");
-    if (env && *env) {
-        gTimelinePath =
-            std::string(env) == "1" ? "timeline.json" : env;
-        gTimelineEnabled = true;
-    }
-    return true;
-}
-
-// Runs once before main() can spawn threads; setTimelineEnabled is
-// the programmatic override for tests and the CLI.
-[[maybe_unused]] const bool gTimelineInit = initTimelineFromEnv();
 
 thread_local TimelineRecorder *tlsTimelineOverride = nullptr;
+
+constexpr std::string_view kSpanPrefix = "obs.span.";
 
 } // namespace
 
@@ -48,12 +37,6 @@ void
 setTimelineEnabled(bool on)
 {
     gTimelineEnabled = on;
-}
-
-const std::string &
-timelinePath()
-{
-    return gTimelinePath;
 }
 
 void
@@ -85,6 +68,72 @@ TimelineOverride::TimelineOverride(TimelineRecorder &shard)
 TimelineOverride::~TimelineOverride()
 {
     tlsTimelineOverride = previous_;
+}
+
+Span::Span(const char *name, std::uint64_t arg, std::string detail)
+    : registry_(&processRegistry()),
+      recorder_(timelineEnabled() ? &TimelineRecorder::global()
+                                  : nullptr),
+      name_(name), detail_(std::move(detail)), arg_(arg),
+      t0_(wallSeconds())
+{}
+
+Span::Span(const char *name, HostDomain domain, std::uint64_t arg,
+           std::string detail)
+    : Span(name, arg, std::move(detail))
+{
+    if (!hostAttribEnabled())
+        return;
+    detail::AttribBuckets &b = detail::tlsBuckets();
+    if (!b.open)
+        return;
+    previous_ = detail::attribSwitch(b, domain, t0_);
+    ++b.entries[static_cast<std::size_t>(domain)];
+    attributed_ = true;
+}
+
+Span::~Span()
+{
+    const double t1 = wallSeconds();
+    if (attributed_)
+        detail::attribSwitch(detail::tlsBuckets(), previous_, t1);
+    const std::string stem = std::string(kSpanPrefix) + name_;
+    registry_->scalar(stem + ".seconds",
+                      "host wall seconds inside this span") += t1 - t0_;
+    ++registry_->scalar(stem + ".entries", "times this span was entered");
+    if (recorder_)
+        recorder_->record(name_, t0_, t1, arg_, std::move(detail_));
+}
+
+std::vector<SpanTotal>
+spanTotals(const StatsRegistry &registry)
+{
+    constexpr std::string_view kSeconds = ".seconds";
+    constexpr std::string_view kEntries = ".entries";
+    static_assert(kSeconds.size() == kEntries.size());
+    std::map<std::string, SpanTotal> byName;
+    registry.visit(
+        [&](const Stat &stat) {
+            std::string_view key = stat.name();
+            key.remove_prefix(kSpanPrefix.size());
+            const bool seconds = key.ends_with(kSeconds);
+            if (!seconds && !key.ends_with(kEntries))
+                return;
+            key.remove_suffix(kSeconds.size());
+            SpanTotal &total = byName[std::string(key)];
+            total.name = key;
+            if (seconds)
+                total.seconds = stat.value();
+            else
+                total.entries =
+                    static_cast<std::uint64_t>(stat.value());
+        },
+        std::string(kSpanPrefix) + "*");
+    std::vector<SpanTotal> totals;
+    totals.reserve(byName.size());
+    for (auto &[name, total] : byName)
+        totals.push_back(std::move(total));
+    return totals;
 }
 
 void
@@ -146,15 +195,14 @@ writeTimelineChrome(std::ostream &os,
     os << "]}\n";
 }
 
-void
+resilience::Expected<void>
 writeTimelineChrome(const std::string &path,
                     const TimelineRecorder &recorder,
                     std::size_t workers)
 {
-    std::ofstream out(path);
-    if (!out)
-        sim::fatal("cannot write timeline file '%s'", path.c_str());
-    writeTimelineChrome(out, recorder.spans(), workers);
+    std::ostringstream os;
+    writeTimelineChrome(os, recorder.spans(), workers);
+    return resilience::atomicWriteFile(path, os.str());
 }
 
 } // namespace msim::obs

@@ -1,28 +1,36 @@
 /**
  * @file
- * Host-side run timelines: wall-clock interval spans on per-worker
- * tracks.
+ * Host-time spans: the one instrument for a named host region, and the
+ * per-worker timeline it can record on.
  *
  * Where the TraceBuffer records *simulated* time (cycles inside one
- * frame), the TimelineRecorder records *host* time: what every
- * exec::Pool worker, the campaign driver and the cache/checkpoint
- * machinery were doing, and when. Spans carry a track id (the worker
- * index; the caller thread is track 0) so the Chrome `trace_event`
- * export opens in Perfetto with one lane per worker — an 8-thread
- * campaign visually shows its pool utilization instead of asserting
- * it through a counter.
+ * frame), an obs::Span records *host* time. Every Span times its own
+ * lifetime and adds it to `obs.span.<name>.seconds` and
+ * `obs.span.<name>.entries` in processRegistry(), which exec::Pool
+ * shards per worker and merges in worker-index order, so the entry
+ * counts are identical at any thread count. The run ledger's `phase`
+ * events and the bench binaries' exit report read these totals
+ * (spanTotals()).
+ *
+ * A Span given a HostDomain also does the exclusive attribution
+ * switch of an AttribScope (obs/attrib.hh) while attribution is on,
+ * so one region is timed by one scope. AttribScope itself stays only
+ * in the hot loops, where a registry add per entry would cost too
+ * much.
+ *
+ * While the timeline is on (`--timeline`), a Span also records a
+ * HostSpan on the TimelineRecorder. Spans carry a track id (the
+ * worker index; the caller thread is track 0) so the Chrome
+ * `trace_event` export opens in Perfetto with one lane per worker —
+ * an 8-thread campaign visually shows its pool utilization instead
+ * of asserting it through a counter.
  *
  * Ownership follows the StatsRegistry rule: a TimelineRecorder is
  * single-writer. exec::Pool gives each worker a shard (with the
  * worker's track id) via the thread-local TimelineOverride and merges
  * the shards back in worker-index order when the job completes; the
  * process-wide recorder is only ever written by the caller thread.
- *
- * Recording is off by default and costs one predictable branch when
- * disabled; MEGSIM_TIMELINE=<path> enables it for a run (the CLI
- * writes the Chrome JSON to <path> on exit). Defining
- * MSIM_OBS_NO_TRACE at build time compiles emission out entirely,
- * exactly like the cycle-trace layer.
+ * Recording costs one predictable branch while the timeline is off.
  */
 
 #ifndef MSIM_OBS_TIMELINE_HH
@@ -34,10 +42,15 @@
 #include <utility>
 #include <vector>
 
+#include "obs/attrib.hh"
+#include "resilience/expected.hh"
+
 namespace msim::obs
 {
 
 double wallSeconds(); // obs/profile.hh
+
+class StatsRegistry; // obs/stats.hh
 
 /** One host-time interval on a worker track. */
 struct HostSpan
@@ -61,15 +74,11 @@ struct HostSpan
  */
 inline constexpr std::uint32_t kRequestTrackBase = 1u << 16;
 
-/** True when MEGSIM_TIMELINE (or setTimelineEnabled) turned host
- *  timelines on for this process. Read on every record(); written
- *  only during single-threaded setup. */
+/** True when `--timeline` (setTimelineEnabled) turned host timelines
+ *  on for this process. Read on every record(); written only during
+ *  single-threaded setup. */
 bool timelineEnabled();
 void setTimelineEnabled(bool on);
-
-/** The MEGSIM_TIMELINE value ("" = disabled; "1" maps to
- *  "timeline.json") — where the CLI writes the Chrome export. */
-const std::string &timelinePath();
 
 class TimelineRecorder
 {
@@ -82,55 +91,20 @@ class TimelineRecorder
 
     std::uint32_t track() const { return track_; }
 
-    /** Record a completed span on this recorder's track. */
+    /**
+     * Record a completed span on this recorder's track. The raw event
+     * API for lanes no scope covers (pool chunks and waits, request
+     * lanes); a named region uses obs::Span.
+     */
     void
     record(const char *name, double begin, double end,
            std::uint64_t arg = 0, std::string detail = {})
     {
-#ifdef MSIM_OBS_NO_TRACE
-        (void)name; (void)begin; (void)end; (void)arg; (void)detail;
-#else
         if (!timelineEnabled()) [[likely]]
             return;
         spans_.push_back(
             HostSpan{name, std::move(detail), track_, begin, end, arg});
-#endif
     }
-
-    /** RAII span: times its own lifetime on the recorder active at
-     *  *construction* (so a span opened inside a pool job lands on
-     *  that worker's shard even if it closes after a merge). */
-    class Span
-    {
-      public:
-#ifdef MSIM_OBS_NO_TRACE
-        Span(const char *, std::uint64_t = 0, std::string = {}) {}
-#else
-        Span(const char *name, std::uint64_t arg = 0,
-             std::string detail = {})
-            : recorder_(&TimelineRecorder::global()), name_(name),
-              detail_(std::move(detail)), arg_(arg),
-              t0_(timelineEnabled() ? wallSeconds() : 0.0)
-        {}
-        ~Span()
-        {
-            if (timelineEnabled())
-                recorder_->record(name_, t0_, wallSeconds(), arg_,
-                                  std::move(detail_));
-        }
-#endif
-        Span(const Span &) = delete;
-        Span &operator=(const Span &) = delete;
-
-      private:
-#ifndef MSIM_OBS_NO_TRACE
-        TimelineRecorder *recorder_;
-        const char *name_;
-        std::string detail_;
-        std::uint64_t arg_;
-        double t0_;
-#endif
-    };
 
     const std::vector<HostSpan> &spans() const { return spans_; }
     std::size_t size() const { return spans_.size(); }
@@ -167,6 +141,47 @@ class TimelineOverride
 };
 
 /**
+ * RAII host-time scope over a named region (dotted name, a string
+ * literal). Its lifetime lands in the processRegistry() and, while the
+ * timeline is on, the TimelineRecorder active at *construction*, so a
+ * span opened inside a pool job lands on that worker's shards.
+ */
+class Span
+{
+  public:
+    explicit Span(const char *name, std::uint64_t arg = 0,
+                  std::string detail = {});
+    /** Also charges its lifetime to @p domain, exclusively, as an
+     *  AttribScope would. */
+    Span(const char *name, HostDomain domain, std::uint64_t arg = 0,
+         std::string detail = {});
+    ~Span();
+    Span(const Span &) = delete;
+    Span &operator=(const Span &) = delete;
+
+  private:
+    StatsRegistry *registry_;
+    TimelineRecorder *recorder_; // null while the timeline is off
+    const char *name_;
+    std::string detail_;
+    std::uint64_t arg_;
+    double t0_;
+    HostDomain previous_ = HostDomain::Other;
+    bool attributed_ = false;
+};
+
+/** One span name's totals, read back from a registry. */
+struct SpanTotal
+{
+    std::string name;
+    double seconds = 0.0;
+    std::uint64_t entries = 0;
+};
+
+/** Every `obs.span.<name>.*` total in @p registry, in name order. */
+std::vector<SpanTotal> spanTotals(const StatsRegistry &registry);
+
+/**
  * Export spans as Chrome trace_event JSON (chrome://tracing /
  * Perfetto): one tid lane per track, labelled "worker N" ("worker 0
  * (caller)" for track 0), timestamps in microseconds relative to the
@@ -177,10 +192,11 @@ void writeTimelineChrome(std::ostream &os,
                          const std::vector<HostSpan> &spans,
                          std::size_t workers);
 
-/** Convenience: export to @p path; fatal on I/O error. */
-void writeTimelineChrome(const std::string &path,
-                         const TimelineRecorder &recorder,
-                         std::size_t workers);
+/** Export to @p path, written atomically; an error names the path. */
+resilience::Expected<void>
+writeTimelineChrome(const std::string &path,
+                    const TimelineRecorder &recorder,
+                    std::size_t workers);
 
 } // namespace msim::obs
 

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/env.hh"
+
 namespace msim::obs
 {
 
@@ -24,13 +26,9 @@ ObsConfig
 ObsConfig::fromEnv()
 {
     ObsConfig config;
-    if (const char *env = std::getenv("MEGSIM_TRACE"))
-        config.traceEnabled = env[0] && std::strcmp(env, "0") != 0;
-    if (const char *env = std::getenv("MEGSIM_TRACE_CAPACITY")) {
-        const long long n = std::atoll(env);
-        if (n > 0)
-            config.traceCapacity = static_cast<std::size_t>(n);
-    }
+    config.traceCapacity = static_cast<std::size_t>(util::numberFromEnv(
+        "MEGSIM_TRACE_CAPACITY", util::NumberRule::Count,
+        static_cast<double>(config.traceCapacity), "using the default"));
     if (const char *env = std::getenv("MEGSIM_STATS_DUMP")) {
         if (env[0] && std::strcmp(env, "0") != 0)
             config.statsDump = std::strcmp(env, "1") ? env : "*";

@@ -8,11 +8,9 @@
  * `trace_event` JSON (chrome://tracing / Perfetto, Daisen-style) or
  * CSV.
  *
- * Tracing is off by default. It is enabled per run with the
- * MEGSIM_TRACE environment variable (or programmatically through
- * ObsConfig), and the emit fast path when disabled is a single
- * predictable branch. Defining MSIM_OBS_NO_TRACE at build time
- * compiles emission out entirely.
+ * Tracing is off by default: `megsim-cli trace` turns it on through
+ * ObsConfig::traceEnabled, and the emit fast path when disabled is a
+ * single predictable branch.
  *
  * Event names must be string literals (or otherwise outlive the
  * buffer): events store `const char *` to keep emission allocation-
@@ -62,9 +60,10 @@ struct ObsConfig
     std::string statsDump;
 
     /**
-     * MEGSIM_TRACE=1 enables tracing, MEGSIM_TRACE_CAPACITY sets the
-     * ring size, MEGSIM_STATS_DUMP=<glob|1> enables the per-frame
-     * stats dump ("1" means "*").
+     * MEGSIM_TRACE_CAPACITY sets the ring size (a whole number >= 1;
+     * any other value warns, naming it, and keeps the default),
+     * MEGSIM_STATS_DUMP=<glob|1> enables the per-frame stats dump
+     * ("1" means "*"). Tracing stays off.
      */
     static ObsConfig fromEnv();
 };
@@ -84,16 +83,11 @@ class TraceBuffer
     emit(const char *name, TraceCategory cat, std::uint32_t frame,
          sim::Tick begin, sim::Tick end, std::uint64_t arg = 0)
     {
-#ifdef MSIM_OBS_NO_TRACE
-        (void)name; (void)cat; (void)frame;
-        (void)begin; (void)end; (void)arg;
-#else
         if (!enabled_) [[likely]]
             return;
         ring_[emitted_ % ring_.size()] =
             TraceEvent{name, cat, frame, begin, end, arg};
         ++emitted_;
-#endif
     }
 
     void

@@ -1,10 +1,10 @@
 #include "obs/trace_export.hh"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
+#include <sstream>
 
-#include "sim/logging.hh"
+#include "resilience/artifact.hh"
 #include "util/json.hh"
 
 namespace msim::obs
@@ -71,19 +71,13 @@ writeChromeTrace(std::ostream &os,
     os << "]}\n";
 }
 
-void
+resilience::Expected<void>
 writeChromeTrace(const std::string &path, const TraceBuffer &buf,
                  double frequencyMhz)
 {
-    std::ofstream out(path);
-    if (!out)
-        sim::fatal("cannot write trace file '%s'", path.c_str());
+    std::ostringstream out;
     writeChromeTrace(out, buf.snapshot(), frequencyMhz);
-    if (buf.droppedCount())
-        sim::warn("trace ring dropped %llu early events "
-                  "(capacity %zu; raise MEGSIM_TRACE_CAPACITY)",
-                  static_cast<unsigned long long>(buf.droppedCount()),
-                  buf.capacity());
+    return resilience::atomicWriteFile(path, out.str());
 }
 
 void
@@ -96,13 +90,12 @@ writeTraceCsv(std::ostream &os, const std::vector<TraceEvent> &events)
            << e.arg << '\n';
 }
 
-void
+resilience::Expected<void>
 writeTraceCsv(const std::string &path, const TraceBuffer &buf)
 {
-    std::ofstream out(path);
-    if (!out)
-        sim::fatal("cannot write trace CSV '%s'", path.c_str());
+    std::ostringstream out;
     writeTraceCsv(out, buf.snapshot());
+    return resilience::atomicWriteFile(path, out.str());
 }
 
 } // namespace msim::obs

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "obs/trace.hh"
+#include "resilience/expected.hh"
 
 namespace msim::obs
 {
@@ -34,14 +35,17 @@ void writeChromeTrace(std::ostream &os,
                       const std::vector<TraceEvent> &events,
                       double frequencyMhz);
 
-/** Convenience: export a buffer to @p path; fatal on I/O error. */
-void writeChromeTrace(const std::string &path, const TraceBuffer &buf,
-                      double frequencyMhz);
+/** Export a buffer to @p path, written atomically; an error names
+ *  the path. */
+resilience::Expected<void> writeChromeTrace(const std::string &path,
+                                            const TraceBuffer &buf,
+                                            double frequencyMhz);
 
 /** Flat CSV: name,category,frame,begin_cycle,end_cycle,arg. */
 void writeTraceCsv(std::ostream &os,
                    const std::vector<TraceEvent> &events);
-void writeTraceCsv(const std::string &path, const TraceBuffer &buf);
+resilience::Expected<void> writeTraceCsv(const std::string &path,
+                                         const TraceBuffer &buf);
 
 } // namespace msim::obs
 

@@ -136,6 +136,81 @@ TEST(MegsimCli, TraceCsvMirrorsTheRing)
     EXPECT_NE(text.find("vertex_shader"), std::string::npos);
 }
 
+TEST(MegsimCli, TraceRingDropIsReportedOnce)
+{
+    ASSERT_FALSE(cliPath.empty());
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path json = dir / "small-ring.json";
+    const std::filesystem::path log = dir / "small-ring.log";
+
+    ::setenv("MEGSIM_TRACE_CAPACITY", "64", 1);
+    const int rc = runCli(
+        "trace --bench hcr --frames 0:1 --out " + json.string(), log);
+    ::unsetenv("MEGSIM_TRACE_CAPACITY");
+    ASSERT_EQ(rc, 0) << slurp(log);
+    const std::string text = slurp(log);
+    const std::size_t at = text.find("dropped");
+    ASSERT_NE(at, std::string::npos) << text;
+    EXPECT_EQ(text.find("dropped", at + 1), std::string::npos) << text;
+    EXPECT_NE(text.find("capacity 64"), std::string::npos) << text;
+}
+
+TEST(MegsimCli, TraceToAnUnwritablePathExitsOne)
+{
+    ASSERT_FALSE(cliPath.empty());
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path log = dir / "unwritable.log";
+    const std::string json = "/nonexistent/dir/t.json";
+    const std::string csv = "/nonexistent/dir/t.csv";
+
+    // A write failure is a runtime failure that names the path (exit
+    // 1), not an internal invariant violation (SIGABRT).
+    int rc = runCli("trace --bench hcr --frames 0:1 --out " + json, log);
+    ASSERT_TRUE(WIFEXITED(rc)) << slurp(log);
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << slurp(log);
+    EXPECT_NE(slurp(log).find("'" + json + "'"), std::string::npos)
+        << slurp(log);
+
+    rc = runCli("trace --bench hcr --frames 0:1 --out " +
+                    (dir / "writable.json").string() + " --csv " + csv,
+                log);
+    ASSERT_TRUE(WIFEXITED(rc)) << slurp(log);
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << slurp(log);
+    EXPECT_NE(slurp(log).find("'" + csv + "'"), std::string::npos)
+        << slurp(log);
+}
+
+TEST(MegsimCli, UnwritableTimelineNeverFailsAFinishedCampaign)
+{
+    ASSERT_FALSE(cliPath.empty());
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path log = dir / "timeline.log";
+    const std::filesystem::path cache = dir / "timeline-cache";
+    const std::filesystem::path report = dir / "timeline-report.json";
+    const std::string timeline = "/nonexistent/dir/t.json";
+
+    // Telemetry never fails a run that produced a valid report: the
+    // report, its table and the ledger stand, and the timeline write
+    // warns, naming the path.
+    ::setenv("MEGSIM_FRAME_LIMIT", "4", 1);
+    const int rc = runCli("campaign --benches hcr --cache-dir " +
+                              cache.string() + " --out " +
+                              report.string() + " --timeline " + timeline,
+                          log);
+    ::unsetenv("MEGSIM_FRAME_LIMIT");
+    ASSERT_TRUE(WIFEXITED(rc)) << slurp(log);
+    EXPECT_EQ(WEXITSTATUS(rc), 0) << slurp(log);
+    const std::string text = slurp(log);
+    EXPECT_NE(text.find("cannot write timeline '" + timeline + "'"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("benchmark"), std::string::npos) << text;
+    EXPECT_TRUE(std::filesystem::exists(report)) << text;
+    std::filesystem::path ledger = report;
+    ledger.replace_extension(".run.jsonl");
+    EXPECT_TRUE(std::filesystem::exists(ledger)) << text;
+}
+
 TEST(MegsimCli, StatsDumpsRegistryCounters)
 {
     ASSERT_FALSE(cliPath.empty());
@@ -221,6 +296,40 @@ TEST(MegsimCli, BadUsageFailsCleanly)
         EXPECT_EQ(WEXITSTATUS(rc), 2) << bad.args << ": " << slurp(log);
         EXPECT_NE(slurp(log).find(std::string(bad.option) + " needs"),
                   std::string::npos)
+            << bad.args << ": " << slurp(log);
+    }
+
+    // A telemetry flag that nothing in the command reads is refused,
+    // naming the option: only campaign reports attribution, and only
+    // campaign and serve write a timeline. No case here would start a
+    // campaign or a server if the flag were taken.
+    const std::string scratch = dir.string();
+    const struct
+    {
+        std::string args;
+        const char *refusal;
+    } unread[] = {
+        {"verify-cache --bench hcr --cache-dir " + scratch + " --attrib",
+         "--attrib is read by campaign only"},
+        {"verify-cache --bench hcr --cache-dir " + scratch +
+             " --timeline " + scratch + "/v.json",
+         "--timeline is read by campaign and serve only"},
+        {"stats --bench hcr --frame 0 --attrib",
+         "--attrib is read by campaign only"},
+        {"trace --bench hcr --frames 0:1 --out " + scratch +
+             "/unread.json --timeline " + scratch + "/u.json",
+         "--timeline is read by campaign and serve only"},
+        {"submit --socket " + scratch + "/none.sock --attrib",
+         "--attrib is read by campaign only"},
+        {"serve --attrib", "--attrib is read by campaign only"},
+        {"ledger --validate " + scratch + "/none.jsonl --timeline t.json",
+         "--timeline is read by campaign and serve only"},
+    };
+    for (const auto &bad : unread) {
+        const int rc = runCli(bad.args, log);
+        ASSERT_TRUE(WIFEXITED(rc)) << bad.args;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << bad.args << ": " << slurp(log);
+        EXPECT_NE(slurp(log).find(bad.refusal), std::string::npos)
             << bad.args << ": " << slurp(log);
     }
 

@@ -2,75 +2,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <thread>
 
 #include "obs/profile.hh"
 
 using namespace msim::obs;
-
-TEST(PhaseProfiler, AccumulatesNamedPhases)
-{
-    PhaseProfiler profiler;
-    EXPECT_TRUE(profiler.empty());
-    profiler.add("functional", 1.5);
-    profiler.add("clustering", 0.5);
-    profiler.add("functional", 0.5);
-
-    ASSERT_EQ(profiler.phases().size(), 2u);
-    EXPECT_EQ(profiler.phases()[0].name, "functional");
-    EXPECT_DOUBLE_EQ(profiler.phases()[0].seconds, 2.0);
-    EXPECT_EQ(profiler.phases()[0].entries, 2u);
-    EXPECT_EQ(profiler.phases()[1].name, "clustering");
-    EXPECT_DOUBLE_EQ(profiler.totalSeconds(), 2.5);
-}
-
-TEST(PhaseProfiler, PreservesInsertionOrder)
-{
-    PhaseProfiler profiler;
-    profiler.add("b", 0.1);
-    profiler.add("a", 0.1);
-    ASSERT_EQ(profiler.phases().size(), 2u);
-    EXPECT_EQ(profiler.phases()[0].name, "b");
-    EXPECT_EQ(profiler.phases()[1].name, "a");
-}
-
-TEST(PhaseProfiler, ScopedAddsElapsedTime)
-{
-    PhaseProfiler profiler;
-    {
-        PhaseProfiler::Scoped scope(profiler, "scoped");
-    }
-    ASSERT_EQ(profiler.phases().size(), 1u);
-    EXPECT_EQ(profiler.phases()[0].name, "scoped");
-    EXPECT_GE(profiler.phases()[0].seconds, 0.0);
-}
-
-TEST(PhaseProfiler, ReportNamesEveryPhase)
-{
-    PhaseProfiler profiler;
-    profiler.add("functional", 1.0);
-    profiler.add("estimation", 3.0);
-    std::ostringstream os;
-    profiler.report(os);
-    EXPECT_NE(os.str().find("functional"), std::string::npos);
-    EXPECT_NE(os.str().find("estimation"), std::string::npos);
-}
-
-TEST(PhaseProfiler, ClearEmpties)
-{
-    PhaseProfiler profiler;
-    profiler.add("x", 1.0);
-    profiler.clear();
-    EXPECT_TRUE(profiler.empty());
-    EXPECT_DOUBLE_EQ(profiler.totalSeconds(), 0.0);
-}
-
-TEST(PhaseProfiler, GlobalIsASingleton)
-{
-    EXPECT_EQ(&PhaseProfiler::global(), &PhaseProfiler::global());
-}
 
 TEST(Heartbeat, ShortRunsStaySilent)
 {

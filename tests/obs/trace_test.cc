@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "obs/trace.hh"
 #include "obs/trace_export.hh"
@@ -147,17 +149,41 @@ TEST(TraceCsv, RoundTripsEventRows)
 
 TEST(ObsConfig, ReadsEnvironment)
 {
-    ::setenv("MEGSIM_TRACE", "1", 1);
     ::setenv("MEGSIM_TRACE_CAPACITY", "128", 1);
     ::setenv("MEGSIM_STATS_DUMP", "gpu.l2.*", 1);
     const ObsConfig config = ObsConfig::fromEnv();
-    EXPECT_TRUE(config.traceEnabled);
+    // Only `megsim-cli trace` reads the ring, and it turns recording
+    // on itself; no environment variable does.
+    EXPECT_FALSE(config.traceEnabled);
     EXPECT_EQ(config.traceCapacity, 128u);
     EXPECT_EQ(config.statsDump, "gpu.l2.*");
-    ::unsetenv("MEGSIM_TRACE");
     ::unsetenv("MEGSIM_TRACE_CAPACITY");
     ::unsetenv("MEGSIM_STATS_DUMP");
     const ObsConfig off = ObsConfig::fromEnv();
     EXPECT_FALSE(off.traceEnabled);
+    EXPECT_EQ(off.traceCapacity, ObsConfig().traceCapacity);
     EXPECT_TRUE(off.statsDump.empty());
+}
+
+TEST(ObsConfig, MalformedTraceCapacityWarnsOnceAndKeepsTheDefault)
+{
+    const std::size_t fallback = ObsConfig().traceCapacity;
+    // Not a whole number of at least 1: a trailing unit, a word, zero,
+    // a fraction, a negative and a non-finite value.
+    for (const char *bad : {"64x", "abc", "0", "2.5", "-8", "inf"}) {
+        ::setenv("MEGSIM_TRACE_CAPACITY", bad, 1);
+        ::testing::internal::CaptureStderr();
+        const ObsConfig first = ObsConfig::fromEnv();
+        const ObsConfig second = ObsConfig::fromEnv();
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(first.traceCapacity, fallback) << bad;
+        EXPECT_EQ(second.traceCapacity, fallback) << bad;
+        const std::string named =
+            std::string("MEGSIM_TRACE_CAPACITY='") + bad + "'";
+        const std::size_t at = err.find(named);
+        EXPECT_NE(at, std::string::npos) << bad << ": " << err;
+        EXPECT_EQ(err.find(named, at + 1), std::string::npos)
+            << "warned twice for " << bad << ": " << err;
+    }
+    ::unsetenv("MEGSIM_TRACE_CAPACITY");
 }

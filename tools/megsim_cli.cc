@@ -29,7 +29,8 @@
  *
  *   megsim-cli campaign [--benches A,B,C] [--out campaign.json]
  *                       [--check thresholds.json] [--cache-dir DIR]
- *                       [--ledger PATH] [--workers N]
+ *                       [--ledger PATH] [--workers N] [--attrib]
+ *                       [--timeline PATH]
  *       Run the full MEGsim pipeline for the whole benchmark suite
  *       through one shared worker pool and write the machine-readable
  *       accuracy report CI gates on. --check compares the report
@@ -41,15 +42,21 @@
  *       worker processes, per-shard retry/backoff, poison-shard
  *       quarantine. A degraded (quarantined) campaign exits 8; the
  *       worker count is recorded in the ledger's run_start manifest.
+ *       --attrib prints where the host seconds went, by domain, and
+ *       records it in the ledger; --timeline PATH writes the
+ *       per-worker host timeline as Chrome trace_event JSON for
+ *       Perfetto. A timeline that cannot be written warns, naming
+ *       the path, and the exit code stays.
  *
  *   megsim-cli serve --socket PATH [--max-requests N] [--workers N]
  *                    [--max-inflight N] [--benches A,B,C]
- *                    [--cache-dir DIR]
+ *                    [--cache-dir DIR] [--timeline PATH]
  *       Listen on a unix-domain socket and serve campaign requests
  *       concurrently, by weighted fair share over tenants, against
  *       one shared worker fleet and cache store, each with its own
  *       stats registry and run ledger. Frames of any other type are
- *       refused.
+ *       refused. --timeline PATH writes the session's host timeline,
+ *       with one lane per request.
  *
  *   megsim-cli submit --socket PATH [--benches A,B,C] [--tenant NAME]
  *                     [--weight W] [--out REPORT.json] [--ledger PATH]
@@ -74,10 +81,9 @@
  * Common options: --scale S (workload complexity), --baseline (use
  * the full Table I GPU instead of the scaled evaluation profile),
  * --threads N (worker-pool size; overrides MEGSIM_THREADS, 1 = exact
- * serial execution), --attrib (host-cost attribution; prints where
- * the host seconds went and records it in the ledger), --timeline
- * PATH (per-worker host timeline, written as Chrome trace_event JSON
- * for Perfetto; MEGSIM_TIMELINE=PATH is the env equivalent).
+ * serial execution). --attrib outside campaign, and --timeline
+ * outside campaign and serve, are usage errors: nothing else reads
+ * them.
  *
  * Exit codes are distinct per failure class so CI can gate on them:
  * 0 success, 1 runtime/simulation failure, 2 usage (including a
@@ -106,7 +112,6 @@
 #include "gpusim/timing_simulator.hh"
 #include "obs/attrib.hh"
 #include "obs/ledger.hh"
-#include "obs/profile.hh"
 #include "obs/stats.hh"
 #include "obs/timeline.hh"
 #include "obs/trace_export.hh"
@@ -148,7 +153,7 @@ struct Options
     std::string report = "campaign.json";
     std::string diffA, diffB; // campaign: reports to compare
     std::string ledger;   // run-ledger path ("" = next to report)
-    std::string timeline; // Chrome timeline path ("" = MEGSIM_TIMELINE)
+    std::string timeline; // Chrome timeline path ("" = off)
     std::string validate; // ledger: file to schema-check
     std::string socket;   // serve/submit: unix socket path
     std::string tenant;   // submit: fair-share tenant label
@@ -178,17 +183,16 @@ usage(const char *argv0)
         "       %s verify-cache [--bench ALIAS] [--cache-dir DIR]\n"
         "       %s campaign [--benches A,B,C] [--out REPORT.json]"
         " [--check THRESHOLDS.json] [--cache-dir DIR]"
-        " [--ledger PATH] [--workers N]\n"
+        " [--ledger PATH] [--workers N] [--attrib] [--timeline PATH]\n"
         "       %s campaign --diff A.json B.json\n"
         "       %s serve --socket PATH [--max-requests N]"
         " [--workers N] [--max-inflight N] [--benches A,B,C]"
-        " [--cache-dir DIR]\n"
+        " [--cache-dir DIR] [--timeline PATH]\n"
         "       %s submit --socket PATH [--benches A,B,C]"
         " [--tenant NAME] [--weight W]"
         " [--out REPORT.json] [--ledger PATH]\n"
         "       %s ledger --validate PATH\n"
-        "options: --scale S, --baseline, --threads N, --attrib,"
-        " --timeline PATH\n"
+        "options: --scale S, --baseline, --threads N\n"
         "benches:",
         argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
         argv0);
@@ -371,10 +375,24 @@ parse(int argc, char **argv, Options &opt)
         opt.command == "resume" || opt.command == "verify-cache" ||
         opt.command == "campaign" || opt.command == "ledger" ||
         opt.command == "serve" || opt.command == "submit";
-    if (!known)
+    if (!known) {
         std::fprintf(stderr, "unknown command '%s'\n",
                      opt.command.c_str());
-    return known;
+        return false;
+    }
+    // A telemetry flag that no part of the command reads is refused,
+    // not silently run with.
+    if (opt.attrib && opt.command != "campaign") {
+        std::fprintf(stderr, "--attrib is read by campaign only\n");
+        return false;
+    }
+    if (!opt.timeline.empty() && opt.command != "campaign" &&
+        opt.command != "serve") {
+        std::fprintf(stderr,
+                     "--timeline is read by campaign and serve only\n");
+        return false;
+    }
+    return true;
 }
 
 std::string
@@ -514,8 +532,7 @@ envManifest()
 {
     static const char *const kVars[] = {
         "MEGSIM_THREADS",   "MEGSIM_FRAME_LIMIT", "MEGSIM_SCALE",
-        "MEGSIM_CACHE_DIR", "MEGSIM_TRACE",       "MEGSIM_TIMELINE",
-        "MEGSIM_ATTRIB",    "MEGSIM_SCHED_MAX_INFLIGHT",
+        "MEGSIM_CACHE_DIR", "MEGSIM_SCHED_MAX_INFLIGHT",
     };
     util::Json env = util::Json::object();
     for (const char *var : kVars)
@@ -558,16 +575,16 @@ ledgerRunStart(obs::RunLedger &ledger, std::size_t threads,
     ledger.event("run_start", std::move(fields));
 }
 
-/** One `phase` event per PhaseProfiler::global() phase. */
+/** One `phase` event per obs::Span name, in name order. */
 void
 ledgerPhases(obs::RunLedger &ledger)
 {
-    for (const obs::PhaseProfiler::Phase &p :
-         obs::PhaseProfiler::global().phases()) {
+    for (const obs::SpanTotal &span :
+         obs::spanTotals(obs::processRegistry())) {
         util::Json fields = util::Json::object();
-        fields.set("name", p.name);
-        fields.set("seconds", p.seconds);
-        fields.set("entries", p.entries);
+        fields.set("name", span.name);
+        fields.set("seconds", span.seconds);
+        fields.set("entries", span.entries);
         ledger.event("phase", std::move(fields));
     }
 }
@@ -615,20 +632,28 @@ printAttrib()
     }
 }
 
-/** Resolve --timeline / MEGSIM_TIMELINE and write the Chrome JSON. */
+/**
+ * Write the --timeline Chrome JSON. Telemetry never fails a run that
+ * produced its report: a failed write warns, naming the path.
+ */
 void
 writeTimelineIfEnabled(const Options &opt)
 {
-    if (!obs::timelineEnabled())
+    if (opt.timeline.empty())
         return;
-    const std::string path = !opt.timeline.empty()
-                                 ? opt.timeline
-                                 : obs::timelinePath();
-    obs::writeTimelineChrome(path, obs::TimelineRecorder::global(),
-                             exec::Pool::global().workers());
+    const std::size_t workers = exec::Pool::global().workers();
+    const obs::TimelineRecorder &timeline =
+        obs::TimelineRecorder::global();
+    if (auto written =
+            obs::writeTimelineChrome(opt.timeline, timeline, workers);
+        !written.ok()) {
+        std::fprintf(stderr, "cannot write timeline '%s': %s\n",
+                     opt.timeline.c_str(),
+                     written.error().message.c_str());
+        return;
+    }
     std::printf("timeline: %s (%zu spans, %zu worker tracks)\n",
-                path.c_str(), obs::TimelineRecorder::global().size(),
-                exec::Pool::global().workers());
+                opt.timeline.c_str(), timeline.size(), workers);
 }
 
 int
@@ -702,8 +727,7 @@ runSupervised(const batch::CampaignConfig &config, std::size_t workers,
               obs::RunLedger &ledger)
 {
     obs::AttribRoot attribRoot;
-    obs::PhaseProfiler::Scoped scope(obs::PhaseProfiler::global(),
-                                     "campaign-serve");
+    obs::Span span("campaign.serve", workers);
     serve::Fleet fleet(config, workers);
     sched::Scheduler scheduler(config, sched::SchedulerConfig::fromEnv(),
                                fleet);
@@ -891,7 +915,7 @@ runServe(const Options &opt)
         config.scheduler.maxInflight = opt.maxInflight;
     const int rc =
         serve::runService(config) == 0 ? kExitOk : kExitRuntime;
-    // MEGSIM_TIMELINE: the request.wait/request.service lanes are the
+    // --timeline: the request.wait/request.service lanes are the
     // per-request view of the whole serving session.
     writeTimelineIfEnabled(opt);
     return rc;
@@ -1073,16 +1097,29 @@ runTrace(const Options &opt)
     const obs::TraceBuffer &buf = timing.trace();
     if (buf.droppedCount() > 0)
         std::fprintf(stderr,
-                     "note: ring dropped %llu oldest events; raise "
-                     "MEGSIM_TRACE_CAPACITY to keep them\n",
+                     "note: ring dropped %llu oldest events (capacity "
+                     "%zu); raise MEGSIM_TRACE_CAPACITY to keep them\n",
                      static_cast<unsigned long long>(
-                         buf.droppedCount()));
+                         buf.droppedCount()),
+                     buf.capacity());
 
-    obs::writeChromeTrace(opt.out, buf, config.frequencyMhz);
+    if (auto written =
+            obs::writeChromeTrace(opt.out, buf, config.frequencyMhz);
+        !written.ok()) {
+        std::fprintf(stderr, "cannot write trace '%s': %s\n",
+                     opt.out.c_str(), written.error().message.c_str());
+        return kExitRuntime;
+    }
     std::printf("wrote %zu events to %s\n", buf.size(),
                 opt.out.c_str());
     if (!opt.csv.empty()) {
-        obs::writeTraceCsv(opt.csv, buf);
+        if (auto written = obs::writeTraceCsv(opt.csv, buf);
+            !written.ok()) {
+            std::fprintf(stderr, "cannot write trace CSV '%s': %s\n",
+                         opt.csv.c_str(),
+                         written.error().message.c_str());
+            return kExitRuntime;
+        }
         std::printf("wrote CSV to %s\n", opt.csv.c_str());
     }
     return 0;
