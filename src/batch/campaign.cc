@@ -130,6 +130,17 @@ loadSuite(const CampaignConfig &config,
             config.cacheDir);
         suite.push_back(std::move(bench));
     }
+    // The cache probe reads every key next: hash the scenes on the
+    // pool. They were composed above, on this thread, so no scene
+    // lands in a worker's malloc arena.
+    auto hashed = exec::Pool::global().parallelFor(
+        suite.size(),
+        [&](std::size_t i, std::size_t) -> resilience::Expected<void> {
+            suite[i]->data->cacheKey();
+            return {};
+        });
+    if (!hashed.ok())
+        return hashed.error();
     return suite;
 }
 

@@ -97,8 +97,9 @@ struct SuiteBench
 /**
  * Compose the scene of every alias in @p aliases (empty = the full
  * Table II suite) at @p config's scale and frame limit, keyed for
- * @p config's cache under the evaluation GPU profile. An unknown alias
- * fails the whole suite before any simulation work starts.
+ * @p config's cache under the evaluation GPU profile; the keys are
+ * hashed in one pool job. An unknown alias fails the whole suite
+ * before any simulation work starts.
  */
 resilience::Expected<std::vector<std::unique_ptr<SuiteBench>>>
 loadSuite(const CampaignConfig &config,

@@ -18,7 +18,9 @@
  *    calling thread, in strictly increasing item order, as soon as
  *    the prefix is complete. This is how checkpoint journal appends
  *    stay serialized, ordered and SIGKILL-safe under parallel
- *    simulation.
+ *    simulation. A slot is one owning pointer: a result lives from
+ *    produce to commit, so the job buffers only the results produced
+ *    ahead of the committed prefix, never n of them.
  *
  * The caller participates as worker 0; a pool of size 1 therefore
  * runs everything inline on the calling thread with no concurrency at
@@ -47,7 +49,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -91,7 +92,8 @@ class Pool
     /**
      * Produce one T per item on the workers, commit them on the
      * calling thread in strictly increasing item order. On error the
-     * committed prefix is exactly [0, firstFailingItem).
+     * committed prefix is exactly [0, firstFailingItem), and the
+     * results produced after it are freed before the job returns.
      */
     template <typename T>
     resilience::Expected<void> parallelMapOrdered(
@@ -101,18 +103,30 @@ class Pool
         const std::function<void(std::size_t item, T &&value)> &commit,
         std::size_t chunkSize = 1)
     {
-        std::vector<std::optional<T>> slots(n);
-        std::unique_ptr<std::atomic<bool>[]> ready(
-            new std::atomic<bool>[n]);
-        for (std::size_t i = 0; i < n; ++i)
-            ready[i].store(false, std::memory_order_relaxed);
+        // The producer allocates the result and publishes the pointer
+        // (non-null = ready); the commit takes it back and frees it.
+        struct Slots
+        {
+            explicit Slots(std::size_t n)
+                : n(n), at(new std::atomic<T *>[n]())
+            {}
+            ~Slots()
+            {
+                for (std::size_t i = 0; i < n; ++i)
+                    delete at[i].load(std::memory_order_relaxed);
+            }
+            std::size_t n;
+            std::unique_ptr<std::atomic<T *>[]> at;
+        } slots(n);
 
         std::size_t committed = 0; // caller thread only
         auto drain = [&]() {
-            while (committed < n &&
-                   ready[committed].load(std::memory_order_acquire)) {
-                commit(committed, std::move(*slots[committed]));
-                slots[committed].reset();
+            while (committed < n) {
+                std::unique_ptr<T> value(slots.at[committed].exchange(
+                    nullptr, std::memory_order_acquire));
+                if (!value)
+                    break;
+                commit(committed, std::move(*value));
                 ++committed;
             }
         };
@@ -121,8 +135,8 @@ class Pool
             auto value = produce(i, w);
             if (!value.ok())
                 return value.error();
-            slots[i] = std::move(*value);
-            ready[i].store(true, std::memory_order_release);
+            slots.at[i].store(new T(std::move(*value)),
+                              std::memory_order_release);
             return {};
         };
         auto err = run(n, Chunking::Dynamic, chunkSize, item, drain);

@@ -47,6 +47,12 @@ SceneTrace::shaderIdsOf(ShaderKind kind) const
 std::string
 SceneTrace::validate() const
 {
+    if (shaders.size() > DrawCall::kMaxShaders)
+        return "shader table is too large for 16-bit draw ids";
+    if (meshes.size() > DrawCall::kMaxMeshes)
+        return "mesh table is too large for 16-bit draw ids";
+    if (textures.size() > DrawCall::kMaxTextures)
+        return "texture table is too large for 16-bit draw ids";
     char buf[128];
     for (std::size_t i = 0; i < shaders.size(); ++i) {
         if (shaders[i].id != i) {

@@ -79,12 +79,23 @@ struct Mesh
     std::size_t triangleCount() const { return indices.size() / 3; }
 };
 
+/**
+ * One draw, 32 bytes: a composed suite holds about 1.45 million of
+ * them. The ids are 16 bits wide, so a scene's shader and mesh tables
+ * hold at most kMaxShaders / kMaxMeshes entries and its texture table
+ * kMaxTextures (-1 is "untextured"); SceneTrace::validate() and the
+ * composer refuse larger tables.
+ */
 struct DrawCall
 {
-    std::uint32_t meshId = 0;
-    std::uint32_t vsId = 0;     // global shader id (kind Vertex)
-    std::uint32_t fsId = 0;     // global shader id (kind Fragment)
-    std::int32_t textureId = -1;
+    static constexpr std::size_t kMaxShaders = std::size_t{1} << 16;
+    static constexpr std::size_t kMaxMeshes = std::size_t{1} << 16;
+    static constexpr std::size_t kMaxTextures = std::size_t{1} << 15;
+
+    std::uint16_t meshId = 0;
+    std::uint16_t vsId = 0;     // global shader id (kind Vertex)
+    std::uint16_t fsId = 0;     // global shader id (kind Fragment)
+    std::int16_t textureId = -1;
     bool transparent = false;
     // Placement in normalized screen space.
     float x = 0.5f;
@@ -93,6 +104,8 @@ struct DrawCall
     float scale = 1.0f;
     float rotation = 0.0f;      // radians
 };
+
+static_assert(sizeof(DrawCall) == 32);
 
 struct FrameTrace
 {

@@ -37,8 +37,9 @@ ObsConfig::fromEnv()
 }
 
 TraceBuffer::TraceBuffer(const ObsConfig &config)
-    : ring_(config.traceCapacity ? config.traceCapacity : 1),
-      enabled_(config.traceEnabled)
+    : capacity_(config.traceCapacity ? config.traceCapacity : 1),
+      enabled_(config.traceEnabled),
+      ring_(enabled_ ? capacity_ : 0)
 {}
 
 void
@@ -47,11 +48,11 @@ TraceBuffer::forEach(
 {
     const std::size_t n = size();
     const std::size_t first =
-        emitted_ < ring_.size()
+        emitted_ < capacity_
             ? 0
-            : static_cast<std::size_t>(emitted_ % ring_.size());
+            : static_cast<std::size_t>(emitted_ % capacity_);
     for (std::size_t i = 0; i < n; ++i)
-        fn(ring_[(first + i) % ring_.size()]);
+        fn(ring_[(first + i) % capacity_]);
 }
 
 std::vector<TraceEvent>

@@ -10,7 +10,8 @@
  *
  * Tracing is off by default: `megsim-cli trace` turns it on through
  * ObsConfig::traceEnabled, and the emit fast path when disabled is a
- * single predictable branch.
+ * single predictable branch. The ring is allocated only by a buffer
+ * built with tracing on; a disabled one holds no events at all.
  *
  * Event names must be string literals (or otherwise outlive the
  * buffer): events store `const char *` to keep emission allocation-
@@ -75,8 +76,8 @@ class TraceBuffer
     explicit TraceBuffer(const ObsConfig &config);
 
     bool enabled() const { return enabled_; }
-    void setEnabled(bool on) { enabled_ = on; }
-    std::size_t capacity() const { return ring_.size(); }
+    /** The configured ring size, allocated only when enabled(). */
+    std::size_t capacity() const { return capacity_; }
 
     /** Record an interval event; keeps the most recent `capacity`. */
     void
@@ -85,7 +86,7 @@ class TraceBuffer
     {
         if (!enabled_) [[likely]]
             return;
-        ring_[emitted_ % ring_.size()] =
+        ring_[emitted_ % capacity_] =
             TraceEvent{name, cat, frame, begin, end, arg};
         ++emitted_;
     }
@@ -101,9 +102,8 @@ class TraceBuffer
     std::size_t
     size() const
     {
-        return emitted_ < ring_.size()
-                   ? static_cast<std::size_t>(emitted_)
-                   : ring_.size();
+        return emitted_ < capacity_ ? static_cast<std::size_t>(emitted_)
+                                    : capacity_;
     }
 
     std::uint64_t emittedCount() const { return emitted_; }
@@ -112,7 +112,7 @@ class TraceBuffer
     std::uint64_t
     droppedCount() const
     {
-        return emitted_ < ring_.size() ? 0 : emitted_ - ring_.size();
+        return emitted_ < capacity_ ? 0 : emitted_ - capacity_;
     }
 
     void clear() { emitted_ = 0; }
@@ -124,9 +124,10 @@ class TraceBuffer
     std::vector<TraceEvent> snapshot() const;
 
   private:
-    std::vector<TraceEvent> ring_;
+    std::size_t capacity_;
+    bool enabled_;
+    std::vector<TraceEvent> ring_; // capacity_ events, or none when off
     std::uint64_t emitted_ = 0;
-    bool enabled_ = false;
 };
 
 } // namespace msim::obs

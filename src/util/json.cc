@@ -16,9 +16,11 @@ void
 appendNumber(std::string &out, double d)
 {
     // Integers print without an exponent or trailing zeros; anything
-    // else keeps max_digits10 so values round-trip bit-for-bit.
-    if (d == static_cast<double>(static_cast<long long>(d)) &&
-        std::abs(d) < 1e15) {
+    // else keeps max_digits10 so values round-trip bit-for-bit. The
+    // range test comes first: casting a double outside long long's
+    // range (or inf, or NaN) to it is undefined.
+    if (std::abs(d) < 1e15 &&
+        d == static_cast<double>(static_cast<long long>(d))) {
         out += std::to_string(static_cast<long long>(d));
         return;
     }

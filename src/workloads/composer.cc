@@ -176,6 +176,32 @@ SceneComposer::SceneComposer(const GameSpec &spec, double scale)
             if (g >= spec_.groups.size())
                 sim::fatal("segment '%s' references group %zu of %zu",
                            seg.name.c_str(), g, spec_.groups.size());
+
+    // A DrawCall's ids are 16 bits wide: refuse, before any draw is
+    // built, a spec with a table they cannot address.
+    const struct
+    {
+        const char *table;
+        std::uint64_t entries;
+        std::size_t max;
+    } tables[] = {
+        {"shader",
+         std::uint64_t{std::max<std::uint32_t>(spec_.numVertexShaders, 1)} +
+             std::max<std::uint32_t>(spec_.numFragmentShaders, 1),
+         gfx::DrawCall::kMaxShaders},
+        {"mesh",
+         spec_.groups.size() *
+             std::uint64_t{std::max<std::uint32_t>(spec_.numWorlds, 1)},
+         gfx::DrawCall::kMaxMeshes},
+        {"texture", std::max<std::uint32_t>(spec_.numTextures, 1),
+         gfx::DrawCall::kMaxTextures},
+    };
+    for (const auto &t : tables)
+        if (t.entries > t.max)
+            sim::fatal("GameSpec '%s': its %s table holds %llu entries, "
+                       "more than the %zu a 16-bit draw id addresses",
+                       spec_.name.c_str(), t.table,
+                       static_cast<unsigned long long>(t.entries), t.max);
 }
 
 gfx::SceneTrace
@@ -342,9 +368,9 @@ SceneComposer::composeFrame(std::size_t f, const SegmentPlan &plan,
         const std::size_t g = layer.group;
         const GroupSpec &group = spec_.groups[g];
         gfx::DrawCall draw;
-        draw.vsId = group.vs % nvs;
-        draw.fsId = nvs + group.fs % nfs;
-        draw.textureId = static_cast<std::int32_t>(group.tex % ntex);
+        draw.vsId = static_cast<std::uint16_t>(group.vs % nvs);
+        draw.fsId = static_cast<std::uint16_t>(nvs + group.fs % nfs);
+        draw.textureId = static_cast<std::int16_t>(group.tex % ntex);
         draw.transparent = group.transparent;
 
         for (std::uint32_t i = 0; i < layer.count; ++i) {
@@ -359,7 +385,7 @@ SceneComposer::composeFrame(std::size_t f, const SegmentPlan &plan,
             if (inst.epoch != epoch)
                 inst.respawn(epoch, group, g, i, nworlds);
 
-            draw.meshId = inst.meshId;
+            draw.meshId = static_cast<std::uint16_t>(inst.meshId);
             draw.scale = inst.scale;
             draw.depth = inst.depth;
             switch (group.placement) {

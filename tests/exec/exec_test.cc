@@ -3,11 +3,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/megsim.hh"
@@ -23,6 +28,93 @@ using namespace msim::exec;
 
 namespace
 {
+
+// A test-local allocation counter: while armed, it keeps the largest
+// single request any operator new in this binary sees.
+std::atomic<bool> trackAllocations{false};
+std::atomic<std::size_t> largestAllocation{0};
+
+void *
+countedAlloc(std::size_t size)
+{
+    if (trackAllocations.load(std::memory_order_relaxed)) {
+        std::size_t seen =
+            largestAllocation.load(std::memory_order_relaxed);
+        while (size > seen &&
+               !largestAllocation.compare_exchange_weak(
+                   seen, size, std::memory_order_relaxed)) {
+        }
+    }
+    return std::malloc(size ? size : 1);
+}
+
+// Out of line, so the compiler does not see a pointer from operator
+// new reach free() and warn about a mismatch that is not one.
+[[gnu::noinline]] void
+countedFree(void *p) noexcept
+{
+    std::free(p);
+}
+
+} // namespace
+
+// Every replaceable form that a default-aligned new or delete can take,
+// so each allocation pairs malloc with free (sanitizers check the
+// pairing).
+void *
+operator new(std::size_t size)
+{
+    if (void *p = countedAlloc(size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t size)
+{
+    return ::operator new(size);
+}
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void operator delete(void *p) noexcept { countedFree(p); }
+void operator delete[](void *p) noexcept { countedFree(p); }
+void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    countedFree(p);
+}
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    countedFree(p);
+}
+
+namespace
+{
+
+/** A result that counts its live copies. */
+std::atomic<int> liveResults{0};
+
+struct Counted
+{
+    Counted() { ++liveResults; }
+    Counted(const Counted &other) : item(other.item) { ++liveResults; }
+    ~Counted() { --liveResults; }
+    std::size_t item = 0;
+};
 
 /** Scratch dir per test; threads and faults restored on both ends. */
 class ExecTest : public ::testing::Test
@@ -167,6 +259,81 @@ TEST_F(ExecTest, MapOrderedErrorCommitsExactPrefix)
     ASSERT_EQ(committed.size(), 13u);
     for (std::size_t i = 0; i < 13; ++i)
         EXPECT_EQ(committed[i], i);
+}
+
+TEST_F(ExecTest, MapOrderedBuffersNoSlotPerResult)
+{
+    // 10,000 results of 4 KiB: one slot per result would be a single
+    // 41 MB allocation made before the first item runs. A result lives
+    // from produce to commit instead.
+    using Page = std::array<unsigned char, 4096>;
+    const std::size_t n = 10000;
+    for (std::size_t threads : {1, 2, 8}) {
+        Pool pool(threads);
+        std::size_t sum = 0;
+        std::size_t expected = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            expected += i % 251;
+        largestAllocation.store(0);
+        trackAllocations.store(true);
+        auto err = pool.parallelMapOrdered<Page>(
+            n,
+            [](std::size_t i,
+               std::size_t) -> resilience::Expected<Page> {
+                Page page;
+                page.fill(static_cast<unsigned char>(i % 251));
+                return page;
+            },
+            [&](std::size_t, Page &&page) { sum += page[4095]; });
+        trackAllocations.store(false);
+        ASSERT_TRUE(err.ok());
+        EXPECT_EQ(sum, expected) << threads << " threads";
+        EXPECT_LT(largestAllocation.load(), n * sizeof(Page))
+            << threads << " threads";
+    }
+}
+
+TEST_F(ExecTest, MapOrderedFreesResultsProducedAfterTheFailure)
+{
+    for (std::size_t threads : {1, 2, 8}) {
+        Pool pool(threads);
+        const std::size_t n = 200;
+        const std::size_t failing = 50;
+        std::atomic<std::size_t> producedAfter{0};
+        std::vector<std::size_t> committed;
+        auto err = pool.parallelMapOrdered<Counted>(
+            n,
+            [&](std::size_t i,
+                std::size_t) -> resilience::Expected<Counted> {
+                if (i == failing) {
+                    // Hold the failure back until another worker has
+                    // produced a result past it, so one is buffered.
+                    const auto until = std::chrono::steady_clock::now() +
+                                       std::chrono::seconds(5);
+                    while (threads > 1 && producedAfter.load() == 0 &&
+                           std::chrono::steady_clock::now() < until)
+                        std::this_thread::yield();
+                    return resilience::errorf(resilience::Errc::Injected,
+                                              "item %zu failed", i);
+                }
+                if (i > failing)
+                    ++producedAfter;
+                Counted result;
+                result.item = i;
+                return result;
+            },
+            [&](std::size_t i, Counted &&result) {
+                EXPECT_EQ(result.item, i);
+                committed.push_back(i);
+            },
+            1);
+        ASSERT_FALSE(err.ok());
+        EXPECT_EQ(committed.size(), failing) << threads << " threads";
+        if (threads > 1) {
+            EXPECT_GT(producedAfter.load(), 0u) << threads << " threads";
+        }
+        EXPECT_EQ(liveResults.load(), 0) << threads << " threads";
+    }
 }
 
 TEST_F(ExecTest, NestedUseDegradesToSerial)

@@ -219,11 +219,15 @@ TEST(TimingSimulator, TracingOffEmitsNothing)
     SceneBinding binding(testScene());
     obs::ObsConfig off;
     off.traceEnabled = false;
+    // Only a tracing simulator allocates its ring: a 2^45-event
+    // capacity (1.4 PB of events) costs an untraced one nothing.
+    off.traceCapacity = 1ull << 45;
     TimingSimulator timing(GpuConfig::evaluationScaled(), binding,
                            off);
     timing.simulate(testScene().frames[0]);
     EXPECT_EQ(timing.trace().size(), 0u);
     EXPECT_EQ(timing.trace().emittedCount(), 0u);
+    EXPECT_EQ(timing.trace().capacity(), off.traceCapacity);
 }
 
 TEST(FrameStats, CsvSchemaRoundTrips)

@@ -155,6 +155,28 @@ TEST(MegsimCli, TraceRingDropIsReportedOnce)
     EXPECT_NE(text.find("capacity 64"), std::string::npos) << text;
 }
 
+TEST(MegsimCli, OnlyTraceSizesTheTraceRing)
+{
+    ASSERT_FALSE(cliPath.empty());
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path log = dir / "huge-ring.log";
+
+    // The capacity is read everywhere but allocated only by `trace`:
+    // a 2^45-event ring (1.4 PB of events) leaves a campaign's
+    // simulators untouched.
+    ::setenv("MEGSIM_TRACE_CAPACITY", "35184372088832", 1);
+    ::setenv("MEGSIM_FRAME_LIMIT", "4", 1);
+    const int rc = runCli("campaign --benches hcr --cache-dir " +
+                              (dir / "huge-ring-cache").string() +
+                              " --out " +
+                              (dir / "huge-ring.json").string(),
+                          log);
+    ::unsetenv("MEGSIM_FRAME_LIMIT");
+    ::unsetenv("MEGSIM_TRACE_CAPACITY");
+    ASSERT_TRUE(WIFEXITED(rc)) << slurp(log);
+    EXPECT_EQ(WEXITSTATUS(rc), 0) << slurp(log);
+}
+
 TEST(MegsimCli, TraceToAnUnwritablePathExitsOne)
 {
     ASSERT_FALSE(cliPath.empty());

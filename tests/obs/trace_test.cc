@@ -63,9 +63,12 @@ TEST(TraceBuffer, DisabledByDefaultAndEmitsNothing)
 {
     TraceBuffer buf;
     EXPECT_FALSE(buf.enabled());
+    EXPECT_EQ(buf.capacity(), ObsConfig().traceCapacity);
     buf.emit("stage", TraceCategory::Stage, 0, 0, 10);
     EXPECT_EQ(buf.size(), 0u);
     EXPECT_EQ(buf.emittedCount(), 0u);
+    EXPECT_EQ(buf.droppedCount(), 0u);
+    EXPECT_TRUE(buf.snapshot().empty());
 }
 
 TEST(TraceBuffer, RingKeepsMostRecentAndCountsDrops)

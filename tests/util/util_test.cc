@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 
 #include "scratch_dir.hh"
 #include "util/csv.hh"
 #include "util/glob.hh"
 #include "util/image.hh"
+#include "util/json.hh"
 #include "util/summary.hh"
 
 using namespace msim::util;
@@ -89,4 +93,41 @@ TEST(Image, CategoricalPaletteSeparatesNeighbors)
     const Rgb a = RgbImage::categorical(0);
     const Rgb b = RgbImage::categorical(1);
     EXPECT_TRUE(a.r != b.r || a.g != b.g || a.b != b.b);
+}
+
+TEST(Json, EveryDoubleDumpsToDefinedText)
+{
+    // Whole numbers below 1e15 print bare; everything else, the
+    // values beyond long long's range, the infinities and NaN
+    // included, prints with 17 significant digits.
+    const double two63 = std::ldexp(1.0, 63);
+    const double inf = std::numeric_limits<double>::infinity();
+    const struct
+    {
+        double value;
+        const char *text;
+    } cases[] = {
+        {0.0, "0"},
+        {-42.0, "-42"},
+        {999999999999999.0, "999999999999999"},
+        {1e15, "1000000000000000"},
+        {0.1, "0.10000000000000001"},
+        {1e300, "1.0000000000000001e+300"},
+        {-1e300, "-1.0000000000000001e+300"},
+        {two63, "9.2233720368547758e+18"},
+        {-two63, "-9.2233720368547758e+18"},
+        {inf, "inf"},
+        {-inf, "-inf"},
+        {std::numeric_limits<double>::quiet_NaN(), "nan"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(Json(c.value).dump(0), c.text) << c.text;
+        if (!std::isfinite(c.value))
+            continue;
+        auto parsed = Json::parse(c.text);
+        ASSERT_TRUE(parsed.ok()) << c.text;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed->asNumber()),
+                  std::bit_cast<std::uint64_t>(c.value))
+            << c.text;
+    }
 }

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "workloads/composer.hh"
 #include "workloads/workloads.hh"
 
 using namespace msim;
@@ -178,6 +179,37 @@ TEST(Workloads, ScaleParsesStrictly)
 TEST(Workloads, UnknownAliasIsFatal)
 {
     EXPECT_DEATH(benchmarkSpec("doom"), "doom");
+}
+
+TEST(Workloads, ComposerRefusesTablesA16BitIdCannotAddress)
+{
+    // A DrawCall's shader and mesh ids are uint16 and its texture id
+    // int16 (-1 = untextured): the largest tables they address
+    // compose, one entry more is refused by table name.
+    GameSpec spec = benchmarkSpec("hcr");
+    spec.frames = 2;
+    spec.numVertexShaders = 1;
+    spec.numFragmentShaders = 65535;
+    spec.numTextures = 32768;
+    const gfx::SceneTrace scene = SceneComposer(spec).compose();
+    EXPECT_EQ(scene.shaders.size(), 65536u);
+    EXPECT_EQ(scene.textures.size(), 32768u);
+    EXPECT_EQ(scene.validate(), "");
+
+    GameSpec shaders = spec;
+    shaders.numFragmentShaders = 65536;
+    EXPECT_DEATH(SceneComposer{shaders}, "shader table");
+    GameSpec textures = spec;
+    textures.numTextures = 32769;
+    EXPECT_DEATH(SceneComposer{textures}, "texture table");
+    GameSpec meshes = spec;
+    meshes.numWorlds = 65537;
+    EXPECT_DEATH(SceneComposer{meshes}, "mesh table");
+
+    gfx::SceneTrace wide = scene;
+    wide.textures.resize(32769);
+    EXPECT_EQ(wide.validate(),
+              "texture table is too large for 16-bit draw ids");
 }
 
 TEST(Workloads, DrawOrderPutsBackdropsFirstAndOverlaysLast)
