@@ -47,11 +47,11 @@ SceneTrace::shaderIdsOf(ShaderKind kind) const
 std::string
 SceneTrace::validate() const
 {
-    if (shaders.size() > DrawCall::kMaxShaders)
+    if (shaders.size() > DrawInstance::kMaxShaders)
         return "shader table is too large for 16-bit draw ids";
-    if (meshes.size() > DrawCall::kMaxMeshes)
+    if (meshes.size() > DrawInstance::kMaxMeshes)
         return "mesh table is too large for 16-bit draw ids";
-    if (textures.size() > DrawCall::kMaxTextures)
+    if (textures.size() > DrawInstance::kMaxTextures)
         return "texture table is too large for 16-bit draw ids";
     char buf[128];
     for (std::size_t i = 0; i < shaders.size(); ++i) {
@@ -61,20 +61,37 @@ SceneTrace::validate() const
             return buf;
         }
     }
+    for (std::size_t r = 0; r < instances.size(); ++r) {
+        const DrawInstance &row = instances[r];
+        const char *fault = nullptr;
+        if (row.meshId >= meshes.size())
+            fault = "references missing mesh";
+        else if (row.vsId >= shaders.size() ||
+                 shaders[row.vsId].kind != ShaderKind::Vertex)
+            fault = "vsId is not a vertex shader";
+        else if (row.fsId >= shaders.size() ||
+                 shaders[row.fsId].kind != ShaderKind::Fragment)
+            fault = "fsId is not a fragment shader";
+        else if (row.textureId >= 0 &&
+                 static_cast<std::size_t>(row.textureId) >=
+                     textures.size())
+            fault = "references missing texture";
+        if (fault) {
+            std::snprintf(buf, sizeof(buf), "instance row %zu %s", r,
+                          fault);
+            return buf;
+        }
+    }
     for (std::size_t f = 0; f < frames.size(); ++f) {
-        for (const DrawCall &d : frames[f].draws) {
-            if (d.meshId >= meshes.size())
-                return "draw references missing mesh";
-            if (d.vsId >= shaders.size() ||
-                shaders[d.vsId].kind != ShaderKind::Vertex)
-                return "draw vsId is not a vertex shader";
-            if (d.fsId >= shaders.size() ||
-                shaders[d.fsId].kind != ShaderKind::Fragment)
-                return "draw fsId is not a fragment shader";
-            if (d.textureId >= 0 &&
-                static_cast<std::size_t>(d.textureId) >=
-                    textures.size())
-                return "draw references missing texture";
+        for (std::size_t d = 0; d < frames[f].draws.size(); ++d) {
+            const std::uint32_t row = frames[f].draws[d].instance;
+            if (row >= instances.size()) {
+                std::snprintf(buf, sizeof(buf),
+                              "frame %zu draw %zu references instance "
+                              "row %u of %zu",
+                              f, d, row, instances.size());
+                return buf;
+            }
         }
     }
     for (const Mesh &m : meshes) {
@@ -135,16 +152,19 @@ SceneTrace::contentHash() const
         fnv.mix(t.sizeBytes());
     for (const FrameTrace &f : frames) {
         fnv.mix(f.draws.size());
+        // Each draw resolved through its row: the hash is of what is
+        // drawn, not of how the rows are shared.
         for (const DrawCall &d : f.draws) {
-            fnv.mix(d.meshId);
-            fnv.mix(d.vsId);
-            fnv.mix(d.fsId);
-            fnv.mix(static_cast<std::uint64_t>(d.textureId + 1));
-            fnv.mix(d.transparent);
+            const DrawInstance &row = instances[d.instance];
+            fnv.mix(row.meshId);
+            fnv.mix(row.vsId);
+            fnv.mix(row.fsId);
+            fnv.mix(static_cast<std::uint64_t>(row.textureId + 1));
+            fnv.mix(row.transparent);
             fnv.mixF(d.x);
             fnv.mixF(d.y);
-            fnv.mixF(d.depth);
-            fnv.mixF(d.scale);
+            fnv.mixF(row.depth);
+            fnv.mixF(row.scale);
             fnv.mixF(d.rotation);
         }
     }

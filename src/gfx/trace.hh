@@ -1,9 +1,9 @@
 /**
  * @file
  * Workload intermediate representation: shader programs (instruction
- * mixes incl. weighted texture ops), textures, meshes, draw calls,
- * per-frame traces and whole-sequence SceneTraces. This is the
- * architecture-independent input both simulators consume.
+ * mixes incl. weighted texture ops), textures, meshes, draw instances,
+ * draw calls, per-frame traces and whole-sequence SceneTraces. This
+ * is the architecture-independent input both simulators consume.
  */
 
 #ifndef MSIM_GFX_TRACE_HH
@@ -80,13 +80,14 @@ struct Mesh
 };
 
 /**
- * One draw, 32 bytes: a composed suite holds about 1.45 million of
- * them. The ids are 16 bits wide, so a scene's shader and mesh tables
- * hold at most kMaxShaders / kMaxMeshes entries and its texture table
- * kMaxTextures (-1 is "untextured"); SceneTrace::validate() and the
- * composer refuse larger tables.
+ * What every draw of one instance shares for one lifetime epoch, 20
+ * bytes: a scene holds one row per respawn (the composed suite about
+ * 38,000). The ids are 16 bits wide, so a scene's shader and mesh
+ * tables hold at most kMaxShaders / kMaxMeshes entries and its texture
+ * table kMaxTextures (-1 is "untextured"); SceneTrace::validate() and
+ * the composer refuse larger tables.
  */
-struct DrawCall
+struct DrawInstance
 {
     static constexpr std::size_t kMaxShaders = std::size_t{1} << 16;
     static constexpr std::size_t kMaxMeshes = std::size_t{1} << 16;
@@ -97,15 +98,25 @@ struct DrawCall
     std::uint16_t fsId = 0;     // global shader id (kind Fragment)
     std::int16_t textureId = -1;
     bool transparent = false;
-    // Placement in normalized screen space.
-    float x = 0.5f;
-    float y = 0.5f;
     float depth = 0.5f;         // [0,1); smaller = closer
     float scale = 1.0f;
+};
+
+static_assert(sizeof(DrawInstance) == 20);
+
+/**
+ * One draw, 16 bytes: an instance row and this frame's placement in
+ * normalized screen space. A composed suite holds about 1.45 million.
+ */
+struct DrawCall
+{
+    std::uint32_t instance = 0; // index into SceneTrace::instances
+    float x = 0.5f;
+    float y = 0.5f;
     float rotation = 0.0f;      // radians
 };
 
-static_assert(sizeof(DrawCall) == 32);
+static_assert(sizeof(DrawCall) == 16);
 
 struct FrameTrace
 {
@@ -119,6 +130,7 @@ struct SceneTrace
     std::vector<ShaderProgram> shaders; // vertex first, then fragment
     std::vector<Texture> textures;
     std::vector<Mesh> meshes;
+    std::vector<DrawInstance> instances; // rows the draws index
     std::vector<FrameTrace> frames;
 
     std::size_t numFrames() const { return frames.size(); }

@@ -11,23 +11,24 @@ GeometryProcessor::transformDraw(const gfx::DrawCall &draw, DrawIR &out,
                                  std::vector<float> &depth) const
 {
     const gfx::SceneTrace &scene = binding_->scene();
-    const gfx::Mesh &mesh = scene.meshes[draw.meshId];
+    const gfx::DrawInstance &row = scene.instances[draw.instance];
+    const gfx::Mesh &mesh = scene.meshes[row.meshId];
     const float sw = static_cast<float>(config_.screenWidth);
     const float sh = static_cast<float>(config_.screenHeight);
     // Draws scale against the short screen axis so aspect is preserved.
     const float unit = std::min(sw, sh);
 
-    out.meshId = draw.meshId;
-    out.vsId = draw.vsId;
-    out.fsId = draw.fsId;
-    out.textureId = draw.textureId;
-    out.transparent = draw.transparent;
+    out.meshId = row.meshId;
+    out.vsId = row.vsId;
+    out.fsId = row.fsId;
+    out.textureId = row.textureId;
+    out.transparent = row.transparent;
     out.vertexCount =
         static_cast<std::uint32_t>(mesh.positions.size());
 
     const float cx = draw.x * sw;
     const float cy = draw.y * sh;
-    const float s = draw.scale * unit;
+    const float s = row.scale * unit;
     const float cosR = std::cos(draw.rotation);
     const float sinR = std::sin(draw.rotation);
 
@@ -39,7 +40,7 @@ GeometryProcessor::transformDraw(const gfx::DrawCall &draw, DrawIR &out,
                      cy + s * (p.x * sinR + p.y * cosR)};
         // Mesh-local z perturbs the draw depth so 3D meshes get
         // intra-draw occlusion; 0.2 keeps draws depth-ordered.
-        depth[i] = draw.depth + 0.2f * p.z * draw.scale;
+        depth[i] = row.depth + 0.2f * p.z * row.scale;
     }
 
     out.triangles.clear();

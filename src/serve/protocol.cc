@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <limits>
@@ -57,12 +58,17 @@ writeAll(int fd, const char *data, std::size_t size)
 }
 
 /**
- * Read exactly @p size bytes, polling against the shared deadline.
- * @p deadline is an obs::wallSeconds() instant, or < 0 for no limit.
+ * Read exactly @p size bytes into @p out, polling against the shared
+ * deadline. @p deadline is an obs::wallSeconds() instant, or < 0 for
+ * no limit. @p out grows as bytes arrive, at most doubling what has
+ * arrived (and at least by kReadChunk): a length is only the peer's
+ * claim, and bytes the peer never sends must not cost the reader.
  */
 Expected<void>
-readAll(int fd, char *data, std::size_t size, double deadline)
+readAll(int fd, std::string &out, std::size_t size, double deadline)
 {
+    constexpr std::size_t kReadChunk = std::size_t{64} << 10;
+    out.clear();
     std::size_t done = 0;
     while (done < size) {
         int timeoutMs = -1;
@@ -88,7 +94,9 @@ readAll(int fd, char *data, std::size_t size, double deadline)
         }
         if (ready == 0)
             return errorf(Errc::FrameTimeout, "frame read timed out");
-        const ssize_t n = ::read(fd, data + done, size - done);
+        if (done == out.size())
+            out.resize(std::min(size, done + std::max(done, kReadChunk)));
+        const ssize_t n = ::read(fd, out.data() + done, out.size() - done);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -124,22 +132,22 @@ readFrame(int fd, double timeoutMs)
     const double deadline =
         timeoutMs < 0.0 ? -1.0
                         : obs::wallSeconds() + timeoutMs / 1000.0;
-    char header[24];
-    if (auto ok = readAll(fd, header, sizeof(header), deadline);
-        !ok.ok())
+    std::string header;
+    if (auto ok = readAll(fd, header, 24, deadline); !ok.ok())
         return ok.error();
-    if (std::memcmp(header, kFrameMagic, sizeof(kFrameMagic)) != 0)
+    if (std::memcmp(header.data(), kFrameMagic, sizeof(kFrameMagic)) != 0)
         return errorf(Errc::BadFormat, "bad frame magic");
-    const std::uint64_t length = getU64(header + 8);
-    const std::uint64_t checksum = getU64(header + 16);
+    const std::uint64_t length = getU64(header.data() + 8);
+    const std::uint64_t checksum = getU64(header.data() + 16);
     if (length > kMaxFramePayload)
         return errorf(Errc::BadFormat,
                       "frame length %llu exceeds the %llu cap",
                       static_cast<unsigned long long>(length),
                       static_cast<unsigned long long>(
                           kMaxFramePayload));
-    std::string payload(static_cast<std::size_t>(length), '\0');
-    if (auto ok = readAll(fd, payload.data(), payload.size(), deadline);
+    std::string payload;
+    if (auto ok = readAll(fd, payload, static_cast<std::size_t>(length),
+                          deadline);
         !ok.ok())
         return ok.error();
     if (resilience::fnv1a(payload) != checksum)

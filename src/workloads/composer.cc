@@ -102,58 +102,70 @@ struct SceneComposer::SegmentPlan
 /**
  * The memo of one (group, instance) pair. Its draws' parameters depend
  * on h = mix(ih, 0x22, epoch) alone, so they are derived once per
- * lifetime epoch, not once per frame. The phase depends on the
- * lifetime, which each segment's churn sets.
+ * lifetime epoch, not once per frame, and what every draw of the epoch
+ * shares is one instance row. The phase depends on the lifetime, which
+ * each segment's churn sets.
  */
 struct SceneComposer::Instance
 {
     std::uint64_t ih = 0;
     std::size_t phase = 0;
     std::size_t epoch = std::numeric_limits<std::size_t>::max();
-    // Derived from the epoch's h (depth from the slot for backdrops
-    // and overlays). A sprite's x/y are its position at t = 0.
-    std::uint32_t meshId = 0;
-    float scale = 0.0f;
+    std::uint32_t row = 0; // this epoch's index into SceneTrace::instances
+    // Derived from the epoch's h. A sprite's x/y are its position at
+    // t = 0.
     float x = 0.0f;
     float y = 0.0f;
     float vx = 0.0f;
     float vy = 0.0f;
-    float depth = 0.0f;
     float spin = 0.0f; // turns per lifetime: rotation = 2π·t·spin
 
     void respawn(std::size_t e, const GroupSpec &group, std::size_t g,
-                 std::uint32_t i, std::uint32_t nworlds);
+                 std::uint32_t i, std::uint32_t nworlds,
+                 gfx::DrawInstance shared,
+                 std::vector<gfx::DrawInstance> &rows);
 };
 
+/**
+ * Enter epoch @p e: derive its parameters and append its row, which is
+ * @p shared (the group's shaders, texture and blending) with this
+ * epoch's mesh, scale and depth (from the slot for backdrops and
+ * overlays).
+ */
 void
 SceneComposer::Instance::respawn(std::size_t e, const GroupSpec &group,
                                  std::size_t g, std::uint32_t i,
-                                 std::uint32_t nworlds)
+                                 std::uint32_t nworlds,
+                                 gfx::DrawInstance shared,
+                                 std::vector<gfx::DrawInstance> &rows)
 {
     epoch = e;
     const std::uint64_t h = mix(ih, 0x22, epoch);
-    meshId = static_cast<std::uint32_t>(g * nworlds + h % nworlds);
-    scale = group.sizeMin + static_cast<float>(u01(mix(h, 0x33))) *
-                                (group.sizeMax - group.sizeMin);
+    shared.meshId = static_cast<std::uint16_t>(g * nworlds + h % nworlds);
+    shared.scale = group.sizeMin + static_cast<float>(u01(mix(h, 0x33))) *
+                                       (group.sizeMax - group.sizeMin);
     switch (group.placement) {
       case Placement::Backdrop:
         // Screen-filling layer with a slow per-epoch drift.
         x = 0.5f + 0.1f * (static_cast<float>(u01(mix(h, 0x44))) - 0.5f);
         y = 0.5f + 0.1f * (static_cast<float>(u01(mix(h, 0x55))) - 0.5f);
-        depth = 0.98f - 0.005f * static_cast<float>(i);
+        shared.depth = 0.98f - 0.005f * static_cast<float>(i);
         break;
       case Placement::Sprite:
         x = static_cast<float>(u01(mix(h, 0x66)));
         y = static_cast<float>(u01(mix(h, 0x77)));
         vx = (static_cast<float>(u01(mix(h, 0x88))) - 0.5f) * 0.8f;
         vy = (static_cast<float>(u01(mix(h, 0x99))) - 0.5f) * 0.8f;
-        depth = 0.2f + 0.6f * static_cast<float>(u01(mix(h, 0xaa)));
+        shared.depth =
+            0.2f + 0.6f * static_cast<float>(u01(mix(h, 0xaa)));
         spin = static_cast<float>(u01(mix(h, 0xbb))) - 0.5f;
         break;
       case Placement::Overlay:
-        depth = 0.02f + 0.005f * static_cast<float>(i);
+        shared.depth = 0.02f + 0.005f * static_cast<float>(i);
         break;
     }
+    row = static_cast<std::uint32_t>(rows.size());
+    rows.push_back(shared);
 }
 
 SceneComposer::SceneComposer(const GameSpec &spec, double scale)
@@ -177,8 +189,8 @@ SceneComposer::SceneComposer(const GameSpec &spec, double scale)
                 sim::fatal("segment '%s' references group %zu of %zu",
                            seg.name.c_str(), g, spec_.groups.size());
 
-    // A DrawCall's ids are 16 bits wide: refuse, before any draw is
-    // built, a spec with a table they cannot address.
+    // An instance row's ids are 16 bits wide: refuse, before any draw
+    // is built, a spec with a table they cannot address.
     const struct
     {
         const char *table;
@@ -188,13 +200,13 @@ SceneComposer::SceneComposer(const GameSpec &spec, double scale)
         {"shader",
          std::uint64_t{std::max<std::uint32_t>(spec_.numVertexShaders, 1)} +
              std::max<std::uint32_t>(spec_.numFragmentShaders, 1),
-         gfx::DrawCall::kMaxShaders},
+         gfx::DrawInstance::kMaxShaders},
         {"mesh",
          spec_.groups.size() *
              std::uint64_t{std::max<std::uint32_t>(spec_.numWorlds, 1)},
-         gfx::DrawCall::kMaxMeshes},
+         gfx::DrawInstance::kMaxMeshes},
         {"texture", std::max<std::uint32_t>(spec_.numTextures, 1),
-         gfx::DrawCall::kMaxTextures},
+         gfx::DrawInstance::kMaxTextures},
     };
     for (const auto &t : tables)
         if (t.entries > t.max)
@@ -300,10 +312,12 @@ SceneComposer::compose() const
         }
         for (std::size_t k = 0;
              k < duration && scene.frames.size() < spec_.frames; ++k)
-            scene.frames.push_back(composeFrame(begin + k, plan, memo));
+            scene.frames.push_back(
+                composeFrame(begin + k, plan, memo, scene.instances));
         begin += duration;
         ++ordinal;
     }
+    scene.instances.shrink_to_fit();
     return scene;
 }
 
@@ -349,7 +363,8 @@ SceneComposer::planSegment(const SegmentSpec &segment) const
 
 gfx::FrameTrace
 SceneComposer::composeFrame(std::size_t f, const SegmentPlan &plan,
-                            std::vector<std::vector<Instance>> &memo) const
+                            std::vector<std::vector<Instance>> &memo,
+                            std::vector<gfx::DrawInstance> &rows) const
 {
     const std::uint32_t nvs = std::max<std::uint32_t>(
         spec_.numVertexShaders, 1);
@@ -367,11 +382,11 @@ SceneComposer::composeFrame(std::size_t f, const SegmentPlan &plan,
     for (const SegmentPlan::Layer &layer : plan.layers) {
         const std::size_t g = layer.group;
         const GroupSpec &group = spec_.groups[g];
-        gfx::DrawCall draw;
-        draw.vsId = static_cast<std::uint16_t>(group.vs % nvs);
-        draw.fsId = static_cast<std::uint16_t>(nvs + group.fs % nfs);
-        draw.textureId = static_cast<std::int16_t>(group.tex % ntex);
-        draw.transparent = group.transparent;
+        gfx::DrawInstance shared;
+        shared.vsId = static_cast<std::uint16_t>(group.vs % nvs);
+        shared.fsId = static_cast<std::uint16_t>(nvs + group.fs % nfs);
+        shared.textureId = static_cast<std::int16_t>(group.tex % ntex);
+        shared.transparent = group.transparent;
 
         for (std::uint32_t i = 0; i < layer.count; ++i) {
             // Everything derives from the absolute frame index, never
@@ -383,11 +398,10 @@ SceneComposer::composeFrame(std::size_t f, const SegmentPlan &plan,
             const float t = static_cast<float>(life) /
                             static_cast<float>(plan.lifetime);
             if (inst.epoch != epoch)
-                inst.respawn(epoch, group, g, i, nworlds);
+                inst.respawn(epoch, group, g, i, nworlds, shared, rows);
 
-            draw.meshId = static_cast<std::uint16_t>(inst.meshId);
-            draw.scale = inst.scale;
-            draw.depth = inst.depth;
+            gfx::DrawCall draw;
+            draw.instance = inst.row;
             switch (group.placement) {
               case Placement::Backdrop:
                 draw.x = inst.x;

@@ -86,7 +86,8 @@ class SceneComposer
     SegmentPlan planSegment(const SegmentSpec &segment) const;
     gfx::FrameTrace composeFrame(
         std::size_t f, const SegmentPlan &plan,
-        std::vector<std::vector<Instance>> &memo) const;
+        std::vector<std::vector<Instance>> &memo,
+        std::vector<gfx::DrawInstance> &rows) const;
 
     GameSpec spec_;
     double scale_;

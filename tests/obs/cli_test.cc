@@ -172,9 +172,23 @@ TEST(MegsimCli, OnlyTraceSizesTheTraceRing)
                               (dir / "huge-ring.json").string(),
                           log);
     ::unsetenv("MEGSIM_FRAME_LIMIT");
-    ::unsetenv("MEGSIM_TRACE_CAPACITY");
     ASSERT_TRUE(WIFEXITED(rc)) << slurp(log);
     EXPECT_EQ(WEXITSTATUS(rc), 0) << slurp(log);
+
+    // `trace` does allocate it, so it refuses a ring larger than the
+    // machine's memory before building anything: a usage error (exit
+    // 2) naming the variable, its value and the bytes it asks for.
+    const int traced = runCli("trace --bench hcr --frames 0:1 --out " +
+                                  (dir / "huge-ring.trace.json").string(),
+                              log);
+    ::unsetenv("MEGSIM_TRACE_CAPACITY");
+    ASSERT_TRUE(WIFEXITED(traced)) << slurp(log);
+    EXPECT_EQ(WEXITSTATUS(traced), 2) << slurp(log);
+    EXPECT_NE(slurp(log).find("MEGSIM_TRACE_CAPACITY=35184372088832 asks "
+                              "for a 1407374883553280-byte trace ring"),
+              std::string::npos)
+        << slurp(log);
+    EXPECT_FALSE(std::filesystem::exists(dir / "huge-ring.trace.json"));
 }
 
 TEST(MegsimCli, TraceToAnUnwritablePathExitsOne)

@@ -3,20 +3,24 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "batch/campaign.hh"
+#include "largest_allocation.hh"
 #include "obs/ledger.hh"
 #include "resilience/fault.hh"
 #include "scratch_dir.hh"
 #include "sched/scheduler.hh"
 #include "serve/fleet.hh"
 #include "serve/protocol.hh"
+#include "serve/worker.hh"
 
 using namespace msim;
 using resilience::Errc;
@@ -138,6 +142,27 @@ runSupervised(const batch::CampaignConfig &config,
     return std::move(results.front().report);
 }
 
+/** @p v as the wire's little-endian u64. */
+std::string
+le64(std::uint64_t v)
+{
+    std::string out(8, '\0');
+    for (int i = 0; i < 8; ++i)
+        out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    return out;
+}
+
+/** readMessage() of @p bytes followed by EOF. */
+resilience::Expected<util::Json>
+readBytes(const std::string &bytes)
+{
+    Pipe pipe;
+    EXPECT_EQ(::write(pipe.fds[1], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    pipe.closeWrite();
+    return serve::readMessage(pipe.fds[0], 1000.0);
+}
+
 } // namespace
 
 TEST_F(ServeTest, FramesRoundTripThroughAPipe)
@@ -185,6 +210,110 @@ TEST_F(ServeTest, CorruptPayloadIsBadChecksumNotGarbage)
     auto read = serve::readMessage(corrupted.fds[0], 1000.0);
     ASSERT_FALSE(read.ok());
     EXPECT_EQ(read.error().code, Errc::BadChecksum);
+}
+
+TEST_F(ServeTest, AClaimedLengthCostsNothingUntilItsBytesArrive)
+{
+    // A 40-byte frame whose header claims 2^30 - 1 payload bytes, then
+    // EOF: the decoder grows its buffer as bytes arrive, so 24 bytes
+    // of header cannot make it allocate a gigabyte.
+    const std::uint64_t claimed = (std::uint64_t{1} << 30) - 1;
+    const std::string frame = std::string(serve::kFrameMagic, 8) +
+                              le64(claimed) + le64(0) +
+                              std::string(16, 'x');
+    ASSERT_EQ(frame.size(), 40u);
+
+    test::largestAllocation.store(0);
+    test::trackAllocations.store(true);
+    auto read = readBytes(frame);
+    test::trackAllocations.store(false);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.error().code, Errc::Truncated);
+    EXPECT_NE(read.error().message.find("16 of 1073741823 bytes"),
+              std::string::npos)
+        << read.error().message;
+    EXPECT_LT(test::largestAllocation.load(), claimed / 1024);
+}
+
+TEST_F(ServeTest, FrameMutationNeverCrashesTheDecoder)
+{
+    // A real shard reply: one worker, run in this process, simulates
+    // hcr's first two frames and replies on a pipe; EOF on its request
+    // pipe then ends it.
+    Pipe request;
+    Pipe reply;
+    serve::ShardSpec spec;
+    spec.bench = "hcr";
+    spec.endFrame = 2;
+    ASSERT_TRUE(
+        serve::writeMessage(request.fds[1], serve::shardRequest(spec))
+            .ok());
+    request.closeWrite();
+    ASSERT_EQ(serve::workerMain(request.fds[0], reply.fds[1],
+                                campaignConfig(path("cache"), {"hcr"}, 2)),
+              0);
+    reply.closeWrite();
+    std::string raw;
+    char buf[4096];
+    for (ssize_t n; (n = ::read(reply.fds[0], buf, sizeof(buf))) > 0;)
+        raw.append(buf, static_cast<std::size_t>(n));
+    ASSERT_GT(raw.size(), 24u);
+
+    auto original = readBytes(raw);
+    ASSERT_TRUE(original.ok()) << original.error().message;
+    ASSERT_NE(original->find("stats"), nullptr) << original->dump();
+    const std::string want = original->dump();
+
+    // Every input reads back the same message or fails as damage:
+    // never a crash, a hang, another message or another error.
+    const auto expectDamage = [&](const std::string &input,
+                                  const std::string &what) {
+        auto read = readBytes(input);
+        if (read.ok()) {
+            EXPECT_EQ(read->dump(), want) << what;
+            return;
+        }
+        const Errc code = read.error().code;
+        EXPECT_TRUE(code == Errc::Truncated || code == Errc::BadFormat ||
+                    code == Errc::BadChecksum)
+            << what << ": " << read.error().message;
+    };
+
+    for (std::size_t cut = 0; cut < raw.size(); ++cut) {
+        auto read = readBytes(raw.substr(0, cut));
+        ASSERT_FALSE(read.ok()) << "cut at " << cut;
+        EXPECT_EQ(read.error().code, Errc::Truncated) << "cut at " << cut;
+    }
+
+    std::mt19937_64 rng(0x4d53494d);
+    for (int flip = 0; flip < 1000; ++flip) {
+        std::string input = raw;
+        const std::size_t bit = rng() % (8 * input.size());
+        input[bit / 8] = static_cast<char>(input[bit / 8] ^ (1 << (bit % 8)));
+        expectDamage(input, "bit " + std::to_string(bit));
+    }
+
+    const std::uint64_t n = raw.size() - 24;
+    const struct
+    {
+        std::uint64_t length;
+        Errc code;
+    } lengths[] = {
+        {0, Errc::BadChecksum},
+        {n - 1, Errc::BadChecksum},
+        {n + 1, Errc::Truncated},
+        {serve::kMaxFramePayload, Errc::Truncated},
+        {serve::kMaxFramePayload + 1, Errc::BadFormat},
+        {std::numeric_limits<std::uint64_t>::max(), Errc::BadFormat},
+    };
+    for (const auto &[length, code] : lengths) {
+        const std::string input =
+            raw.substr(0, 8) + le64(length) + raw.substr(16);
+        auto read = readBytes(input);
+        ASSERT_FALSE(read.ok()) << "length " << length;
+        EXPECT_EQ(read.error().code, code)
+            << "length " << length << ": " << read.error().message;
+    }
 }
 
 TEST_F(ServeTest, PeerDeathAndSilenceAreDistinctErrors)

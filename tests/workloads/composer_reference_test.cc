@@ -3,16 +3,22 @@
  * must reproduce, field for field, the per-frame composer kept here as
  * the specification. The spec sorts each frame's groups, counts their
  * instances and re-derives every instance's parameters from its epoch
- * hash on every frame, growing each frame's draw list as it goes. The
- * composer plans each segment once, derives an instance's parameters
- * once per lifetime epoch and sizes each frame's draw list exactly. The
- * inputs target what that memo could get wrong: epoch boundaries (a
- * memo that ignores the epoch), one instance index in several groups (a
- * memo shared across groups), segments whose churn gives an instance
- * another lifetime and phase, counts that grow and shrink between
- * segments (scale 0.5 and 2.0), a re-seeded spec, prefixes that end
- * inside a segment, and a hand-made spec with one-frame segments, a
- * group listed twice and an empty script — every game at full length.
+ * hash on every frame, emitting flat draws that carry all ten fields
+ * and growing each frame's draw list as it goes. The composer plans
+ * each segment once, derives an instance's parameters once per
+ * lifetime epoch, writes what the epoch's draws share as one instance
+ * row, and sizes each frame's draw list exactly. Every composed draw,
+ * resolved through its row, must equal the spec's flat draw bit for
+ * bit, and the scene must hold exactly one row per (group, instance,
+ * epoch) change the spec visits: one per respawn, never one per draw.
+ * The inputs target what that memo could get wrong: epoch boundaries
+ * (a memo that ignores the epoch), one instance index in several
+ * groups (a memo shared across groups), segments whose churn gives an
+ * instance another lifetime and phase, counts that grow and shrink
+ * between segments (scale 0.5 and 2.0), a re-seeded spec, prefixes
+ * that end inside a segment, and a hand-made spec with one-frame
+ * segments, a group listed twice and an empty script — every game at
+ * full length.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +27,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -52,6 +59,35 @@ refWrap01(float v)
     return v - std::floor(v);
 }
 
+/** The spec's draw: every field stored per draw, as the IR once did. */
+struct FlatDraw
+{
+    std::uint32_t meshId = 0;
+    std::uint32_t vsId = 0;
+    std::uint32_t fsId = 0;
+    std::int32_t textureId = -1;
+    bool transparent = false;
+    float x = 0.0f;
+    float y = 0.0f;
+    float depth = 0.0f;
+    float scale = 0.0f;
+    float rotation = 0.0f;
+};
+
+/** The spec's frames and how many respawns they visit. */
+struct Reference
+{
+    std::vector<std::vector<FlatDraw>> frames;
+    std::size_t respawns = 0;
+};
+
+/**
+ * The epoch each (group, instance) pair last drew in: a draw in
+ * another epoch is a respawn, whatever segment or frame gap lies
+ * between.
+ */
+using LastEpochs = std::vector<std::vector<std::size_t>>;
+
 int
 refRank(Placement p)
 {
@@ -63,10 +99,15 @@ refRank(Placement p)
     return 1;
 }
 
-/** The specification of frame @p f: everything re-derived per frame. */
-gfx::FrameTrace
+/**
+ * The specification of frame @p f: everything re-derived per frame.
+ * Adds to @p respawns each draw whose pair @p last saw in another
+ * epoch, or never.
+ */
+std::vector<FlatDraw>
 referenceFrame(const GameSpec &spec, double scale, std::size_t f,
-               const SegmentSpec &segment)
+               const SegmentSpec &segment, LastEpochs &last,
+               std::size_t &respawns)
 {
     const std::uint32_t nvs =
         std::max<std::uint32_t>(spec.numVertexShaders, 1);
@@ -75,8 +116,7 @@ referenceFrame(const GameSpec &spec, double scale, std::size_t f,
     const std::uint32_t ntex = std::max<std::uint32_t>(spec.numTextures, 1);
     const std::uint32_t nworlds = std::max<std::uint32_t>(spec.numWorlds, 1);
 
-    gfx::FrameTrace frame;
-    frame.index = static_cast<std::uint32_t>(f);
+    std::vector<FlatDraw> frame;
 
     std::vector<std::size_t> order(segment.groups);
     std::stable_sort(order.begin(), order.end(),
@@ -106,8 +146,15 @@ referenceFrame(const GameSpec &spec, double scale, std::size_t f,
             const float t =
                 static_cast<float>(life) / static_cast<float>(lifetime);
             const std::uint64_t h = refMix(ih, 0x22, epoch);
+            if (last[g].size() <= i)
+                last[g].resize(i + 1,
+                               std::numeric_limits<std::size_t>::max());
+            if (last[g][i] != epoch) {
+                last[g][i] = epoch;
+                ++respawns;
+            }
 
-            gfx::DrawCall draw;
+            FlatDraw draw;
             draw.meshId =
                 static_cast<std::uint32_t>(g * nworlds + h % nworlds);
             draw.vsId = group.vs % nvs;
@@ -154,36 +201,39 @@ referenceFrame(const GameSpec &spec, double scale, std::size_t f,
                 draw.rotation = 0.0f;
                 break;
             }
-            frame.draws.push_back(draw);
+            frame.push_back(draw);
         }
     }
     return frame;
 }
 
 /** The specification's frames of @p spec at @p scale. */
-std::vector<gfx::FrameTrace>
+Reference
 referenceFrames(GameSpec spec, double scale)
 {
     if (spec.script.empty())
         for (std::size_t i = 0; i < spec.segments.size(); ++i)
             spec.script.push_back(i);
-    std::vector<gfx::FrameTrace> frames;
+    Reference ref;
+    LastEpochs last(spec.groups.size());
     std::size_t ordinal = 0;
     std::size_t begin = 0;
-    while (frames.size() < spec.frames) {
+    while (ref.frames.size() < spec.frames) {
         const SegmentSpec &segment =
             spec.segments[spec.script[ordinal % spec.script.size()]];
         const std::uint32_t lo = std::max<std::uint32_t>(segment.minFrames, 1);
         const std::uint32_t hi = std::max(segment.maxFrames, lo);
         const std::size_t duration =
             lo + refMix(spec.seed, 0x5e67, ordinal) % (hi - lo + 1);
-        for (std::size_t k = 0; k < duration && frames.size() < spec.frames;
-             ++k)
-            frames.push_back(referenceFrame(spec, scale, begin + k, segment));
+        for (std::size_t k = 0;
+             k < duration && ref.frames.size() < spec.frames; ++k)
+            ref.frames.push_back(referenceFrame(spec, scale, begin + k,
+                                                segment, last,
+                                                ref.respawns));
         begin += duration;
         ++ordinal;
     }
-    return frames;
+    return ref;
 }
 
 bool
@@ -192,33 +242,45 @@ sameBits(float a, float b)
     return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
 }
 
+/** @p draw resolved through its row in @p scene equals @p want. */
 bool
-sameDraw(const gfx::DrawCall &a, const gfx::DrawCall &b)
+sameDraw(const gfx::SceneTrace &scene, const gfx::DrawCall &draw,
+         const FlatDraw &want)
 {
-    return a.meshId == b.meshId && a.vsId == b.vsId && a.fsId == b.fsId &&
-           a.textureId == b.textureId && a.transparent == b.transparent &&
-           sameBits(a.x, b.x) && sameBits(a.y, b.y) &&
-           sameBits(a.depth, b.depth) && sameBits(a.scale, b.scale) &&
-           sameBits(a.rotation, b.rotation);
+    if (draw.instance >= scene.instances.size())
+        return false;
+    const gfx::DrawInstance &row = scene.instances[draw.instance];
+    return row.meshId == want.meshId && row.vsId == want.vsId &&
+           row.fsId == want.fsId && row.textureId == want.textureId &&
+           row.transparent == want.transparent && sameBits(draw.x, want.x) &&
+           sameBits(draw.y, want.y) && sameBits(row.depth, want.depth) &&
+           sameBits(row.scale, want.scale) &&
+           sameBits(draw.rotation, want.rotation);
 }
 
-/** compose() must equal the spec draw for draw, in exact-size frames. */
+/**
+ * compose() must equal the spec draw for draw, in exact-size frames,
+ * with one row per respawn. Adds the scene's rows to @p rows.
+ */
 void
 expectMatchesReference(const GameSpec &spec, double scale,
-                       const std::string &what)
+                       const std::string &what, std::size_t *rows = nullptr)
 {
     const gfx::SceneTrace scene = SceneComposer(spec, scale).compose();
-    const std::vector<gfx::FrameTrace> want = referenceFrames(spec, scale);
-    ASSERT_EQ(scene.frames.size(), want.size()) << what;
-    for (std::size_t f = 0; f < want.size(); ++f) {
+    const Reference want = referenceFrames(spec, scale);
+    if (rows)
+        *rows += scene.instances.size();
+    ASSERT_EQ(scene.instances.size(), want.respawns) << what;
+    ASSERT_EQ(scene.frames.size(), want.frames.size()) << what;
+    for (std::size_t f = 0; f < want.frames.size(); ++f) {
         const gfx::FrameTrace &got = scene.frames[f];
-        ASSERT_EQ(got.index, want[f].index) << what << " frame " << f;
-        ASSERT_EQ(got.draws.size(), want[f].draws.size())
+        ASSERT_EQ(got.index, f) << what << " frame " << f;
+        ASSERT_EQ(got.draws.size(), want.frames[f].size())
             << what << " frame " << f;
         ASSERT_EQ(got.draws.capacity(), got.draws.size())
             << what << " frame " << f;
         for (std::size_t d = 0; d < got.draws.size(); ++d)
-            ASSERT_TRUE(sameDraw(got.draws[d], want[f].draws[d]))
+            ASSERT_TRUE(sameDraw(scene, got.draws[d], want.frames[f][d]))
                 << what << " frame " << f << " draw " << d;
     }
 }
@@ -227,8 +289,11 @@ expectMatchesReference(const GameSpec &spec, double scale,
 
 TEST(ComposerReference, EveryGameAtFullLength)
 {
+    std::size_t rows = 0;
     for (const std::string &alias : benchmarkNames())
-        expectMatchesReference(benchmarkSpec(alias), 1.0, alias);
+        expectMatchesReference(benchmarkSpec(alias), 1.0, alias, &rows);
+    // The suite's respawns: a row per draw would be 1,450,781.
+    EXPECT_EQ(rows, 38123u);
 }
 
 TEST(ComposerReference, ThinnedAndThickenedPopulations)

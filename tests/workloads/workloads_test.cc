@@ -15,13 +15,17 @@ using namespace msim::workloads;
 namespace
 {
 
+/** Draw @p a of scene @p sa and @p b of @p sb, resolved through rows. */
 bool
-drawsEqual(const gfx::DrawCall &a, const gfx::DrawCall &b)
+drawsEqual(const gfx::SceneTrace &sa, const gfx::DrawCall &a,
+           const gfx::SceneTrace &sb, const gfx::DrawCall &b)
 {
-    return a.meshId == b.meshId && a.vsId == b.vsId &&
-           a.fsId == b.fsId && a.textureId == b.textureId &&
-           a.transparent == b.transparent && a.x == b.x && a.y == b.y &&
-           a.depth == b.depth && a.scale == b.scale &&
+    const gfx::DrawInstance &ra = sa.instances[a.instance];
+    const gfx::DrawInstance &rb = sb.instances[b.instance];
+    return ra.meshId == rb.meshId && ra.vsId == rb.vsId &&
+           ra.fsId == rb.fsId && ra.textureId == rb.textureId &&
+           ra.transparent == rb.transparent && a.x == b.x && a.y == b.y &&
+           ra.depth == rb.depth && ra.scale == rb.scale &&
            a.rotation == b.rotation;
 }
 
@@ -72,7 +76,7 @@ TEST(Workloads, TruncationIsPrefixStable)
         const auto &b = longRun.frames[f].draws;
         ASSERT_EQ(a.size(), b.size()) << "frame " << f;
         for (std::size_t d = 0; d < a.size(); ++d)
-            ASSERT_TRUE(drawsEqual(a[d], b[d]))
+            ASSERT_TRUE(drawsEqual(shortRun, a[d], longRun, b[d]))
                 << "frame " << f << " draw " << d;
     }
 }
@@ -183,8 +187,8 @@ TEST(Workloads, UnknownAliasIsFatal)
 
 TEST(Workloads, ComposerRefusesTablesA16BitIdCannotAddress)
 {
-    // A DrawCall's shader and mesh ids are uint16 and its texture id
-    // int16 (-1 = untextured): the largest tables they address
+    // An instance row's shader and mesh ids are uint16 and its texture
+    // id int16 (-1 = untextured): the largest tables they address
     // compose, one entry more is refused by table name.
     GameSpec spec = benchmarkSpec("hcr");
     spec.frames = 2;
@@ -212,6 +216,36 @@ TEST(Workloads, ComposerRefusesTablesA16BitIdCannotAddress)
               "texture table is too large for 16-bit draw ids");
 }
 
+TEST(Workloads, ValidateRefusesADrawOrRowThatPointsNowhere)
+{
+    // Each refusal names what is wrong and where. Vertex shaders come
+    // first in the shader table, so the last shader is a fragment one.
+    const gfx::SceneTrace scene = buildBenchmark("hcr", 1.0, 4);
+    ASSERT_EQ(scene.validate(), "");
+    ASSERT_GE(scene.instances.size(), 3u);
+    ASSERT_GE(scene.frames[3].draws.size(), 2u);
+
+    gfx::SceneTrace pastTable = scene;
+    pastTable.frames[3].draws[1].instance =
+        static_cast<std::uint32_t>(scene.instances.size());
+    EXPECT_EQ(pastTable.validate(),
+              "frame 3 draw 1 references instance row " +
+                  std::to_string(scene.instances.size()) + " of " +
+                  std::to_string(scene.instances.size()));
+
+    gfx::SceneTrace missingMesh = scene;
+    missingMesh.instances[2].meshId =
+        static_cast<std::uint16_t>(scene.meshes.size());
+    EXPECT_EQ(missingMesh.validate(),
+              "instance row 2 references missing mesh");
+
+    gfx::SceneTrace fragmentAsVertex = scene;
+    fragmentAsVertex.instances[1].vsId =
+        static_cast<std::uint16_t>(scene.shaders.size() - 1);
+    EXPECT_EQ(fragmentAsVertex.validate(),
+              "instance row 1 vsId is not a vertex shader");
+}
+
 TEST(Workloads, DrawOrderPutsBackdropsFirstAndOverlaysLast)
 {
     // Draws are grouped Backdrop -> Sprite -> Overlay (painter's
@@ -219,9 +253,9 @@ TEST(Workloads, DrawOrderPutsBackdropsFirstAndOverlaysLast)
     const gfx::SceneTrace scene = buildBenchmark("hcr", 1.0, 4);
     for (const gfx::FrameTrace &frame : scene.frames) {
         ASSERT_GE(frame.draws.size(), 2u);
-        EXPECT_GT(frame.draws.front().depth, 0.9f)
+        EXPECT_GT(scene.instances[frame.draws.front().instance].depth, 0.9f)
             << "frame " << frame.index << " must start with a backdrop";
-        EXPECT_LT(frame.draws.back().depth, 0.2f)
+        EXPECT_LT(scene.instances[frame.draws.back().instance].depth, 0.2f)
             << "frame " << frame.index << " must end with an overlay";
     }
 }

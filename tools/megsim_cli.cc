@@ -97,6 +97,9 @@
  * Timing is measured by perfbench (BENCHMARK.json), not by this tool.
  */
 
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -1067,6 +1070,30 @@ runStats(const Options &opt)
 int
 runTrace(const Options &opt)
 {
+    obs::ObsConfig obsConfig = obs::ObsConfig::fromEnv();
+    obsConfig.traceEnabled = true;
+    // The ring is allocated and zero-filled before the first frame, so
+    // refuse one larger than physical memory here: overcommit can grant
+    // it, and the fill then dies in the OOM killer, not in bad_alloc.
+    const long pages = ::sysconf(_SC_PHYS_PAGES);
+    const long pageSize = ::sysconf(_SC_PAGE_SIZE);
+    if (pages > 0 && pageSize > 0 &&
+        obsConfig.traceCapacity >
+            static_cast<std::uint64_t>(pages) *
+                static_cast<std::uint64_t>(pageSize) /
+                sizeof(obs::TraceEvent)) {
+        std::fprintf(stderr,
+                     "MEGSIM_TRACE_CAPACITY=%zu asks for a %.0f-byte "
+                     "trace ring, more than the machine's %llu bytes "
+                     "of memory\n",
+                     obsConfig.traceCapacity,
+                     static_cast<double>(obsConfig.traceCapacity) *
+                         sizeof(obs::TraceEvent),
+                     static_cast<unsigned long long>(pages) *
+                         static_cast<unsigned long long>(pageSize));
+        return kExitUsage;
+    }
+
     auto built = workloads::tryBuildBenchmark(opt.bench, opt.scale,
                                               opt.frameEnd);
     if (!built.ok()) {
@@ -1084,9 +1111,6 @@ runTrace(const Options &opt)
     const gpusim::GpuConfig config =
         opt.baseline ? gpusim::GpuConfig::baseline()
                      : gpusim::GpuConfig::evaluationScaled();
-
-    obs::ObsConfig obsConfig = obs::ObsConfig::fromEnv();
-    obsConfig.traceEnabled = true;
 
     gpusim::SceneBinding binding(scene);
     gpusim::TimingSimulator timing(config, binding, obsConfig);
