@@ -1,7 +1,6 @@
 #include "gpusim/timing_simulator.hh"
 
 #include <algorithm>
-#include <iostream>
 #include <optional>
 #include <utility>
 
@@ -42,9 +41,9 @@ PipeQueue::flushStats()
 
 TimingSimulator::TimingSimulator(const GpuConfig &config,
                                  const SceneBinding &binding,
-                                 const obs::ObsConfig &obsConfig)
+                                 std::size_t traceCapacity)
     : config_(config), binding_(&binding),
-      geometry_(config, binding), trace_(obsConfig),
+      geometry_(config, binding), trace_(traceCapacity),
       vertexCache_(config.vertexCache,
                    registry_.group("gpu.vertex_cache")),
       tileCache_(config.tileCache, registry_.group("gpu.tile_cache")),
@@ -59,8 +58,7 @@ TimingSimulator::TimingSimulator(const GpuConfig &config,
       fragmentQueue_(registry_.group("gpu.queue.fragment"), trace_,
                      "fragment", config.fragmentQueueEntries),
       colorQueue_(registry_.group("gpu.queue.color"), trace_, "color",
-                  config.colorQueueEntries),
-      statsDump_(obsConfig.statsDump)
+                  config.colorQueueEntries)
 {
     // All texture caches share one stats group: registration is
     // idempotent, so the four caches aggregate into the same counters.
@@ -737,9 +735,6 @@ TimingSimulator::harvest(std::uint32_t frameIndex, sim::Tick cycles)
     s.stallCycles = count("gpu.frame.stall_cycles");
     s.earlyZKills = count("gpu.raster.earlyz_kills");
     s.energy = energyFromRegistry(registry_);
-
-    if (!statsDump_.empty())
-        registry_.dump(std::cerr, statsDump_);
     return s;
 }
 

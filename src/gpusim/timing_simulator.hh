@@ -22,7 +22,6 @@
 #define MSIM_GPUSIM_TIMING_SIMULATOR_HH
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -113,10 +112,10 @@ class PipeQueue
 class TimingSimulator
 {
   public:
+    /** @p traceCapacity sizes the event ring; 0 records no events. */
     TimingSimulator(const GpuConfig &config,
                     const SceneBinding &binding,
-                    const obs::ObsConfig &obsConfig =
-                        obs::ObsConfig::fromEnv());
+                    std::size_t traceCapacity = 0);
 
     /**
      * Simulate one frame from scratch (cold caches, so the result is
@@ -325,7 +324,6 @@ class TimingSimulator
     std::vector<std::uint64_t> hsrPixelsPerDraw_;
     std::vector<util::Vec2f> hsrUv_;
     std::uint32_t frameIndex_ = 0;
-    std::string statsDump_; // per-frame registry dump glob
 
     // Stage counters (geometry).
     obs::Scalar *vsInvocations_;

@@ -1,10 +1,5 @@
 #include "obs/trace.hh"
 
-#include <cstdlib>
-#include <cstring>
-
-#include "util/env.hh"
-
 namespace msim::obs
 {
 
@@ -22,24 +17,8 @@ traceCategoryName(TraceCategory cat)
     return "?";
 }
 
-ObsConfig
-ObsConfig::fromEnv()
-{
-    ObsConfig config;
-    config.traceCapacity = static_cast<std::size_t>(util::numberFromEnv(
-        "MEGSIM_TRACE_CAPACITY", util::NumberRule::Count,
-        static_cast<double>(config.traceCapacity), "using the default"));
-    if (const char *env = std::getenv("MEGSIM_STATS_DUMP")) {
-        if (env[0] && std::strcmp(env, "0") != 0)
-            config.statsDump = std::strcmp(env, "1") ? env : "*";
-    }
-    return config;
-}
-
-TraceBuffer::TraceBuffer(const ObsConfig &config)
-    : capacity_(config.traceCapacity ? config.traceCapacity : 1),
-      enabled_(config.traceEnabled),
-      ring_(enabled_ ? capacity_ : 0)
+TraceBuffer::TraceBuffer(std::size_t capacity)
+    : capacity_(capacity), ring_(capacity)
 {}
 
 void
@@ -47,8 +26,9 @@ TraceBuffer::forEach(
     const std::function<void(const TraceEvent &)> &fn) const
 {
     const std::size_t n = size();
+    // `<=` keeps a buffer with no ring (capacity 0) off the modulo.
     const std::size_t first =
-        emitted_ < capacity_
+        emitted_ <= capacity_
             ? 0
             : static_cast<std::size_t>(emitted_ % capacity_);
     for (std::size_t i = 0; i < n; ++i)

@@ -8,10 +8,9 @@
  * `trace_event` JSON (chrome://tracing / Perfetto, Daisen-style) or
  * CSV.
  *
- * Tracing is off by default: `megsim-cli trace` turns it on through
- * ObsConfig::traceEnabled, and the emit fast path when disabled is a
- * single predictable branch. The ring is allocated only by a buffer
- * built with tracing on; a disabled one holds no events at all.
+ * Tracing is off by default: only `megsim-cli trace` builds a buffer
+ * with a ring, and the emit fast path without one is a single
+ * predictable branch.
  *
  * Event names must be string literals (or otherwise outlive the
  * buffer): events store `const char *` to keep emission allocation-
@@ -23,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "sim/types.hh"
@@ -52,31 +50,13 @@ struct TraceEvent
     std::uint64_t arg;       // payload: count / bytes / address
 };
 
-/** Observability knobs, normally read from the environment once. */
-struct ObsConfig
-{
-    bool traceEnabled = false;
-    std::size_t traceCapacity = 1 << 16;
-    /** Glob for a post-frame registry dump to stderr; empty = off. */
-    std::string statsDump;
-
-    /**
-     * MEGSIM_TRACE_CAPACITY sets the ring size (a whole number >= 1;
-     * any other value warns, naming it, and keeps the default),
-     * MEGSIM_STATS_DUMP=<glob|1> enables the per-frame stats dump
-     * ("1" means "*"). Tracing stays off.
-     */
-    static ObsConfig fromEnv();
-};
-
 class TraceBuffer
 {
   public:
-    TraceBuffer() : TraceBuffer(ObsConfig()) {}
-    explicit TraceBuffer(const ObsConfig &config);
+    /** A ring of @p capacity events; 0, the default, records none. */
+    explicit TraceBuffer(std::size_t capacity = 0);
 
-    bool enabled() const { return enabled_; }
-    /** The configured ring size, allocated only when enabled(). */
+    bool enabled() const { return capacity_ > 0; }
     std::size_t capacity() const { return capacity_; }
 
     /** Record an interval event; keeps the most recent `capacity`. */
@@ -84,7 +64,7 @@ class TraceBuffer
     emit(const char *name, TraceCategory cat, std::uint32_t frame,
          sim::Tick begin, sim::Tick end, std::uint64_t arg = 0)
     {
-        if (!enabled_) [[likely]]
+        if (capacity_ == 0) [[likely]]
             return;
         ring_[emitted_ % capacity_] =
             TraceEvent{name, cat, frame, begin, end, arg};
@@ -125,8 +105,7 @@ class TraceBuffer
 
   private:
     std::size_t capacity_;
-    bool enabled_;
-    std::vector<TraceEvent> ring_; // capacity_ events, or none when off
+    std::vector<TraceEvent> ring_;
     std::uint64_t emitted_ = 0;
 };
 

@@ -94,9 +94,6 @@ SchedulerConfig::fromEnv()
 {
     SchedulerConfig config;
     config.shard = ShardConfig::fromEnv();
-    config.maxInflight = static_cast<std::size_t>(util::numberFromEnv(
-        "MEGSIM_SCHED_MAX_INFLIGHT", util::NumberRule::Count,
-        static_cast<double>(config.maxInflight), "using the default"));
     return config;
 }
 

@@ -94,11 +94,7 @@ struct SchedulerConfig
     std::size_t maxInflight = 8;
     ShardConfig shard;
 
-    /**
-     * Defaults plus MEGSIM_SCHED_MAX_INFLIGHT (a whole number >= 1;
-     * any other value warns and the default applies) and the shard
-     * settings of ShardConfig::fromEnv().
-     */
+    /** Defaults plus the shard settings of ShardConfig::fromEnv(). */
     static SchedulerConfig fromEnv();
 };
 

@@ -23,15 +23,6 @@ testScene()
     return scene;
 }
 
-obs::ObsConfig
-tracingOn()
-{
-    obs::ObsConfig config;
-    config.traceEnabled = true;
-    config.traceCapacity = 1 << 20;
-    return config;
-}
-
 } // namespace
 
 TEST(GpuConfig, BaselineMatchesTableI)
@@ -197,7 +188,7 @@ TEST(TimingSimulator, TracingEmitsEveryPipelineStage)
 {
     SceneBinding binding(testScene());
     TimingSimulator timing(GpuConfig::evaluationScaled(), binding,
-                           tracingOn());
+                           1 << 20);
     timing.simulate(testScene().frames[0]);
 
     std::set<std::string> names;
@@ -217,17 +208,12 @@ TEST(TimingSimulator, TracingEmitsEveryPipelineStage)
 TEST(TimingSimulator, TracingOffEmitsNothing)
 {
     SceneBinding binding(testScene());
-    obs::ObsConfig off;
-    off.traceEnabled = false;
-    // Only a tracing simulator allocates its ring: a 2^45-event
-    // capacity (1.4 PB of events) costs an untraced one nothing.
-    off.traceCapacity = 1ull << 45;
-    TimingSimulator timing(GpuConfig::evaluationScaled(), binding,
-                           off);
+    // A simulator built without a trace capacity has no ring at all.
+    TimingSimulator timing(GpuConfig::evaluationScaled(), binding);
     timing.simulate(testScene().frames[0]);
     EXPECT_EQ(timing.trace().size(), 0u);
     EXPECT_EQ(timing.trace().emittedCount(), 0u);
-    EXPECT_EQ(timing.trace().capacity(), off.traceCapacity);
+    EXPECT_EQ(timing.trace().capacity(), 0u);
 }
 
 TEST(FrameStats, CsvSchemaRoundTrips)

@@ -14,9 +14,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "scratch_dir.hh"
@@ -83,6 +86,35 @@ tempDir()
         msim::test::scratchDir() / "megsim_cli_test";
     std::filesystem::create_directories(dir);
     return dir;
+}
+
+/**
+ * The options each command reads, written out here rather than taken
+ * from the CLI's own table: campaign's includes its --diff form.
+ */
+const std::map<std::string, std::set<std::string>> &
+expectedReads()
+{
+    static const std::map<std::string, std::set<std::string>> reads = {
+        {"stats", {"--bench", "--frame", "--filter", "--scale",
+                   "--baseline"}},
+        {"trace", {"--bench", "--frames", "--out", "--csv", "--scale",
+                   "--baseline"}},
+        {"resume", {"--bench", "--cache-dir", "--scale", "--baseline",
+                    "--threads"}},
+        {"verify-cache", {"--bench", "--cache-dir", "--scale",
+                          "--baseline"}},
+        {"campaign", {"--benches", "--out", "--check", "--cache-dir",
+                      "--ledger", "--workers", "--attrib", "--timeline",
+                      "--scale", "--threads", "--diff"}},
+        {"serve", {"--socket", "--max-requests", "--workers",
+                   "--max-inflight", "--benches", "--cache-dir",
+                   "--timeline", "--scale", "--threads"}},
+        {"submit", {"--socket", "--benches", "--tenant", "--weight",
+                    "--out", "--ledger"}},
+        {"ledger", {"--validate"}},
+    };
+    return reads;
 }
 
 } // namespace
@@ -318,8 +350,8 @@ TEST(MegsimCli, BadUsageFailsCleanly)
         {"stats --bench hcr --frame -1", "--frame"},
         {"trace --bench hcr --frames 0:3x", "--frames"},
         {"trace --bench hcr --frames 3:1", "--frames"},
-        {"stats --bench hcr --frame 0 --threads 2x", "--threads"},
-        {"stats --bench hcr --frame 0 --threads 0", "--threads"},
+        {"resume --bench hcr --threads 2x", "--threads"},
+        {"resume --bench hcr --threads 0", "--threads"},
         {"serve --workers 1.5", "--workers"},
         {"serve --max-requests 2x", "--max-requests"},
         {"serve --max-inflight 0", "--max-inflight"},
@@ -384,6 +416,165 @@ TEST(MegsimCli, BadUsageFailsCleanly)
         EXPECT_NE(slurp(log).find(std::string("unknown option '") + gone),
                   std::string::npos)
             << slurp(log);
+    }
+}
+
+TEST(MegsimCli, EveryCommandReadsOnlyItsOwnOptions)
+{
+    ASSERT_FALSE(cliPath.empty());
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path log = dir / "walk.log";
+    // Every path below lies in an empty directory that must stay empty:
+    // a refused option stops the command before it opens a file.
+    const std::filesystem::path untouched = dir / "walk";
+    std::filesystem::remove_all(untouched);
+    std::filesystem::create_directories(untouched);
+    const std::string path = (untouched / "f").string();
+
+    // Each option with a value of the kind it takes.
+    const std::vector<std::pair<std::string, std::string>> options = {
+        {"--bench", "hcr"},        {"--benches", "hcr,jjo"},
+        {"--frame", "0"},          {"--frames", "0:1"},
+        {"--filter", "gpu.*"},     {"--out", path},
+        {"--csv", path},           {"--check", path},
+        {"--diff", path + " " + path},
+        {"--ledger", path},        {"--timeline", path},
+        {"--validate", path},      {"--attrib", ""},
+        {"--cache-dir", path},     {"--socket", path},
+        {"--max-requests", "1"},   {"--max-inflight", "1"},
+        {"--workers", "1"},        {"--tenant", "t"},
+        {"--weight", "2"},         {"--scale", "1"},
+        {"--baseline", ""},        {"--threads", "1"},
+    };
+    ASSERT_EQ(options.size(), 23u);
+    ASSERT_EQ(expectedReads().size(), 8u);
+
+    // Should a refusal regress, keep what would then run small.
+    ::setenv("MEGSIM_FRAME_LIMIT", "2", 1);
+    ::setenv("MEGSIM_CACHE_DIR", path.c_str(), 1);
+    for (const auto &[command, reads] : expectedReads()) {
+        for (const auto &[option, value] : options) {
+            const std::string given =
+                command + " " + option + (value.empty() ? "" : " " + value);
+            if (reads.count(option)) {
+                // Taken: the parser goes on to the next word.
+                const int rc = runCli(given + " --no-such-option", log);
+                ASSERT_TRUE(WIFEXITED(rc)) << given;
+                EXPECT_EQ(WEXITSTATUS(rc), 2) << given << ": " << slurp(log);
+                EXPECT_NE(slurp(log).find(
+                              "unknown option '--no-such-option'"),
+                          std::string::npos)
+                    << given << ": " << slurp(log);
+                continue;
+            }
+            const int rc = runCli(given, log);
+            ASSERT_TRUE(WIFEXITED(rc)) << given;
+            EXPECT_EQ(WEXITSTATUS(rc), 2) << given << ": " << slurp(log);
+            const std::string text = slurp(log);
+            EXPECT_TRUE(text.find(option + " is read by ") !=
+                            std::string::npos ||
+                        text.find(option + " is not read by ") !=
+                            std::string::npos)
+                << given << ": " << text;
+        }
+    }
+
+    // campaign --diff reads nothing else; a list of benches, a frame
+    // and a frame range each take only values of their kind.
+    const struct
+    {
+        std::string args;
+        const char *refusal;
+    } refused[] = {
+        {"campaign --diff " + path + " " + path + " --check " + path,
+         "--check is not read by campaign --diff"},
+        {"campaign --benches ''", "--benches needs"},
+        {"campaign --benches hcr,,jjo", "--benches needs"},
+        {"serve --socket " + path + " --benches ,", "--benches needs"},
+        {"stats --bench hcr --frame 2:9", "--frame needs"},
+        {"trace --bench hcr --frames 1:1", "--frames needs"},
+        {"trace --bench hcr --out ''", "--out needs"},
+    };
+    for (const auto &bad : refused) {
+        const int rc = runCli(bad.args, log);
+        ASSERT_TRUE(WIFEXITED(rc)) << bad.args;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << bad.args << ": " << slurp(log);
+        EXPECT_NE(slurp(log).find(bad.refusal), std::string::npos)
+            << bad.args << ": " << slurp(log);
+    }
+    ::unsetenv("MEGSIM_FRAME_LIMIT");
+    ::unsetenv("MEGSIM_CACHE_DIR");
+    EXPECT_TRUE(std::filesystem::is_empty(untouched));
+}
+
+TEST(MegsimCli, UsageListsEachCommandWithItsOwnOptions)
+{
+    ASSERT_FALSE(cliPath.empty());
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path log = dir / "bare.log";
+
+    for (const std::string args : {"", "stats --attrib"}) {
+        const int rc = runCli(args, log);
+        ASSERT_TRUE(WIFEXITED(rc)) << args;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << args;
+        const std::string text = slurp(log);
+        ASSERT_NE(text.find("usage: " + cliPath + " "), std::string::npos)
+            << text;
+        // No line offers an option to every command.
+        EXPECT_EQ(text.find("options:"), std::string::npos) << text;
+
+        // Each command's lines, up to the next command's, name exactly
+        // the options it reads.
+        std::map<std::string, std::set<std::string>> listed;
+        const std::string marker = cliPath + " ";
+        for (std::size_t at = text.find(marker); at != std::string::npos;) {
+            const std::size_t next = text.find(marker, at + 1);
+            std::istringstream words(
+                text.substr(at + marker.size(), next - at - marker.size()));
+            std::string command, word;
+            words >> command;
+            std::set<std::string> &options = listed[command];
+            while (words >> word) {
+                if (word.front() == '[')
+                    word.erase(0, 1);
+                if (word.back() == ']')
+                    word.pop_back();
+                if (word.rfind("--", 0) == 0)
+                    options.insert(word);
+            }
+            at = next;
+        }
+        EXPECT_EQ(listed, expectedReads()) << text;
+    }
+}
+
+TEST(MegsimCli, MalformedTraceCapacityWarnsOnceAndKeepsTheDefault)
+{
+    ASSERT_FALSE(cliPath.empty());
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path json = dir / "capacity.json";
+    const std::filesystem::path log = dir / "capacity.log";
+
+    // Not a whole number of at least 1: a trailing unit, a word, zero,
+    // a fraction, a negative and a non-finite value. Sixteen frames of
+    // hcr emit more than the default 65,536 events, so the drop note
+    // shows the capacity in use.
+    for (const char *bad : {"64x", "abc", "0", "2.5", "-8", "inf"}) {
+        ::setenv("MEGSIM_TRACE_CAPACITY", bad, 1);
+        const int rc = runCli(
+            "trace --bench hcr --frames 0:16 --out " + json.string(), log);
+        ::unsetenv("MEGSIM_TRACE_CAPACITY");
+        ASSERT_TRUE(WIFEXITED(rc)) << bad;
+        EXPECT_EQ(WEXITSTATUS(rc), 0) << bad << ": " << slurp(log);
+        const std::string text = slurp(log);
+        const std::string named =
+            std::string("MEGSIM_TRACE_CAPACITY='") + bad + "'";
+        const std::size_t at = text.find(named);
+        EXPECT_NE(at, std::string::npos) << bad << ": " << text;
+        EXPECT_EQ(text.find(named, at + 1), std::string::npos)
+            << "warned twice for " << bad << ": " << text;
+        EXPECT_NE(text.find("capacity 65536"), std::string::npos)
+            << bad << ": " << text;
     }
 }
 

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -11,15 +10,6 @@ using namespace msim::obs;
 
 namespace
 {
-
-ObsConfig
-enabledConfig(std::size_t capacity)
-{
-    ObsConfig config;
-    config.traceEnabled = true;
-    config.traceCapacity = capacity;
-    return config;
-}
 
 /**
  * Minimal JSON well-formedness check: balanced braces/brackets
@@ -63,7 +53,7 @@ TEST(TraceBuffer, DisabledByDefaultAndEmitsNothing)
 {
     TraceBuffer buf;
     EXPECT_FALSE(buf.enabled());
-    EXPECT_EQ(buf.capacity(), ObsConfig().traceCapacity);
+    EXPECT_EQ(buf.capacity(), 0u);
     buf.emit("stage", TraceCategory::Stage, 0, 0, 10);
     EXPECT_EQ(buf.size(), 0u);
     EXPECT_EQ(buf.emittedCount(), 0u);
@@ -73,7 +63,7 @@ TEST(TraceBuffer, DisabledByDefaultAndEmitsNothing)
 
 TEST(TraceBuffer, RingKeepsMostRecentAndCountsDrops)
 {
-    TraceBuffer buf(enabledConfig(4));
+    TraceBuffer buf(4);
     for (std::uint64_t i = 0; i < 6; ++i)
         buf.emit("e", TraceCategory::Stage, 0, i, i + 1, i);
     EXPECT_EQ(buf.size(), 4u);
@@ -90,7 +80,7 @@ TEST(TraceBuffer, RingKeepsMostRecentAndCountsDrops)
 
 TEST(TraceBuffer, ClearResets)
 {
-    TraceBuffer buf(enabledConfig(8));
+    TraceBuffer buf(8);
     buf.instant("i", TraceCategory::Frame, 1, 42);
     EXPECT_EQ(buf.size(), 1u);
     buf.clear();
@@ -99,7 +89,7 @@ TEST(TraceBuffer, ClearResets)
 
 TEST(ChromeTrace, ExportsParsableJsonWithRequiredFields)
 {
-    TraceBuffer buf(enabledConfig(16));
+    TraceBuffer buf(16);
     buf.emit("vertex_shader", TraceCategory::Stage, 0, 100, 700, 3);
     buf.emit("fragment_queue", TraceCategory::Queue, 0, 800, 900, 12);
     buf.instant("frame", TraceCategory::Frame, 0, 1000);
@@ -127,7 +117,7 @@ TEST(ChromeTrace, ExportsParsableJsonWithRequiredFields)
 
 TEST(ChromeTrace, TimestampsScaleWithFrequency)
 {
-    TraceBuffer buf(enabledConfig(4));
+    TraceBuffer buf(4);
     // 600 cycles at 600 MHz = 1 us.
     buf.emit("stage", TraceCategory::Stage, 0, 600, 1200);
     std::ostringstream os;
@@ -139,7 +129,7 @@ TEST(ChromeTrace, TimestampsScaleWithFrequency)
 
 TEST(TraceCsv, RoundTripsEventRows)
 {
-    TraceBuffer buf(enabledConfig(4));
+    TraceBuffer buf(4);
     buf.emit("dram", TraceCategory::Dram, 2, 10, 60, 64);
     std::ostringstream os;
     writeTraceCsv(os, buf.snapshot());
@@ -148,45 +138,4 @@ TEST(TraceCsv, RoundTripsEventRows)
               std::string::npos);
     EXPECT_NE(csv.find("dram,dram,2,10,60,64"), std::string::npos)
         << csv;
-}
-
-TEST(ObsConfig, ReadsEnvironment)
-{
-    ::setenv("MEGSIM_TRACE_CAPACITY", "128", 1);
-    ::setenv("MEGSIM_STATS_DUMP", "gpu.l2.*", 1);
-    const ObsConfig config = ObsConfig::fromEnv();
-    // Only `megsim-cli trace` reads the ring, and it turns recording
-    // on itself; no environment variable does.
-    EXPECT_FALSE(config.traceEnabled);
-    EXPECT_EQ(config.traceCapacity, 128u);
-    EXPECT_EQ(config.statsDump, "gpu.l2.*");
-    ::unsetenv("MEGSIM_TRACE_CAPACITY");
-    ::unsetenv("MEGSIM_STATS_DUMP");
-    const ObsConfig off = ObsConfig::fromEnv();
-    EXPECT_FALSE(off.traceEnabled);
-    EXPECT_EQ(off.traceCapacity, ObsConfig().traceCapacity);
-    EXPECT_TRUE(off.statsDump.empty());
-}
-
-TEST(ObsConfig, MalformedTraceCapacityWarnsOnceAndKeepsTheDefault)
-{
-    const std::size_t fallback = ObsConfig().traceCapacity;
-    // Not a whole number of at least 1: a trailing unit, a word, zero,
-    // a fraction, a negative and a non-finite value.
-    for (const char *bad : {"64x", "abc", "0", "2.5", "-8", "inf"}) {
-        ::setenv("MEGSIM_TRACE_CAPACITY", bad, 1);
-        ::testing::internal::CaptureStderr();
-        const ObsConfig first = ObsConfig::fromEnv();
-        const ObsConfig second = ObsConfig::fromEnv();
-        const std::string err = ::testing::internal::GetCapturedStderr();
-        EXPECT_EQ(first.traceCapacity, fallback) << bad;
-        EXPECT_EQ(second.traceCapacity, fallback) << bad;
-        const std::string named =
-            std::string("MEGSIM_TRACE_CAPACITY='") + bad + "'";
-        const std::size_t at = err.find(named);
-        EXPECT_NE(at, std::string::npos) << bad << ": " << err;
-        EXPECT_EQ(err.find(named, at + 1), std::string::npos)
-            << "warned twice for " << bad << ": " << err;
-    }
-    ::unsetenv("MEGSIM_TRACE_CAPACITY");
 }

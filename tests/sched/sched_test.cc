@@ -172,9 +172,6 @@ TEST_F(SchedTest, MalformedServedSettingsWarnAndKeepTheirDefaults)
         {"MEGSIM_SHARD_DEADLINE_MS",
          [] { return sched::ShardConfig::fromEnv().shardDeadlineMs; },
          defaults.shard.shardDeadlineMs, "1500", 1500},
-        {"MEGSIM_SCHED_MAX_INFLIGHT",
-         [] { return sched::SchedulerConfig::fromEnv().maxInflight; },
-         defaults.maxInflight, "2", 2},
     };
     for (const Setting &setting : settings) {
         for (const char *bad : {"abc", "3x", "-1", "2.5", "inf"}) {
@@ -194,15 +191,11 @@ TEST_F(SchedTest, MalformedServedSettingsWarnAndKeepTheirDefaults)
         EXPECT_EQ(setting.read(), setting.parsed) << setting.name;
         ::unsetenv(setting.name);
     }
-    // A frame count and an admission cap of 0 are malformed too.
+    // A frame count of 0 is malformed too.
     ::setenv("MEGSIM_SHARD_FRAMES", "0", 1);
     EXPECT_EQ(sched::ShardConfig::fromEnv().shardFrames,
               defaults.shard.shardFrames);
     ::unsetenv("MEGSIM_SHARD_FRAMES");
-    ::setenv("MEGSIM_SCHED_MAX_INFLIGHT", "0", 1);
-    EXPECT_EQ(sched::SchedulerConfig::fromEnv().maxInflight,
-              defaults.maxInflight);
-    ::unsetenv("MEGSIM_SCHED_MAX_INFLIGHT");
 }
 
 TEST_F(SchedTest, ConcurrentRequestsStayBitIdenticalToSoloRuns)

@@ -1,25 +1,34 @@
 /**
  * @file
  * End-to-end tests for the supervised campaign CLI surface:
- * `campaign --workers N`, the degraded exit code 8, and the
+ * `campaign --workers N`, the degraded exit code 8, the
  * `serve --socket` / `submit` request queue, including its refusal of
- * frames that are not campaign requests. The harness passes the built
+ * frames that are not campaign requests, and what `submit --ledger`
+ * writes. The harness passes the built
  * megsim-cli path as argv[1] (see tests/CMakeLists.txt).
  */
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "batch/report.hh"
 #include "scratch_dir.hh"
+#include "serve/protocol.hh"
 #include "serve/service.hh"
 
 namespace
@@ -262,6 +271,97 @@ TEST(ServeCli, ServeRefusesFramesThatAreNotCampaignRequests)
               std::string::npos)
         << slurp(serveLog);
     EXPECT_EQ(slurp(victim), "keep me\n");
+}
+
+TEST(ServeCli, SubmitWritesTheRepliedLedgerOrWarns)
+{
+    ASSERT_FALSE(cliPath.empty());
+    const std::filesystem::path dir = tempDir();
+    const std::filesystem::path socket = dir / "scripted.sock";
+    const std::filesystem::path log = dir / "scripted.log";
+    std::filesystem::remove(socket);
+
+    // A scripted server: each client gets the next reply, a finished
+    // campaign (an empty report) with or without a ledger.
+    const std::string ledgerText =
+        "{\"schema\":\"megsim-run-v1\",\"seq\":0}\n\"quoted\"\ttab\n";
+    std::vector<msim::util::Json> replies;
+    for (const bool withLedger : {true, false, true}) {
+        msim::util::Json reply = msim::util::Json::object();
+        reply.set("type", "campaign_result");
+        reply.set("status", "ok");
+        reply.set("report", msim::batch::CampaignReport().toJson());
+        if (withLedger)
+            reply.set("ledger", ledgerText);
+        replies.push_back(std::move(reply));
+    }
+    const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    ASSERT_LT(socket.string().size(), sizeof(addr.sun_path));
+    std::strcpy(addr.sun_path, socket.c_str());
+    ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listener, 4), 0);
+    std::thread server([&] {
+        for (const msim::util::Json &reply : replies) {
+            // A client that never comes fails the test, not hangs it.
+            pollfd ready{listener, POLLIN, 0};
+            if (::poll(&ready, 1, 10000) != 1)
+                return;
+            const int client = ::accept(listener, nullptr, nullptr);
+            if (client < 0)
+                return;
+            (void)msim::serve::readMessage(client, 5000.0);
+            (void)msim::serve::writeMessage(client, reply);
+            ::close(client);
+        }
+    });
+
+    // The ledger on disk is the reply's text, byte for byte.
+    const std::filesystem::path written = dir / "scripted.run.jsonl";
+    std::filesystem::remove(written);
+    EXPECT_EQ(runCli("", "submit --socket " + socket.string() +
+                             " --ledger " + written.string(),
+                     log),
+              0)
+        << slurp(log);
+    EXPECT_EQ(slurp(written), ledgerText);
+    EXPECT_NE(slurp(log).find("ledger: " + written.string()),
+              std::string::npos)
+        << slurp(log);
+
+    // A reply without a ledger warns, naming the path, and writes
+    // nothing; the exit code stays.
+    const std::filesystem::path absent = dir / "absent.run.jsonl";
+    std::filesystem::remove(absent);
+    EXPECT_EQ(runCli("", "submit --socket " + socket.string() +
+                             " --ledger " + absent.string(),
+                     log),
+              0)
+        << slurp(log);
+    EXPECT_NE(slurp(log).find("reply carries no ledger; '" +
+                              absent.string() + "' not written"),
+              std::string::npos)
+        << slurp(log);
+    EXPECT_FALSE(std::filesystem::exists(absent));
+
+    // So does a ledger that cannot be written.
+    const std::string unwritable = "/nonexistent/dir/l.run.jsonl";
+    EXPECT_EQ(runCli("", "submit --socket " + socket.string() +
+                             " --ledger " + unwritable,
+                     log),
+              0)
+        << slurp(log);
+    EXPECT_NE(slurp(log).find("cannot write ledger '" + unwritable + "'"),
+              std::string::npos)
+        << slurp(log);
+
+    server.join();
+    ::close(listener);
+    std::filesystem::remove(socket);
 }
 
 int
